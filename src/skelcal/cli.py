@@ -162,25 +162,13 @@ def cmd_diagnose(args) -> int:
 
     def write_ydiff(path: Path):
         series = y_diff_to_last(seq, args.joints)
-        names = [s.joint.name.lower() for s in series]
-        lines = ["frame," + ",".join(names)]
-        for k, frame in enumerate(seq.frames):
-            row = [str(frame.frame_index)] + [f"{s.per_frame_diff[k]:.9f}" for s in series]
-            lines.append(",".join(row))
-        fileio._atomic_write(path, "\n".join(lines) + "\n")
+        fileio.write_ydiff_report(seq, series, path)
         worst = max(s.max_abs for s in series)
         print(f"ydiff report -> {path} (max |y - y_last| = {worst:.4f} m)", file=sys.stderr)
 
     def write_bones(path: Path):
         report = bone_length_stability(seq)
-        lines = ["parent,child,parent_name,child_name,mean_m,std_m,max_abs_dev_m"]
-        for e in report.per_edge:
-            lines.append(
-                f"{int(e.edge.parent)},{int(e.edge.child)},"
-                f"{e.edge.parent.name.lower()},{e.edge.child.name.lower()},"
-                f"{e.mean_length_m:.9f},{e.std_length_m:.9f},{e.max_abs_dev_m:.9f}"
-            )
-        fileio._atomic_write(path, "\n".join(lines) + "\n")
+        fileio.write_bone_report(report, path)
         print(f"bone report -> {path} (max std = {report.max_std_m:.6f} m)", file=sys.stderr)
 
     if args.report == "ydiff":

@@ -57,13 +57,9 @@ def y_diff_to_last(
     seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS
 ) -> list[DiffSeries]:
     """For each joint, the series y(frame k) - y(last frame); last entry is 0."""
-    out = []
-    for j in joints:
-        idx = int(j)
-        y_last = seq.frames[-1].joints[idx].y
-        diffs = tuple(f.joints[idx].y - y_last for f in seq.frames)
-        out.append(DiffSeries(JointIndex(idx), diffs))
-    return out
+    idx = [int(j) for j in joints]
+    y = seq.xyz[:, idx, 1]
+    return [DiffSeries(JointIndex(j), tuple(d)) for j, d in zip(idx, (y - y[-1]).T.tolist())]
 
 
 def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS) -> float:
@@ -83,14 +79,17 @@ def bone_lengths(frame: SkeletonFrame) -> list[tuple[SkeletonEdge, float]]:
 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
     """Per-edge mean, standard deviation, and max deviation of bone lengths."""
-    if len(seq.frames) < 2:
+    if len(seq) < 2:
         raise ValueError("bone-length stability needs at least 2 frames")
-    lengths = np.array([[length for _, length in bone_lengths(f)] for f in seq.frames])
-    per_edge = []
-    for col, edge in enumerate(SKELETON_EDGES):
-        series = lengths[:, col]
-        mean = float(series.mean())
-        per_edge.append(
-            EdgeStability(edge, mean, float(series.std()), float(np.abs(series - mean).max()))
+    parents = [int(e.parent) for e in SKELETON_EDGES]
+    children = [int(e.child) for e in SKELETON_EDGES]
+    lengths = np.linalg.norm(seq.xyz[:, parents] - seq.xyz[:, children], axis=2)
+    mean = lengths.mean(axis=0)
+    std = lengths.std(axis=0)
+    max_dev = np.abs(lengths - mean).max(axis=0)
+    return StabilityReport(
+        tuple(
+            EdgeStability(edge, m, s, d)
+            for edge, m, s, d in zip(SKELETON_EDGES, mean.tolist(), std.tolist(), max_dev.tolist())
         )
-    return StabilityReport(tuple(per_edge))
+    )

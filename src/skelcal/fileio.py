@@ -17,8 +17,13 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
+
+from .diagnostics import DiffSeries, StabilityReport
 from .errors import (
     EmptySequenceError,
     IoFailureError,
@@ -34,8 +39,6 @@ from .skeleton import (
     CaptureSequence,
     GaitDirection,
     JointIndex,
-    Point3,
-    SkeletonFrame,
     validate_sequence,
 )
 from .tilt import TiltParams
@@ -54,6 +57,9 @@ _PROFILE_FIELDS = (
     "created_label",
 )
 _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
+
+#: Frame indices are stored as int64.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -77,9 +83,9 @@ def _fmt(value: float) -> str:
 
 def write_capture(seq: CaptureSequence, path: str | Path) -> None:
     lines = [CAPTURE_HEADER]
-    for frame in seq.frames:
-        for j, p in enumerate(frame.joints):
-            lines.append(f"{frame.frame_index},{j},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+    for index, joints in zip(seq.frame_index.tolist(), seq.xyz.tolist()):
+        for j, (x, y, z) in enumerate(joints):
+            lines.append(f"{index},{j},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -100,9 +106,10 @@ def read_capture(
     if not lines or lines[0].strip() != CAPTURE_HEADER:
         raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
 
-    frames: list[SkeletonFrame] = []
+    frame_indices: list[int] = []
+    coords = array("d")  # x, y, z of joints 0-24 of each complete frame, in order
     current_index: int | None = None
-    current_joints: dict[int, Point3] = {}
+    current_joints: dict[int, tuple[float, float, float]] = {}
 
     def flush():
         if current_index is None:
@@ -110,9 +117,8 @@ def read_capture(
         for j in range(JOINT_COUNT):
             if j not in current_joints:
                 raise MissingJointError(current_index, j)
-        frames.append(
-            SkeletonFrame(current_index, tuple(current_joints[j] for j in range(JOINT_COUNT)))
-        )
+            coords.extend(current_joints[j])
+        frame_indices.append(current_index)
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -132,19 +138,46 @@ def read_capture(
             flush()
             if current_index is not None and frame_index < current_index:
                 raise ParseError(lineno, f"frame {frame_index} out of order after {current_index}")
+            if not _INT64_MIN <= frame_index <= _INT64_MAX:
+                raise ParseError(lineno, f"frame index {frame_index} out of the 64-bit range")
             current_index = frame_index
             current_joints = {}
         if joint in current_joints:
             raise ParseError(lineno, f"duplicate joint {joint} in frame {frame_index}")
-        current_joints[joint] = Point3(x, y, z)
+        current_joints[joint] = (x, y, z)
     flush()
 
-    if not frames:
+    if not frame_indices:
         raise EmptySequenceError(f"{path} contains no data rows")
-    seq = CaptureSequence(
-        tuple(frames), direction, nominal_fps, label if label is not None else path.stem
+    seq = CaptureSequence.from_arrays(
+        np.frombuffer(coords).reshape(-1, JOINT_COUNT, 3),
+        frame_indices,
+        direction,
+        nominal_fps,
+        label if label is not None else path.stem,
     )
     return validate_sequence(seq)
+
+
+def write_ydiff_report(seq: CaptureSequence, series: Sequence[DiffSeries], path: str | Path) -> None:
+    """Plot-ready CSV: one row per frame, its index and each joint's y - y_last."""
+    lines = ["frame," + ",".join(s.joint.name.lower() for s in series)]
+    rows = zip(*(s.per_frame_diff for s in series))
+    for index, diffs in zip(seq.frame_index.tolist(), rows):
+        lines.append(",".join([str(index), *map(_fmt, diffs)]))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_bone_report(report: StabilityReport, path: str | Path) -> None:
+    """CSV with one row per skeleton edge: its joints and its length statistics."""
+    lines = ["parent,child,parent_name,child_name,mean_m,std_m,max_abs_dev_m"]
+    for e in report.per_edge:
+        lines.append(
+            f"{int(e.edge.parent)},{int(e.edge.child)},"
+            f"{e.edge.parent.name.lower()},{e.edge.child.name.lower()},"
+            f"{_fmt(e.mean_length_m)},{_fmt(e.std_length_m)},{_fmt(e.max_abs_dev_m)}"
+        )
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_profile(profile: CalibrationProfile, path: str | Path) -> None:

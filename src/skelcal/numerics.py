@@ -85,8 +85,8 @@ def polyfit_least_squares(points: Sequence[FitPoint], degree: int) -> Polynomial
     return Polynomial(tuple(float(c) for c in coeffs))
 
 
-def polyeval(p: Polynomial, x: float) -> float:
-    """Evaluate ``p`` at ``x`` with the Horner scheme."""
+def polyeval(p: Polynomial, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate ``p`` at ``x`` with the Horner scheme; elementwise for an array ``x``."""
     acc = 0.0
     for c in reversed(p.coefficients):
         acc = acc * x + c

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BetaOutOfRangeError,
     InsufficientDepthTravelError,
@@ -21,7 +23,7 @@ from .errors import (
     WrongDirectionError,
 )
 from .numerics import FitPoint, Polynomial, arithmetic_mean, polyeval, polyfit_least_squares
-from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3, SkeletonFrame
+from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3
 
 #: Minimum first-to-last depth travel for a usable estimate.
 MIN_DEPTH_TRAVEL_M = 0.05
@@ -89,14 +91,13 @@ def joint_perspective_degree(
             f"perspective estimation needs a vertical gait, got {seq.direction.value}"
         )
     idx = int(j)
-    first = seq.frames[0].joints[idx]
-    last = seq.frames[-1].joints[idx]
-    depth_travel = first.z - last.z
+    (_, y_first, z_first), (_, y_last, z_last) = seq.xyz[[0, -1], idx].tolist()
+    depth_travel = z_first - z_last
     if abs(depth_travel) <= min_depth_travel_m:
         raise InsufficientDepthTravelError(
             f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {min_depth_travel_m} m"
         )
-    return math.atan((last.y - first.y) / depth_travel)
+    return math.atan((y_last - y_first) / depth_travel)
 
 
 def mean_perspective_degrees(
@@ -124,7 +125,7 @@ def mean_perspective_degrees(
                 continue
         if not betas:
             raise NoUsableGaitsError(idx)
-        heights = [f.joints[idx].y for seq in vertical for f in seq.frames]
+        heights = np.concatenate([seq.xyz[:, idx, 1] for seq in vertical]).tolist()
         points.append(
             BetaPoint(JointIndex(idx), arithmetic_mean(heights), arithmetic_mean(betas))
         )
@@ -149,9 +150,11 @@ def perspective_correct_point(p: Point3, model: BetaModel) -> Point3:
 
 
 def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
-    """Apply perspective_correct_point to every joint of every frame."""
-    frames = tuple(
-        SkeletonFrame(f.frame_index, tuple(perspective_correct_point(p, model) for p in f.joints))
-        for f in seq.frames
-    )
-    return CaptureSequence(frames, seq.direction, seq.nominal_fps, seq.label)
+    """perspective_correct_point applied to every joint of every frame."""
+    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    beta = polyeval(model.poly, y)
+    steep = np.flatnonzero(np.abs(beta) >= math.pi / 2 - 1e-6)
+    if steep.size:
+        k = steep[0]
+        raise BetaOutOfRangeError(f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}")
+    return seq.with_xyz(np.stack((x, y + z * np.tan(beta), z), axis=-1))

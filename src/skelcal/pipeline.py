@@ -15,6 +15,7 @@ from .errors import CalibrationError, EmptyInputError
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
+    MIN_DEPTH_TRAVEL_M,
     fit_beta_model,
     mean_perspective_degrees,
     perspective_correct_sequence,
@@ -30,7 +31,7 @@ NEAR_ZERO_TILT_RAD = 1e-4
 class PipelineConfig:
     beta_degree: int = 2
     beta_joints: tuple[JointIndex, ...] = DEFAULT_BETA_JOINTS
-    min_depth_travel_m: float = 0.05
+    min_depth_travel_m: float = MIN_DEPTH_TRAVEL_M
 
     def __post_init__(self):
         if not 1 <= self.beta_degree <= 6:

@@ -7,9 +7,11 @@ from the sensor into the scene, X lateral.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     EmptySequenceError,
@@ -76,21 +78,91 @@ class SkeletonFrame:
         return self.joints[int(j)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CaptureSequence:
-    """Ordered frames of one recorded gait plus its direction and metadata."""
+    """Ordered frames of one recorded gait plus its direction and metadata.
 
-    frames: tuple[SkeletonFrame, ...]
+    Joint positions are one read-only float64 array ``xyz`` of shape
+    (frames, 25, 3), next to a read-only int64 ``frame_index`` array.
+    Stages transform ``xyz`` whole and return a new sequence from
+    ``with_xyz``; ``frames`` rebuilds per-frame objects on each access.
+    """
+
+    xyz: np.ndarray
+    frame_index: np.ndarray
     direction: GaitDirection
     nominal_fps: float = 30.0
     label: str = ""
 
-    def __post_init__(self):
-        if not isinstance(self.frames, tuple):
-            object.__setattr__(self, "frames", tuple(self.frames))
+    def __init__(
+        self,
+        frames: Iterable[SkeletonFrame],
+        direction: GaitDirection,
+        nominal_fps: float = 30.0,
+        label: str = "",
+    ):
+        frames = tuple(frames)
+        for f in frames:
+            if len(f.joints) != JOINT_COUNT:
+                raise WrongJointCountError(f.frame_index, len(f.joints))
+        xyz = np.array([[(p.x, p.y, p.z) for p in f.joints] for f in frames], dtype=np.float64)
+        index = [f.frame_index for f in frames]
+        self._set(xyz.reshape(len(frames), JOINT_COUNT, 3), index, direction, nominal_fps, label)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        xyz: np.ndarray,
+        frame_index: np.ndarray,
+        direction: GaitDirection,
+        nominal_fps: float = 30.0,
+        label: str = "",
+    ) -> CaptureSequence:
+        """Sequence over read-only copies of ``xyz`` (frames, 25, 3) and ``frame_index``."""
+        seq = cls.__new__(cls)
+        seq._set(xyz, frame_index, direction, nominal_fps, label)
+        return seq
+
+    def _set(self, xyz, frame_index, direction, nominal_fps, label) -> None:
+        xyz = np.array(xyz, dtype=np.float64)
+        frame_index = np.array(frame_index, dtype=np.int64)
+        if xyz.shape[1:] != (JOINT_COUNT, 3) or frame_index.shape != xyz.shape[:1]:
+            raise ValueError(
+                f"expected xyz of shape (frames, {JOINT_COUNT}, 3) and one frame index per "
+                f"frame, got {xyz.shape} and {frame_index.shape}"
+            )
+        xyz.flags.writeable = False
+        frame_index.flags.writeable = False
+        self.__dict__.update(
+            xyz=xyz, frame_index=frame_index, direction=direction, nominal_fps=nominal_fps, label=label
+        )
+
+    def with_xyz(self, xyz: np.ndarray) -> CaptureSequence:
+        """The same frame indices and metadata with new joint positions."""
+        return CaptureSequence.from_arrays(
+            xyz, self.frame_index, self.direction, self.nominal_fps, self.label
+        )
+
+    @property
+    def frames(self) -> tuple[SkeletonFrame, ...]:
+        """Per-frame view of ``xyz``, rebuilt on every access."""
+        return tuple(
+            SkeletonFrame(index, tuple(Point3(*p) for p in joints))
+            for index, joints in zip(self.frame_index.tolist(), self.xyz.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.xyz)
+
+    def __eq__(self, other):
+        if not isinstance(other, CaptureSequence):
+            return NotImplemented
+        return (
+            (self.direction, self.nominal_fps, self.label)
+            == (other.direction, other.nominal_fps, other.label)
+            and np.array_equal(self.frame_index, other.frame_index)
+            and np.array_equal(self.xyz, other.xyz)
+        )
 
 
 @dataclass(frozen=True)
@@ -139,32 +211,37 @@ def _edges() -> tuple[SkeletonEdge, ...]:
 SKELETON_EDGES: tuple[SkeletonEdge, ...] = _edges()
 
 
+def _first_true(mask: np.ndarray) -> int:
+    """Position of the first True in ``mask``, or ``len(mask)`` when none is."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
 def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
     """Return ``raw`` unchanged iff every invariant holds.
 
-    Checks, in order: non-empty, 25 joints per frame, finite coordinates,
-    strictly increasing frame indices. The first violation found is reported
-    with its frame index, joint, and field. Idempotent.
+    Checks, in order: non-empty, finite coordinates, strictly increasing frame
+    indices (25 joints per frame holds by construction). The first violation
+    in frame order is reported with its frame index, joint, and field; within
+    one frame a non-finite coordinate is reported before its index. Idempotent.
     """
-    if len(raw.frames) == 0:
+    frames = len(raw)
+    if frames == 0:
         raise EmptySequenceError("capture has no frames")
-    prev_index = None
-    for frame in raw.frames:
-        if len(frame.joints) != JOINT_COUNT:
-            raise WrongJointCountError(frame.frame_index, len(frame.joints))
-        for j, p in enumerate(frame.joints):
-            for name, value in (("x", p.x), ("y", p.y), ("z", p.z)):
-                if not math.isfinite(value):
-                    raise NonFiniteCoordinateError(frame.frame_index, j, name)
-        if prev_index is not None and frame.frame_index <= prev_index:
-            raise NonMonotonicFrameIndexError(
-                f"frame index {frame.frame_index} does not increase after {prev_index}"
-            )
-        prev_index = frame.frame_index
+    finite = np.isfinite(raw.xyz)
+    nonfinite = _first_true(~finite.all(axis=(1, 2)))
+    unordered = _first_true(np.diff(raw.frame_index) <= 0) + 1
+    if nonfinite < frames and nonfinite <= unordered:
+        j, axis = np.argwhere(~finite[nonfinite])[0].tolist()
+        raise NonFiniteCoordinateError(int(raw.frame_index[nonfinite]), j, "xyz"[axis])
+    if unordered < frames:
+        previous, current = raw.frame_index[unordered - 1 : unordered + 1].tolist()
+        raise NonMonotonicFrameIndexError(
+            f"frame index {current} does not increase after {previous}"
+        )
     return raw
 
 
 def joint_track(seq: CaptureSequence, j: JointIndex | int) -> list[Point3]:
     """Positions of joint ``j`` across all frames, in frame order."""
-    idx = int(j)
-    return [frame.joints[idx] for frame in seq.frames]
+    return [Point3(*p) for p in seq.xyz[:, int(j)].tolist()]

@@ -30,7 +30,6 @@ from .skeleton import (
     JointIndex,
     Point3,
     SKELETON_EDGES,
-    SkeletonFrame,
 )
 
 _J = JointIndex
@@ -133,15 +132,9 @@ class DistortionSpec:
             raise ValueError("noise std must be >= 0")
 
 
-def _rotated(offset: Point3, pivot: Point3, theta: float, plane: str) -> Point3:
-    """Rotate ``offset`` about ``pivot`` by ``theta`` in the y/z or y/x plane."""
-    c, s = math.cos(theta), math.sin(theta)
-    dy = offset.y - pivot.y
-    if plane == "yz":
-        dz = offset.z - pivot.z
-        return Point3(offset.x, pivot.y + dy * c - dz * s, pivot.z + dy * s + dz * c)
-    dx = offset.x - pivot.x
-    return Point3(pivot.x + dy * s + dx * c, pivot.y + dy * c - dx * s, offset.z)
+# math's sin, cos and tan per element: numpy's own may differ from them in the
+# last bit, and generated captures are pinned byte for byte by their SHA-256
+_sin, _cos, _tan = (np.vectorize(f, otypes=[float]) for f in (math.sin, math.cos, math.tan))
 
 
 def generate_truth_capture(
@@ -180,31 +173,31 @@ def generate_truth_capture(
     else:
         cycles, leg_amp = 0, 0.0
     arm_amp = leg_amp / 2
-    plane = "yz" if direction is GaitDirection.VERTICAL else "yx"
 
-    out = []
-    for k in range(frames):
-        t = k / (frames - 1)
-        if direction is GaitDirection.VERTICAL:
-            base = Point3(0.0, pelvis_y, z_start + (z_end - z_start) * t)
-        else:
-            base = Point3(-path_length / 2 + path_length * t, pelvis_y, (z_start + z_end) / 2)
-        phase = 2 * math.pi * cycles * t
-        swing = math.sin(phase)
-        posed = list(template.joint_offsets)
-        for (pivot_j, chain), sign in zip(_LEG_CHAINS, (1.0, -1.0)):
-            theta = sign * leg_amp * swing
+    t = np.arange(frames) / (frames - 1)
+    base = np.tile([0.0, pelvis_y, (z_start + z_end) / 2], (frames, 1))
+    if direction is GaitDirection.VERTICAL:
+        base[:, 2] = z_start + (z_end - z_start) * t
+    else:
+        base[:, 0] = -path_length / 2 + path_length * t
+    swing = _sin(2 * math.pi * cycles * t)
+    # limbs swing in the walking plane: y/z toward the sensor, y/x across it
+    across = 2 if direction is GaitDirection.VERTICAL else 0
+    posed = np.tile([(p.x, p.y, p.z) for p in template.joint_offsets], (frames, 1, 1))
+    limbs = ((_LEG_CHAINS, leg_amp, (1.0, -1.0)), (_ARM_CHAINS, arm_amp, (-1.0, 1.0)))
+    for chains, amp, signs in limbs:
+        for (pivot_j, chain), sign in zip(chains, signs):
+            theta = sign * amp * swing
+            c, s = _cos(theta), _sin(theta)
+            pivot = posed[:, pivot_j]
             for j in chain:
-                posed[j] = _rotated(posed[j], posed[pivot_j], theta, plane)
-        for (pivot_j, chain), sign in zip(_ARM_CHAINS, (-1.0, 1.0)):
-            theta = sign * arm_amp * swing
-            for j in chain:
-                posed[j] = _rotated(posed[j], posed[pivot_j], theta, plane)
-        joints = tuple(
-            Point3(base.x + p.x, base.y + p.y, base.z + p.z) for p in posed
-        )
-        out.append(SkeletonFrame(k, joints))
-    return CaptureSequence(tuple(out), direction, nominal_fps, label)
+                dy = posed[:, j, 1] - pivot[:, 1]
+                da = posed[:, j, across] - pivot[:, across]
+                posed[:, j, 1] = pivot[:, 1] + dy * c - da * s
+                posed[:, j, across] = pivot[:, across] + dy * s + da * c
+    return CaptureSequence.from_arrays(
+        base[:, None] + posed, np.arange(frames), direction, nominal_fps, label
+    )
 
 
 def distort_tilt(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:
@@ -217,19 +210,14 @@ def distort_tilt(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:
     """
     a, h = spec.tilt_rad, spec.sensor_height_m
     s, c = math.sin(a), math.cos(a)
-
-    def shear(p: Point3) -> Point3:
-        y_raw = p.y - p.z * s - h
-        return Point3(p.x, y_raw, p.z - y_raw * s)
-
-    def rotate(p: Point3) -> Point3:
-        return Point3(p.x, p.y * c + p.z * s - h, p.z * c - p.y * s)
-
-    warp = shear if spec.tilt_model is TiltModel.SHEAR_INVERSE else rotate
-    frames = tuple(
-        SkeletonFrame(f.frame_index, tuple(warp(p) for p in f.joints)) for f in seq.frames
-    )
-    return CaptureSequence(frames, seq.direction, seq.nominal_fps, seq.label)
+    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    if spec.tilt_model is TiltModel.SHEAR_INVERSE:
+        y_raw = y - z * s - h
+        z_raw = z - y_raw * s
+    else:
+        y_raw = y * c + z * s - h
+        z_raw = z * c - y * s
+    return seq.with_xyz(np.stack((x, y_raw, z_raw), axis=-1))
 
 
 def distort_perspective(
@@ -242,24 +230,25 @@ def distort_perspective(
 
     Solves y_raw = y_true - z*tan(beta(y_raw)) per point by fixed-point
     iteration, sampling the angle at the *raw* height so the perspective
-    correction with the same polynomial inverts this exactly.
+    correction with the same polynomial inverts this exactly. A point keeps
+    the first iterate within ``tolerance`` of the one before it.
     """
-
-    def warp(p: Point3) -> Point3:
-        y_raw = p.y
+    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    y_raw = y
+    pending = np.ones(y.shape, dtype=bool)
+    # a runaway iterate may overflow, silently as it does in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iterations):
-            y_next = p.y - p.z * math.tan(polyeval(beta_poly, y_raw))
-            if abs(y_next - y_raw) < tolerance:
-                return Point3(p.x, y_next, p.z)
-            y_raw = y_next
-        raise FixedPointDivergenceError(
-            f"no convergence after {max_iterations} iterations at y={p.y}, z={p.z}"
-        )
-
-    frames = tuple(
-        SkeletonFrame(f.frame_index, tuple(warp(p) for p in f.joints)) for f in seq.frames
+            y_next = y - z * _tan(polyeval(beta_poly, y_raw))
+            converged = np.abs(y_next - y_raw) < tolerance
+            y_raw = np.where(pending, y_next, y_raw)
+            pending &= ~converged
+            if not pending.any():
+                return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))
+    k = np.flatnonzero(pending)[0]
+    raise FixedPointDivergenceError(
+        f"no convergence after {max_iterations} iterations at y={y.flat[k]}, z={z.flat[k]}"
     )
-    return CaptureSequence(frames, seq.direction, seq.nominal_fps, seq.label)
 
 
 def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:
@@ -269,18 +258,7 @@ def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:
     if std_m == 0:
         return seq
     rng = np.random.default_rng(seed)
-    offsets = rng.normal(0.0, std_m, size=(len(seq.frames), JOINT_COUNT, 3))
-    frames = tuple(
-        SkeletonFrame(
-            f.frame_index,
-            tuple(
-                Point3(p.x + d[0], p.y + d[1], p.z + d[2])
-                for p, d in zip(f.joints, offsets[i])
-            ),
-        )
-        for i, f in enumerate(seq.frames)
-    )
-    return CaptureSequence(frames, seq.direction, seq.nominal_fps, seq.label)
+    return seq.with_xyz(seq.xyz + rng.normal(0.0, std_m, size=seq.xyz.shape))
 
 
 def apply_distortion(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:

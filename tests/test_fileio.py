@@ -20,6 +20,8 @@ from skelcal import (
     write_capture,
     write_profile,
 )
+from skelcal import CaptureSequence, JOINT_COUNT, Point3, SkeletonFrame, y_diff_to_last
+from skelcal.fileio import write_ydiff_report
 from skelcal.errors import (
     EmptySequenceError,
     IoFailureError,
@@ -222,3 +224,23 @@ class TestProfileSchema:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             read_profile(path)
+
+
+class TestArrayBackedIo:
+    def test_frame_index_beyond_int64_reported_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = ["frame,joint,x,y,z"] + [f"{2**63},{j},0.1,1.0,2.0" for j in range(25)]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 2
+
+    def test_ydiff_report_rows_carry_frame_indices(self, tmp_path):
+        frames = [
+            SkeletonFrame(k, tuple(Point3(0.0, y, 2.0) for _ in range(JOINT_COUNT)))
+            for k, y in ((3, 1.3), (7, 1.7), (9, 1.9))
+        ]
+        seq = CaptureSequence(frames, GaitDirection.VERTICAL)
+        path = tmp_path / "ydiff.csv"
+        write_ydiff_report(seq, y_diff_to_last(seq, [JointIndex.HEAD]), path)
+        assert path.read_text() == "frame,head\n3,-0.600000000\n7,-0.200000000\n9,0.000000000\n"

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skelcal import (
     BetaModel,
@@ -218,3 +220,29 @@ class TestBetaTypes:
     def test_model_needs_more_points_than_degree(self):
         with pytest.raises(ValueError):
             BetaModel(Polynomial((0.0, 1.0)), 1, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),))
+
+
+class TestSequenceMatchesScalarOracle:
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(JOINT_COUNT), st.just(3)),
+            elements=st.floats(min_value=-0.5, max_value=5.0),
+        ),
+        st.floats(min_value=-0.1, max_value=0.1),
+        st.floats(min_value=-0.05, max_value=0.05),
+        st.floats(min_value=-0.01, max_value=0.01),
+    )
+    def test_within_1e12_of_point(self, xyz, c0, c1, c2):
+        model = model_from(Polynomial((c0, c1, c2)))
+        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        out = perspective_correct_sequence(seq, model)
+        for fa, fb in zip(out.frames, seq.frames):
+            for a, b in zip(fa.joints, fb.joints):
+                expected = perspective_correct_point(b, model)
+                assert (a.x, a.z) == (expected.x, expected.z)
+                assert abs(a.y - expected.y) <= 1e-12
+
+    def test_angle_near_right_angle_rejected(self, truth_walk):
+        with pytest.raises(BetaOutOfRangeError):
+            perspective_correct_sequence(truth_walk, model_from(Polynomial((1.6,))))

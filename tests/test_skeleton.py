@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from skelcal import (
@@ -124,3 +125,60 @@ class TestJointTrack:
             track = joint_track(seq, j)
             for k, frame in enumerate(seq.frames):
                 assert track[k] == frame.joints[j]
+
+
+class TestValidationOrder:
+    @pytest.mark.parametrize(
+        "nan_at,error",
+        [
+            (3, NonMonotonicFrameIndexError),  # index 1 after 2 comes first
+            (2, NonFiniteCoordinateError),  # same frame: finiteness is checked first
+            (1, NonFiniteCoordinateError),
+        ],
+    )
+    def test_first_violation_in_frame_order_is_reported(self, nan_at, error):
+        frames = [make_frame(k) for k in (0, 2, 1, 3)]
+        frames[nan_at] = make_frame(frames[nan_at].frame_index, {5: Point3(0.0, 1.0, math.nan)})
+        with pytest.raises(error):
+            validate_sequence(CaptureSequence(tuple(frames), GaitDirection.VERTICAL))
+
+
+class TestCaptureSequenceValue:
+    def test_arrays_and_fields_are_read_only(self):
+        seq = make_seq(2)
+        with pytest.raises(ValueError):
+            seq.xyz[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.frame_index[0] = 7
+        with pytest.raises(AttributeError):
+            seq.label = "changed"
+
+    def test_equality_compares_values(self):
+        seq = make_seq(3)
+        assert seq == make_seq(3)
+        assert seq == CaptureSequence(seq.frames, seq.direction, seq.nominal_fps, seq.label)
+        assert seq != make_seq(2)
+        assert seq != make_seq(3, GaitDirection.HORIZONTAL)
+        moved = [make_frame(0), make_frame(1, {4: Point3(0.4, 1.0, 2.6)}), make_frame(2)]
+        assert seq != CaptureSequence(tuple(moved), GaitDirection.VERTICAL)
+
+    def test_from_arrays_copies_its_inputs(self):
+        xyz = np.zeros((2, JOINT_COUNT, 3))
+        index = np.array([0, 1])
+        seq = CaptureSequence.from_arrays(xyz, index, GaitDirection.VERTICAL)
+        xyz[0, 0, 0] = 1.0
+        index[0] = 5
+        assert seq.xyz[0, 0, 0] == 0.0
+        assert seq.frame_index.tolist() == [0, 1]
+
+    def test_malformed_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            CaptureSequence.from_arrays(np.zeros((2, JOINT_COUNT)), [0, 1], GaitDirection.VERTICAL)
+        with pytest.raises(ValueError):
+            CaptureSequence.from_arrays(np.zeros((2, JOINT_COUNT, 3)), [0], GaitDirection.VERTICAL)
+
+    def test_frame_without_25_joints_rejected_at_construction(self):
+        short = SkeletonFrame(1, tuple(Point3(0, 1, 2) for _ in range(24)))
+        with pytest.raises(WrongJointCountError) as err:
+            CaptureSequence((make_frame(0), short), GaitDirection.VERTICAL)
+        assert (err.value.frame_index, err.value.count) == (1, 24)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from skelcal import (
     validate_sequence,
 )
 from skelcal.errors import FixedPointDivergenceError, InvalidScenarioError
+from skelcal.fileio import write_capture
+from skelcal.synthetic import apply_distortion
 from skelcal.tilt import TiltParams
 
 
@@ -173,3 +176,36 @@ class TestAddNoise:
         assert len(deltas) >= 10_000
         sample_std = float(np.std(deltas))
         assert abs(sample_std - 0.005) / 0.005 <= 0.05
+
+
+class TestGeneratedBytesPinned:
+    """SHA-256 of seeded 60-frame raw captures with the benchmark's distortion.
+
+    The benchmark fingerprints its generated inputs; these digests catch, in
+    the unit tests, any change to the generator, the distortions or the noise
+    that moves a coordinate by one printed digit.
+    """
+
+    @pytest.mark.parametrize(
+        "direction,tilt_model,digest",
+        [
+            (
+                GaitDirection.VERTICAL,
+                TiltModel.SHEAR_INVERSE,
+                "fe80a1f44bb2569392cbfa11e8e7c8a36657456f46683a38e8024475bd0ec664",
+            ),
+            (
+                GaitDirection.HORIZONTAL,
+                TiltModel.ROTATION,
+                "43e21065b72e209844d86548313f1cc5cd416c616a3270f462d12742f3732508",
+            ),
+        ],
+    )
+    def test_sha256(self, template, tmp_path, direction, tilt_model, digest):
+        truth = generate_truth_capture(template, direction, 60, 4.5, 1.5)
+        spec = DistortionSpec(
+            tilt_model, math.radians(7.0), 0.75, Polynomial((math.radians(3.0), -0.02)), 0.005, 0
+        )
+        path = tmp_path / "raw.csv"
+        write_capture(apply_distortion(truth, spec), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skelcal import (
     CaptureSequence,
@@ -19,6 +21,7 @@ from skelcal import (
     tilt_correct_point,
     tilt_correct_sequence,
 )
+from skelcal.synthetic import add_noise, generate_truth_capture
 from skelcal.errors import (
     DegenerateSpineError,
     EmptyInputError,
@@ -214,3 +217,45 @@ class TestRotationModelRecovery:
     def test_upright_truth_frames_estimate_zero(self, truth_walk):
         for frame in truth_walk.frames[::10]:
             assert abs(frame_inclination(frame)) <= 1e-12
+
+
+#: 1-6 frames of 25 joints with every coordinate in the sensor's working range.
+capture_xyz = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.just(JOINT_COUNT), st.just(3)),
+    elements=st.floats(min_value=-0.5, max_value=5.0),
+)
+
+
+class TestArrayKernelsMatchScalarOracle:
+    @given(capture_xyz, st.floats(min_value=-0.49, max_value=0.49), st.floats(min_value=0, max_value=2))
+    def test_tilt_correct_sequence_equals_point(self, xyz, tilt, h):
+        params = TiltParams(tilt, h)
+        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        out = tilt_correct_sequence(seq, params)
+        for fa, fb in zip(out.frames, seq.frames):
+            assert fa.joints == tuple(tilt_correct_point(p, params) for p in fb.joints)
+
+    @given(capture_xyz)
+    def test_gait_inclination_equals_frame_inclination(self, xyz):
+        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        expected = []
+        for frame in seq.frames:
+            try:
+                expected.append(frame_inclination(frame))
+            except DegenerateSpineError:
+                continue
+        if not expected:
+            with pytest.raises(NoUsableFramesError):
+                gait_inclination(seq)
+        else:
+            assert gait_inclination(seq).per_frame_rad == tuple(expected)
+
+    def test_gait_inclination_equals_frame_inclination_on_noisy_walk(self, template):
+        # numpy's arctan2 differs from math.atan2 in the last bit on a few percent of
+        # such frames; 600 of them make any such drift show
+        walk = generate_truth_capture(template, GaitDirection.VERTICAL, 600, 4.5, 1.5)
+        tilted = distort_tilt(walk, DistortionSpec(TiltModel.ROTATION, tilt_rad=0.3))
+        raw = add_noise(tilted, 0.005, 1)
+        expected = tuple(frame_inclination(f) for f in raw.frames)
+        assert gait_inclination(raw).per_frame_rad == expected
