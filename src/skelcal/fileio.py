@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from array import array
+from itertools import cycle, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,13 +62,30 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+#: Frames parsed or formatted per bulk step. It bounds the field strings of a
+#: block in memory: one bulk pass over a whole 9,000-frame file doubles the
+#: read's peak memory.
+_BLOCK_FRAMES = 100
+_BLOCK_ROWS = _BLOCK_FRAMES * JOINT_COUNT
+#: One capture row; ``{:.9f}`` is the formatter of ``_fmt``.
+_format_row = "{},{},{:.9f},{:.9f},{:.9f}\n".format
+
+
+def _atomic_write(path: str | Path, chunks: str | Iterable[str]) -> None:
+    """Write ``chunks`` (one string or an iterable of them) to a temp file, then rename it.
+
+    The temp file is created with mode 0666 so that the umask applies, as for
+    ``open(path, "w")``.
+    """
     path = Path(path)
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -82,11 +99,17 @@ def _fmt(value: float) -> str:
 
 
 def write_capture(seq: CaptureSequence, path: str | Path) -> None:
-    lines = [CAPTURE_HEADER]
-    for index, joints in zip(seq.frame_index.tolist(), seq.xyz.tolist()):
-        for j, (x, y, z) in enumerate(joints):
-            lines.append(f"{index},{j},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _capture_chunks(seq))
+
+
+def _capture_chunks(seq: CaptureSequence) -> Iterator[str]:
+    """The capture CSV as the header and then one string per block of frames."""
+    yield CAPTURE_HEADER + "\n"
+    for start in range(0, len(seq), _BLOCK_FRAMES):
+        index = seq.frame_index[start : start + _BLOCK_FRAMES]
+        x, y, z = seq.xyz[start : start + _BLOCK_FRAMES].reshape(-1, 3).T.tolist()
+        index = np.repeat(index, JOINT_COUNT).tolist()
+        yield "".join(map(_format_row, index, cycle(range(JOINT_COUNT)), x, y, z))
 
 
 def read_capture(
@@ -95,17 +118,72 @@ def read_capture(
     nominal_fps: float = 30.0,
     label: str | None = None,
 ) -> CaptureSequence:
-    """Parse a capture CSV; malformed rows are reported with their line number."""
+    """Parse a capture CSV; malformed rows are reported with their line number.
+
+    Files in the canonical layout (joints 0-24 of each frame in order, one row
+    per line) are parsed in blocks of frames; any other file goes through the
+    line-by-line parser, which accepts the other valid layouts and names the
+    first bad line.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        lines = path.read_text().splitlines()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
-    lines = text.splitlines()
     if not lines or lines[0].strip() != CAPTURE_HEADER:
         raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
+    xyz, frame_indices = _parse_blocks(lines) or _parse_lines(lines)
 
+    if not len(frame_indices):
+        raise EmptySequenceError(f"{path} contains no data rows")
+    seq = CaptureSequence.from_arrays(
+        xyz,
+        frame_indices,
+        direction,
+        nominal_fps,
+        label if label is not None else path.stem,
+    )
+    return validate_sequence(seq)
+
+
+def _parse_blocks(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bulk parse of the canonical layout, or None if ``lines`` are not in it.
+
+    Every field goes through the same ``int``/``float`` as in ``_parse_lines``,
+    so the values are the same; the checks below accept exactly the files that
+    ``_parse_lines`` reads without skipping a line or reordering a joint.
+    """
+    rows = len(lines) - 1
+    if rows == 0 or rows % JOINT_COUNT:
+        return None
+    index = np.empty(rows, np.int64)
+    xyz = np.empty((rows, 3))
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = lines[1 + start : 1 + start + _BLOCK_ROWS]
+        n = len(block)
+        if set(map(str.count, block, repeat(","))) != {4}:
+            return None
+        fields = ",".join(block).split(",")
+        try:
+            index[start : start + n] = np.fromiter(map(int, fields[0::5]), np.int64, n)
+            joints = np.fromiter(map(int, fields[1::5]), np.int64, n)
+            for axis in range(3):
+                column = np.fromiter(map(float, fields[2 + axis :: 5]), np.float64, n)
+                xyz[start : start + n, axis] = column
+        except (ValueError, OverflowError):
+            return None
+        if not (joints.reshape(-1, JOINT_COUNT) == np.arange(JOINT_COUNT)).all():
+            return None
+    index = index.reshape(-1, JOINT_COUNT)
+    frame_index = index[:, 0]
+    if not ((index == frame_index[:, None]).all() and (frame_index[1:] > frame_index[:-1]).all()):
+        return None
+    return xyz.reshape(-1, JOINT_COUNT, 3), frame_index
+
+
+def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    """Line-by-line parse of any valid layout; raises naming the first bad line."""
     frame_indices: list[int] = []
     coords = array("d")  # x, y, z of joints 0-24 of each complete frame, in order
     current_index: int | None = None
@@ -146,17 +224,7 @@ def read_capture(
             raise ParseError(lineno, f"duplicate joint {joint} in frame {frame_index}")
         current_joints[joint] = (x, y, z)
     flush()
-
-    if not frame_indices:
-        raise EmptySequenceError(f"{path} contains no data rows")
-    seq = CaptureSequence.from_arrays(
-        np.frombuffer(coords).reshape(-1, JOINT_COUNT, 3),
-        frame_indices,
-        direction,
-        nominal_fps,
-        label if label is not None else path.stem,
-    )
-    return validate_sequence(seq)
+    return np.frombuffer(coords).reshape(-1, JOINT_COUNT, 3), frame_indices
 
 
 def write_ydiff_report(seq: CaptureSequence, series: Sequence[DiffSeries], path: str | Path) -> None:

@@ -1,7 +1,11 @@
 import json
 import math
+import stat
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skelcal import (
     BetaModel,
@@ -21,8 +25,10 @@ from skelcal import (
     write_profile,
 )
 from skelcal import CaptureSequence, JOINT_COUNT, Point3, SkeletonFrame, y_diff_to_last
+from skelcal import fileio
 from skelcal.fileio import write_ydiff_report
 from skelcal.errors import (
+    CalibrationError,
     EmptySequenceError,
     IoFailureError,
     MissingJointError,
@@ -244,3 +250,159 @@ class TestArrayBackedIo:
         path = tmp_path / "ydiff.csv"
         write_ydiff_report(seq, y_diff_to_last(seq, [JointIndex.HEAD]), path)
         assert path.read_text() == "frame,head\n3,-0.600000000\n7,-0.200000000\n9,0.000000000\n"
+
+
+def _per_value_capture_bytes(seq):
+    """The capture CSV as the original per-value writer printed it."""
+    lines = ["frame,joint,x,y,z"]
+    for index, joints in zip(seq.frame_index.tolist(), seq.xyz.tolist()):
+        for j, (x, y, z) in enumerate(joints):
+            lines.append(f"{index},{j},{x:.9f},{y:.9f},{z:.9f}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestBlockCodec:
+    def test_writer_matches_per_value_format(self, template, tmp_path):
+        walk = generate_truth_capture(template, GaitDirection.VERTICAL, 250, 4.5, 1.5)
+        spec = DistortionSpec(
+            tilt_rad=math.radians(7), sensor_height_m=0.75, beta_poly=Polynomial((0.05, -0.02)),
+            noise_std_m=0.005, seed=11,
+        )
+        noisy = apply_distortion(walk, spec)
+        xyz = noisy.xyz.copy()
+        # -0.0, a negative value that rounds to -0, a half-even tie at the
+        # 10th decimal, 5e-10, a large value and the smallest subnormal
+        xyz[0, 0] = (-0.0, -1e-12, 1 / 1024)
+        xyz[99, 24] = (5e-10, 1e6, 2.0**-1074)
+        xyz[249, 24] = (-1 / 1024, -5e-10, -1e6)
+        frames = np.arange(250) * 3 - 400  # gaps and negative indices
+        seq = CaptureSequence.from_arrays(xyz, frames, GaitDirection.VERTICAL)
+
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_capture(seq, first)
+        assert first.read_bytes() == _per_value_capture_bytes(seq)
+        assert b"\n-400,0,-0.000000000,-0.000000000,0.000976562\n" in first.read_bytes()
+        write_capture(read_capture(first, GaitDirection.VERTICAL), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_outputs_get_umask_permissions(self, short_walk, profile, tmp_path):
+        reference = tmp_path / "reference.txt"
+        with open(reference, "w") as fh:
+            fh.write("x\n")
+        expected = stat.S_IMODE(reference.stat().st_mode)
+        write_capture(short_walk, tmp_path / "walk.csv")
+        write_profile(profile, tmp_path / "profile.json")
+        write_capture(short_walk, tmp_path / "walk.csv")  # replaces the file
+        assert stat.S_IMODE((tmp_path / "walk.csv").stat().st_mode) == expected
+        assert stat.S_IMODE((tmp_path / "profile.json").stat().st_mode) == expected
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["profile.json", "reference.txt", "walk.csv"]  # no temp file left
+
+
+MUTATIONS = (
+    "none", "blank_line", "permute_joints", "field_variant", "nan", "drop_row",
+    "duplicate_row", "swap_frames", "repeat_index", "extra_comma", "non_numeric", "index_2_63",
+    "control_char",
+)
+
+
+@st.composite
+def capture_texts(draw):
+    """A valid capture's lines and a mutation of them; returns (lines, mutation)."""
+    frames = draw(st.sampled_from((1, 99, 100, 101, 250)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(2**40), 2**40))
+    index = index.tolist()
+    if draw(st.booleans()):
+        index[-1] = 2**63 - 1
+    # the parsers treat every coordinate alike, so rows draw theirs from a pool
+    pool = [f"{x:.9f},{y:.9f},{z:.9f}" for x, y, z in rng.normal(0.0, 2.0, (64, 3)).tolist()]
+    picks = iter(rng.integers(0, len(pool), frames * JOINT_COUNT).tolist())
+    lines = ["frame,joint,x,y,z"] + [
+        f"{i},{j},{pool[next(picks)]}" for i in index for j in range(JOINT_COUNT)
+    ]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    # the first and last rows of the file and of each 2,500-row block, or any row
+    edges = {1, len(lines) - 1} | {b + d for b in range(2500, len(lines) - 1, 2500) for d in (0, 1)}
+    row = draw(st.sampled_from(sorted(edges)) | st.integers(1, len(lines) - 1))
+    frame = (row - 1) // JOINT_COUNT
+    frame_rows = slice(1 + frame * JOINT_COUNT, 1 + (frame + 1) * JOINT_COUNT)
+    fields = lines[row].split(",")
+    field = draw(st.integers(0, 4))
+    if mutation == "blank_line":
+        lines.insert(row, draw(st.sampled_from(("", " ", "\t", "  \t "))))
+    elif mutation == "permute_joints":
+        lines[frame_rows] = draw(st.permutations(lines[frame_rows]))
+    elif mutation == "field_variant":
+        value = fields[field]
+        variants = (" 1", "+1", "1_0", f" {value}", f"+{value}", f"{value[:1]}_{value[1:]}")
+        fields[field] = draw(st.sampled_from(variants))
+        lines[row] = ",".join(fields)
+    elif mutation == "nan":
+        fields[field] = "nan"
+        lines[row] = ",".join(fields)
+    elif mutation == "drop_row":
+        del lines[row]
+    elif mutation == "duplicate_row":
+        lines.insert(row, lines[row])
+    elif mutation == "swap_frames" and frames > 1:
+        other = draw(st.integers(0, frames - 1))
+        other_rows = slice(1 + other * JOINT_COUNT, 1 + (other + 1) * JOINT_COUNT)
+        lines[frame_rows], lines[other_rows] = lines[other_rows], lines[frame_rows]
+    elif mutation == "repeat_index" and frame > 0:
+        previous = lines[frame_rows.start - 1].split(",", 1)[0]
+        for r in range(frame_rows.start, frame_rows.stop) if draw(st.booleans()) else (row,):
+            lines[r] = previous + "," + lines[r].split(",", 1)[1]
+    elif mutation == "extra_comma":
+        at = draw(st.integers(0, len(lines[row])))
+        lines[row] = lines[row][:at] + "," + lines[row][at:]
+    elif mutation == "non_numeric":
+        fields[field] = draw(st.sampled_from(("", "x", "0x1", "1.0.0")))
+        lines[row] = ",".join(fields)
+    elif mutation == "index_2_63":
+        for r in range(frame_rows.start, frame_rows.stop) if draw(st.booleans()) else (row,):
+            lines[r] = f"{2**63}," + lines[r].split(",", 1)[1]
+    elif mutation == "control_char":
+        at = draw(st.integers(0, len(lines[row])))
+        lines[row] = lines[row][:at] + draw(st.sampled_from(("\x0c", "\x85"))) + lines[row][at:]
+    return lines, mutation
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _outcome(path):
+    try:
+        return read_capture(path, GaitDirection.VERTICAL)
+    except CalibrationError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+_ONE_FRAME = ["frame,joint,x,y,z"] + [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]
+
+
+class TestBlockReaderFuzz:
+    @example((_ONE_FRAME[:-1] + [_ONE_FRAME[-1] + ","], "extra_comma"))
+    @example((_ONE_FRAME + _ONE_FRAME[1:], "repeat_index"))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(capture_texts())
+    def test_block_reader_equals_line_parser(self, fuzz_dir, case):
+        lines, mutation = case
+        path = fuzz_dir / "capture.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if mutation == "none":
+            assert fileio._parse_blocks(path.read_text().splitlines()) is not None
+        got = _outcome(path)
+        with mock.patch.object(fileio, "_parse_blocks", return_value=None):
+            expected = _outcome(path)
+        if isinstance(expected, CaptureSequence):
+            assert isinstance(got, CaptureSequence)
+            assert got.xyz.tobytes() == expected.xyz.tobytes()
+            assert got.frame_index.tolist() == expected.frame_index.tolist()
+            assert (got.direction, got.nominal_fps, got.label) == (
+                expected.direction, expected.nominal_fps, expected.label
+            )
+        else:
+            assert got == expected
