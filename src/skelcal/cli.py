@@ -12,13 +12,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio
 from .diagnostics import bone_length_stability, y_diff_to_last
 from .errors import CalibrationError
 from .perspective import DEFAULT_BETA_JOINTS
 from .pipeline import PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
-from .skeleton import GaitDirection, JointIndex
+from .skeleton import CaptureSequence, GaitDirection, JointIndex
 from .synthetic import (
     DistortionSpec,
     TiltModel,
@@ -142,17 +144,24 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    if "calibrated" in args.input.stem:
-        print(
-            f"warning: {args.input} looks already calibrated; "
-            "applying a profile twice re-adds the sensor height",
-            file=sys.stderr,
-        )
     profile = fileio.read_profile(args.profile)
     seq = fileio.read_capture(args.input, args.direction)
-    fileio.write_capture(apply_profile(seq, profile), args.out)
+    corrected = apply_profile(seq, profile)
+    # correction brings a raw capture's feet to y = 0 and a corrected one's to +h_k
+    if abs(_median_foot_y(seq)) < abs(_median_foot_y(corrected)):
+        print(
+            f"warning: {args.input} looks already calibrated (its feet lie nearer "
+            "y = 0 than after this correction); applying a profile twice re-adds "
+            "the sensor height",
+            file=sys.stderr,
+        )
+    fileio.write_capture(corrected, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
+
+
+def _median_foot_y(seq: CaptureSequence) -> float:
+    return float(np.median(seq.xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1]))
 
 
 def cmd_diagnose(args) -> int:

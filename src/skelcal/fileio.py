@@ -17,7 +17,7 @@ import json
 import math
 import os
 from array import array
-from itertools import cycle, repeat
+from itertools import cycle
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -62,13 +62,35 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-#: Frames parsed or formatted per bulk step. It bounds the field strings of a
-#: block in memory: one bulk pass over a whole 9,000-frame file doubles the
-#: read's peak memory.
+#: Frames formatted per bulk step of the writer, so that no 10 MB string is built.
 _BLOCK_FRAMES = 100
-_BLOCK_ROWS = _BLOCK_FRAMES * JOINT_COUNT
 #: One capture row; ``{:.9f}`` is the formatter of ``_fmt``.
 _format_row = "{},{},{:.9f},{:.9f},{:.9f}\n".format
+
+#: Bytes the reader's kernel parses per step, cut at a newline; it bounds the
+#: size of the kernel's temporary arrays.
+_CHUNK_BYTES = 1 << 18
+_HEADER_BYTES = (CAPTURE_HEADER + "\n").encode()
+#: The separators and dots of one row, in order.
+_ROW_MARKS = np.frombuffer(b",,.,.,.\n", np.uint8)
+#: ``_KEEP[n]`` keeps the last ``n`` bytes of a little-endian 8-byte word.
+_KEEP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * n) - 1) for n in range(9)], np.uint64)
+_POW10 = 10 ** np.arange(17, dtype=np.uint64)
+_POW10_F = _POW10.astype(np.float64)
+_EXACT_INT_MAX = np.uint64(2**53)
+_INT64_MAX_U = np.uint64(_INT64_MAX)
+#: Eight ASCII digits in a little-endian word to their value, in three steps.
+#: Each merges neighbouring lanes of 8, 16 and then 32 bits into one lane of
+#: twice the width that holds 10, 100 or 10000 times the earlier lane plus the
+#: later one; the first mask also maps "0"-"9" to 0-9.
+_SWAR_STEPS = tuple(
+    (np.uint64(mask), np.uint64(scale << bits | 1), np.uint64(bits))
+    for mask, scale, bits in (
+        (0x0F0F0F0F0F0F0F0F, 10, 8),
+        (0x00FF00FF00FF00FF, 100, 16),
+        (0x0000FFFF0000FFFF, 10000, 32),
+    )
+)
 
 
 def _atomic_write(path: str | Path, chunks: str | Iterable[str]) -> None:
@@ -120,20 +142,24 @@ def read_capture(
 ) -> CaptureSequence:
     """Parse a capture CSV; malformed rows are reported with their line number.
 
-    Files in the canonical layout (joints 0-24 of each frame in order, one row
-    per line) are parsed in blocks of frames; any other file goes through the
-    line-by-line parser, which accepts the other valid layouts and names the
-    first bad line.
+    Files as ``write_capture`` writes them are parsed from their bytes by
+    ``_parse_bytes``; any other file is decoded as ``Path.read_text`` would
+    and goes through the line-by-line parser, which accepts the other valid
+    layouts and names the first bad line.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
-    if not lines or lines[0].strip() != CAPTURE_HEADER:
-        raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
-    xyz, frame_indices = _parse_blocks(lines) or _parse_lines(lines)
+    parsed = _parse_bytes(data)
+    if parsed is None:
+        lines = _decode_text(data).splitlines()
+        if not lines or lines[0].strip() != CAPTURE_HEADER:
+            raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
+        parsed = _parse_lines(lines)
+    xyz, frame_indices = parsed
 
     if not len(frame_indices):
         raise EmptySequenceError(f"{path} contains no data rows")
@@ -147,39 +173,132 @@ def read_capture(
     return validate_sequence(seq)
 
 
-def _parse_blocks(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bulk parse of the canonical layout, or None if ``lines`` are not in it.
+def _decode_text(data: bytes) -> str:
+    r"""``data`` decoded in the locale encoding, as ``Path.read_text`` decodes it.
 
-    Every field goes through the same ``int``/``float`` as in ``_parse_lines``,
-    so the values are the same; the checks below accept exactly the files that
-    ``_parse_lines`` reads without skipping a line or reordering a joint.
+    ``read_text`` also turns ``\r\n`` and ``\r`` into ``\n``, which gives the
+    same ``splitlines()``. A byte that does not decode is a ParseError naming
+    its line.
     """
-    rows = len(lines) - 1
-    if rows == 0 or rows % JOINT_COUNT:
+    import locale  # only files outside the kernel's grammar need it
+
+    encoding = locale.getpreferredencoding(False)
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode(encoding, "replace") + "x").splitlines())
+        raise ParseError(line, f"not valid {encoding} text: {exc.reason}") from exc
+
+
+def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""Numpy parse of a capture file's bytes, or None if they are outside its grammar.
+
+    It accepts the header line, then rows ``I,J,X,Y,Z``, each ending in
+    ``\n``, the last one too. The integer fields ``I`` and ``J`` are
+    ``-?[0-9]{1,19}`` within int64. The coordinates are ``-?[0-9]*\.[0-9]*``
+    with 1 to 16 digits, whose digits read as one integer N <= 2**53. The rows
+    must be in the canonical layout: joints 0-24 of each frame in order, one
+    index per frame, strictly increasing frames. Such a file is ASCII, which
+    decodes alike in every locale encoding; every field is valid for
+    ``int``/``float``, and ``float64(N) / 10**fraction_digits`` is one
+    correctly rounded division of two exactly represented numbers, so it
+    equals ``float()`` of the field: the values are those of ``_parse_lines``.
+    """
+    rows = data.count(b"\n") - 1
+    if not data.startswith(_HEADER_BYTES) or rows <= 0 or rows % JOINT_COUNT:
         return None
+    raw = np.frombuffer(data, np.uint8)
+    # the little-endian 8-byte word at every byte offset of the file
+    words = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
     index = np.empty(rows, np.int64)
+    joint = np.empty(rows, np.int64)
     xyz = np.empty((rows, 3))
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = lines[1 + start : 1 + start + _BLOCK_ROWS]
-        n = len(block)
-        if set(map(str.count, block, repeat(","))) != {4}:
+    start, row = len(_HEADER_BYTES), 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+        fields = _parse_chunk(raw, words, start, stop) if stop > start else None
+        if fields is None:
             return None
-        fields = ",".join(block).split(",")
-        try:
-            index[start : start + n] = np.fromiter(map(int, fields[0::5]), np.int64, n)
-            joints = np.fromiter(map(int, fields[1::5]), np.int64, n)
-            for axis in range(3):
-                column = np.fromiter(map(float, fields[2 + axis :: 5]), np.float64, n)
-                xyz[start : start + n, axis] = column
-        except (ValueError, OverflowError):
-            return None
-        if not (joints.reshape(-1, JOINT_COUNT) == np.arange(JOINT_COUNT)).all():
-            return None
-    index = index.reshape(-1, JOINT_COUNT)
-    frame_index = index[:, 0]
-    if not ((index == frame_index[:, None]).all() and (frame_index[1:] > frame_index[:-1]).all()):
+        (index_part, joint_part), coords = fields
+        n = len(index_part)
+        index[row : row + n], joint[row : row + n] = index_part, joint_part
+        xyz[row : row + n] = coords.T
+        start, row = stop, row + n
+
+    frames = index.reshape(-1, JOINT_COUNT)
+    frame_index = frames[:, 0]
+    if not (
+        (joint.reshape(-1, JOINT_COUNT) == np.arange(JOINT_COUNT)).all()
+        and (frames == frame_index[:, None]).all()
+        and (frame_index[1:] > frame_index[:-1]).all()
+    ):
         return None
     return xyz.reshape(-1, JOINT_COUNT, 3), frame_index
+
+
+def _parse_chunk(
+    raw: np.ndarray, words: np.ndarray, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (2, rows) int64 and (3, rows) float64 fields of the rows in ``raw[start:stop]``."""
+    b = raw[start:stop]
+    # every byte below "-" (which must be a "," or a "\n"), and the dots
+    marks = np.flatnonzero((b < 45) | (b == 46))
+    minus = np.count_nonzero(b == 45)
+    rows = len(marks) // 8
+    # marks, minus signs and digits must be all the bytes
+    if len(marks) != 8 * rows or len(marks) + minus + np.count_nonzero((b - 48) < 10) != len(b):
+        return None
+    if not (b[marks].reshape(rows, 8) == _ROW_MARKS).all():
+        return None
+    # byte offsets in the file, one row per field: its end, its first byte, its dot
+    marks = (marks + start).reshape(rows, 8).T
+    end, dot = marks[[0, 1, 3, 5, 7]], marks[[2, 4, 6]]
+    first = np.empty_like(end)
+    first[0, 0] = start
+    first[0, 1:] = end[4, :-1] + 1
+    first[1:] = end[:4] + 1
+    neg = raw[first] == 45
+    if np.count_nonzero(neg) != minus:  # a minus sign that does not start its field
+        return None
+    first += neg
+    int_len, coord_len = end[:2] - first[:2], end[2:] - first[2:] - 1
+    if int_len.min() < 1 or int_len.max() > 19 or coord_len.min() < 1 or coord_len.max() > 16:
+        return None
+
+    ints = _digit_runs(words, first[:2], end[:2])
+    if (ints > _INT64_MAX_U + neg[:2]).any():
+        return None
+    np.negative(ints, out=ints, where=neg[:2])
+    frac_len = end[2:] - dot - 1
+    mantissa = _digit_runs(words, first[2:], dot) * _POW10[frac_len]
+    mantissa += _digit_runs(words, dot + 1, end[2:])
+    if (mantissa > _EXACT_INT_MAX).any():
+        return None
+    coords = mantissa.astype(np.float64) / _POW10_F[frac_len]
+    np.negative(coords, out=coords, where=neg[2:])
+    return ints.view(np.int64), coords
+
+
+def _digit_runs(words: np.ndarray, run_start: np.ndarray, run_stop: np.ndarray) -> np.ndarray:
+    """The value of each run of 0 to 19 decimal digits ``data[run_start:run_stop]``, as uint64.
+
+    Eight digits at a time, from the right: the word that ends at a group's
+    last digit, with the bytes before the run cleared (so they read as
+    leading zeros), is converted by a SWAR multiply-shift-mask sequence.
+    """
+    length = run_stop - run_start
+    value = np.zeros(length.shape, np.uint64)
+    for k in range(-(-int(length.max()) // 8)):
+        # a group that is empty contributes 0 wherever its word starts
+        w = words[np.maximum(run_stop - 8 * (k + 1), 0)]
+        w &= _KEEP[np.minimum(np.maximum(length - 8 * k, 0), 8)]
+        for mask, multiplier, shift in _SWAR_STEPS:
+            w &= mask
+            w *= multiplier
+            w >>= shift
+        w *= _POW10[8 * k]
+        value += w
+    return value
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
@@ -287,6 +406,8 @@ def read_profile(path: str | Path) -> CalibrationProfile:
         text = path.read_text()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("<document>", f"not valid text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -93,6 +93,24 @@ class TestCalibrateApplyDiagnose:
         run("apply", "--profile", profile_path, "--in", first, "--out", tmp_path / "twice.csv")
         assert "already calibrated" in capsys.readouterr().err
 
+    def test_apply_does_not_warn_on_raw_input_named_calibrated(self, tmp_path, captures, capsys):
+        profile_path = tmp_path / "profile.json"
+        run("calibrate", "--sensor-height", 0.75, "--out-profile", profile_path, *captures[:3])
+        raw = tmp_path / "x.calibrated.csv"
+        raw.write_bytes(captures[3].read_bytes())
+        capsys.readouterr()
+        assert run("apply", "--profile", profile_path, "--in", raw, "--out", tmp_path / "out.csv") == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_apply_warns_on_calibrated_input_named_plainly(self, tmp_path, captures, capsys):
+        profile_path = tmp_path / "profile.json"
+        run("calibrate", "--sensor-height", 0.75, "--out-profile", profile_path, *captures[:3])
+        corrected = tmp_path / "walk.csv"
+        run("apply", "--profile", profile_path, "--in", captures[3], "--out", corrected)
+        capsys.readouterr()
+        assert run("apply", "--profile", profile_path, "--in", corrected, "--out", tmp_path / "out.csv") == 0
+        assert "already calibrated" in capsys.readouterr().err
+
     def test_diagnose_ydiff_report(self, tmp_path, captures):
         report = tmp_path / "report.csv"
         assert run("diagnose", "--in", captures[0], "--report", "ydiff", "--out", report) == 0

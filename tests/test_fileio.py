@@ -299,16 +299,130 @@ class TestBlockCodec:
         assert names == ["profile.json", "reference.txt", "walk.csv"]  # no temp file left
 
 
+def _pin_capture(template):
+    """The 250-frame noisy capture of the writer pin, with its special values."""
+    walk = generate_truth_capture(template, GaitDirection.VERTICAL, 250, 4.5, 1.5)
+    spec = DistortionSpec(
+        tilt_rad=math.radians(7), sensor_height_m=0.75, beta_poly=Polynomial((0.05, -0.02)),
+        noise_std_m=0.005, seed=11,
+    )
+    xyz = apply_distortion(walk, spec).xyz.copy()
+    xyz[0, 0] = (-0.0, -1e-12, 1 / 1024)
+    xyz[99, 24] = (5e-10, 1e6, 2.0**-1074)
+    xyz[249, 24] = (-1 / 1024, -5e-10, -1e6)
+    return CaptureSequence.from_arrays(xyz, np.arange(250) * 3 - 400, GaitDirection.VERTICAL)
+
+
+def _coordinate_texts():
+    """75 coordinate fields with 0 to 16 fraction digits, at the kernel's limits."""
+    rng = np.random.default_rng(5)
+    texts = []
+    for frac in range(17):
+        n = "9007199254740992"  # 2**53, the largest N the kernel takes
+        texts.append(f"{n[:16 - frac]}.{n[16 - frac:]}")
+        digits = "".join(map(str, rng.integers(0, 10, 16)))
+        digits = str(int(digits[0]) % 9) + digits[1:]  # below 9e15 < 2**53
+        texts.append(f"-{digits[:16 - frac]}.{digits[16 - frac:]}")
+        short = "".join(map(str, rng.integers(0, 10, max(frac, 1))))
+        texts.append(f".{short}" if frac else f"{short}.")
+    texts += ["-0.000000000", "0.", "-.0", ".5", "-5.", "0000000000000.25", "-.0000000000000001"]
+    return (texts * 2)[: 3 * JOINT_COUNT]
+
+
+class TestFastPathExactness:
+    """What the writer writes, and the grammar's extremes, take the kernel with exact values."""
+
+    def assert_kernel_equals_line_parser(self, path):
+        got = fileio._parse_bytes(path.read_bytes())
+        expected = fileio._parse_lines(path.read_text().splitlines())
+        assert got is not None
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tolist() == list(expected[1])
+
+    def test_pin_capture_as_written(self, template, tmp_path):
+        path = tmp_path / "pin.csv"
+        write_capture(_pin_capture(template), path)
+        self.assert_kernel_equals_line_parser(path)
+
+    @pytest.mark.parametrize("index", [2**63 - 1, -(2**63)])
+    def test_extreme_index_and_coordinate_digits(self, index, tmp_path):
+        coords = iter(_coordinate_texts())
+        rows = [f"{index},{j},{next(coords)},{next(coords)},{next(coords)}" for j in range(JOINT_COUNT)]
+        path = tmp_path / "one_frame.csv"
+        path.write_text(_text(["frame,joint,x,y,z"] + rows))
+        self.assert_kernel_equals_line_parser(path)
+        assert read_capture(path, GaitDirection.VERTICAL).frame_index.tolist() == [index]
+
+
+def _one_frame_bytes(index="7", y="1.0"):
+    rows = [f"{index},{j},0.1,{y if j == 3 else '1.0'},2.0" for j in range(JOINT_COUNT)]
+    return _text(["frame,joint,x,y,z"] + rows).encode()
+
+
+class TestKernelGrammar:
+    """Fields at the edges of the kernel's grammar are parsed exactly or left to the line parser."""
+
+    @pytest.mark.parametrize("index, y", [
+        ("-9223372036854775808", "1.0"), ("0000000000000000007", "1.0"), ("-0", "1.0"),
+        ("7", "-.5"), ("7", "5."), ("7", "-0."), ("7", "007.5"), ("7", ".0000000000000001"),
+        ("7", "9007199254740992."), ("7", "-.9007199254740992"),
+    ])
+    def test_inside_the_grammar(self, index, y):
+        data = _one_frame_bytes(index, y)
+        got = fileio._parse_bytes(data)
+        expected = fileio._parse_lines(data.decode().splitlines())
+        assert got is not None
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tolist() == expected[1] == [int(index)]
+
+    @pytest.mark.parametrize("index, y", [
+        ("9223372036854775808", "1.0"), ("-9223372036854775809", "1.0"),
+        ("99999999999999999999", "1.0"), ("00000000000000000007", "1.0"), ("7.", "1.0"),
+        ("1-2", "1.0"), ("-", "1.0"), ("+7", "1.0"),
+        ("7", "1-2.0"), ("7", "1.0-"), ("7", "--1.0"), ("7", "1e-3"), ("7", "-"), ("7", "."),
+        ("7", "-."), ("7", "+1.0"), ("7", "1..5"), ("7", "1.2.3"), ("7", "15"),
+        ("7", ".00000000000000001"), ("7", "1.2345678901234567"), ("7", "90071992547409.93"),
+    ])
+    def test_outside_the_grammar(self, index, y):
+        assert fileio._parse_bytes(_one_frame_bytes(index, y)) is None
+
+    def test_line_ends_outside_the_grammar(self):
+        data = _one_frame_bytes()
+        assert fileio._parse_bytes(data) is not None
+        assert fileio._parse_bytes(data[:-1]) is None
+        assert fileio._parse_bytes(data.replace(b"\n", b"\r\n")) is None
+        assert fileio._parse_bytes(data + b"\n") is None
+
+
+class TestUndecodableFiles:
+    def test_capture_names_the_line_of_the_bad_byte(self, tmp_path):
+        rows = [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]
+        rows[1] = "7,1,0.1,\xff1.0,2.0"
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\r\n".join(["frame,joint,x,y,z"] + rows).encode("latin-1") + b"\r\n")
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 3
+
+    def test_profile_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_bytes(json.dumps(valid_profile_doc()).encode()[:-1] + b', "x": "\xff"}')
+        with pytest.raises(SchemaError) as err:
+            read_profile(path)
+        assert err.value.field == "<document>"
+
+
 MUTATIONS = (
     "none", "blank_line", "permute_joints", "field_variant", "nan", "drop_row",
     "duplicate_row", "swap_frames", "repeat_index", "extra_comma", "non_numeric", "index_2_63",
-    "control_char",
+    "control_char", "crlf", "no_final_newline", "number_form", "leading_zeros", "digit_count",
+    "misplaced_mark",
 )
 
 
 @st.composite
 def capture_texts(draw):
-    """A valid capture's lines and a mutation of them; returns (lines, mutation)."""
+    """A valid capture's text and a mutation of it; returns (text, mutation)."""
     frames = draw(st.sampled_from((1, 99, 100, 101, 250)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(2**40), 2**40))
@@ -365,7 +479,42 @@ def capture_texts(draw):
     elif mutation == "control_char":
         at = draw(st.integers(0, len(lines[row])))
         lines[row] = lines[row][:at] + draw(st.sampled_from(("\x0c", "\x85"))) + lines[row][at:]
-    return lines, mutation
+    elif mutation == "crlf":
+        lines[row] += "\r"
+    elif mutation == "number_form":
+        forms = ("1e-3", "-", ".", "-.5", "5.", "-0.", "-.0", "0.5e0", "inf")
+        fields[draw(st.integers(2, 4))] = draw(st.sampled_from(forms))
+        lines[row] = ",".join(fields)
+    elif mutation == "leading_zeros":
+        value = fields[field]
+        sign = "-" if value.startswith("-") else ""
+        fields[field] = sign + "0" * draw(st.integers(1, 8)) + value.lstrip("-")
+        lines[row] = ",".join(fields)
+    elif mutation == "digit_count":
+        # 17 digits; N = 2**53 + 1; N = 2**53; 16 digits without a dot
+        forms = ("1.2345678901234567", "-12345678.901234567", "90071992547409.93",
+                 "-.9007199254740993", "900719925474099.2", "-9007199254740992.",
+                 "1234567890123456")
+        fields[draw(st.integers(2, 4))] = draw(st.sampled_from(forms))
+        lines[row] = ",".join(fields)
+    elif mutation == "misplaced_mark":
+        kind = draw(st.sampled_from(("minus_inside", "dot_in_integer", "two_dots")))
+        if kind == "minus_inside":
+            value = fields[field]
+            at = draw(st.integers(1, len(value)))
+            fields[field] = value[:at] + "-" + value[at:]
+        elif kind == "dot_in_integer":
+            at = draw(st.integers(0, 1))
+            fields[at] = draw(st.sampled_from((f"{fields[at]}.", f".{fields[at]}", f"{fields[at]}.0")))
+        else:
+            coord = draw(st.integers(2, 4))
+            fields[coord] = draw(st.sampled_from((f"{fields[coord]}.", f".{fields[coord]}", "1..5")))
+        lines[row] = ",".join(fields)
+    return _text(lines, final_newline=mutation != "no_final_newline"), mutation
+
+
+def _text(lines, final_newline=True):
+    return "\n".join(lines) + ("\n" if final_newline else "")
 
 
 @pytest.fixture(scope="module")
@@ -384,18 +533,18 @@ _ONE_FRAME = ["frame,joint,x,y,z"] + [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_
 
 
 class TestBlockReaderFuzz:
-    @example((_ONE_FRAME[:-1] + [_ONE_FRAME[-1] + ","], "extra_comma"))
-    @example((_ONE_FRAME + _ONE_FRAME[1:], "repeat_index"))
+    @example((_text(_ONE_FRAME[:-1] + [_ONE_FRAME[-1] + ","]), "extra_comma"))
+    @example((_text(_ONE_FRAME + _ONE_FRAME[1:]), "repeat_index"))
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(capture_texts())
     def test_block_reader_equals_line_parser(self, fuzz_dir, case):
-        lines, mutation = case
+        text, mutation = case
         path = fuzz_dir / "capture.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         if mutation == "none":
-            assert fileio._parse_blocks(path.read_text().splitlines()) is not None
+            assert fileio._parse_bytes(path.read_bytes()) is not None
         got = _outcome(path)
-        with mock.patch.object(fileio, "_parse_blocks", return_value=None):
+        with mock.patch.object(fileio, "_parse_bytes", return_value=None):
             expected = _outcome(path)
         if isinstance(expected, CaptureSequence):
             assert isinstance(got, CaptureSequence)
