@@ -8,10 +8,13 @@ identical inputs yield an identical profile and identical corrected output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CalibrationError, EmptyInputError
+import numpy as np
+
+from .errors import CalibrationError, EmptyInputError, MixedSignAnglesError
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
@@ -21,10 +24,17 @@ from .perspective import (
     perspective_correct_sequence,
 )
 from .skeleton import CaptureSequence, JointIndex, validate_sequence
-from .tilt import TiltParams, aggregate_inclination, gait_inclination, tilt_correct_sequence
+from .tilt import GaitInclination, TiltParams, aggregate_inclination, gait_inclination, tilt_correct_sequence
 
 #: Gait means all below this magnitude are treated as an untilted sensor.
 NEAR_ZERO_TILT_RAD = 1e-4
+#: Gait means of both signs, each within this many standard errors of its
+#: per-frame estimates from zero, are treated as an untilted sensor too. On
+#: level 90-frame gaits with 5 mm noise, |mean| / standard error had an RMS of
+#: 1.00 and a maximum of 2.97 over 300 seeds, so the standard error is the
+#: noise scale of the mean, and a level gait passes 5 of them about once in
+#: 1.7 million gaits.
+NEAR_ZERO_STANDARD_ERRORS = 5.0
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,17 @@ class CalibrationProfile:
             raise ValueError("profile must come from at least one gait")
 
 
+def _near_zero(gait: GaitInclination) -> bool:
+    """Whether a gait's mean inclination cannot be told from zero.
+
+    That is below NEAR_ZERO_TILT_RAD, or within NEAR_ZERO_STANDARD_ERRORS
+    standard errors of the gait's per-frame estimates.
+    """
+    n = len(gait.per_frame_rad)
+    standard_error = float(np.std(gait.per_frame_rad, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return abs(gait.mean_rad) < max(NEAR_ZERO_TILT_RAD, NEAR_ZERO_STANDARD_ERRORS * standard_error)
+
+
 def _staged(exc: CalibrationError, stage: str) -> CalibrationError:
     exc.stage = stage
     return exc
@@ -73,7 +94,10 @@ def calibrate(
     per-joint perspective angles from the corrected gaits, and fits the
     height polynomial. When every gait mean is below the near-zero threshold
     the sensor is treated as untilted and the aggregation step is skipped
-    (its geometric mean is meaningless at the noise floor).
+    (its geometric mean is meaningless at the noise floor). So it is when the
+    means disagree in sign but none can be told from zero (see
+    ``_near_zero``): tracking noise alone scatters a level sensor's means
+    about 0. Means of one sign are always aggregated, however small.
     """
     if len(vertical_gaits) == 0:
         raise EmptyInputError("no calibration gaits given")
@@ -82,11 +106,17 @@ def calibrate(
     gaits = [validate_sequence(g) for g in vertical_gaits]
 
     try:
-        means = [gait_inclination(g).mean_rad for g in gaits]
+        estimates = [gait_inclination(g) for g in gaits]
+        means = [e.mean_rad for e in estimates]
         if all(abs(m) < NEAR_ZERO_TILT_RAD for m in means):
             tilt_rad = 0.0
         else:
-            tilt_rad = aggregate_inclination(means)
+            try:
+                tilt_rad = aggregate_inclination(means)
+            except MixedSignAnglesError:
+                if not all(map(_near_zero, estimates)):
+                    raise
+                tilt_rad = 0.0
     except CalibrationError as exc:
         raise _staged(exc, "tilt-estimation")
 

@@ -1,6 +1,7 @@
 import json
 import math
 import stat
+import struct
 from unittest import mock
 
 import numpy as np
@@ -24,9 +25,9 @@ from skelcal import (
     write_capture,
     write_profile,
 )
-from skelcal import CaptureSequence, JOINT_COUNT, Point3, SkeletonFrame, y_diff_to_last
+from skelcal import CaptureSequence, JOINT_COUNT, Point3, SkeletonFrame, bone_length_stability, y_diff_to_last
 from skelcal import fileio
-from skelcal.fileio import write_ydiff_report
+from skelcal.fileio import write_bone_report, write_ydiff_report
 from skelcal.errors import (
     CalibrationError,
     EmptySequenceError,
@@ -232,6 +233,60 @@ class TestProfileSchema:
             read_profile(path)
 
 
+#: Any JSON value, nested a little.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_profile_texts(draw):
+    """A valid profile document with one field replaced, removed or added, or one character edited."""
+    doc = valid_profile_doc()
+    kind = draw(st.sampled_from(("replace", "remove", "add", "point", "edit")))
+    if kind == "replace":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
+    elif kind == "remove":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "add":
+        doc[draw(st.text(max_size=8))] = draw(_JSON_VALUES)
+    elif kind == "point":
+        point = draw(st.sampled_from(doc["beta_points"]))
+        point[draw(st.sampled_from(sorted(point) + ["extra"]))] = draw(_JSON_VALUES)
+    text = json.dumps(doc, indent=draw(st.sampled_from((None, 2))))
+    if kind == "edit":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(max_size=2)) + text[at + draw(st.integers(0, 2)) :]
+    return text
+
+
+class TestProfileFuzz:
+    """Any text yields a profile or a CalibrationError, never another exception."""
+
+    def read(self, fuzz_dir, text):
+        path = fuzz_dir / "profile.json"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        try:
+            assert isinstance(read_profile(path), CalibrationProfile)
+        except CalibrationError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, fuzz_dir, text):
+        self.read(fuzz_dir, text)
+
+    @example("[" * 100_000)
+    @example(json.dumps({**valid_profile_doc(), "h_k_m": 10**400}))
+    @example(json.dumps({**valid_profile_doc(), "beta_coeffs": [0.02, -(10**400)]}))
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_profile_texts())
+    def test_mutated_profile(self, fuzz_dir, text):
+        self.read(fuzz_dir, text)
+
+
 class TestArrayBackedIo:
     def test_frame_index_beyond_int64_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -297,6 +352,139 @@ class TestBlockCodec:
         assert stat.S_IMODE((tmp_path / "profile.json").stat().st_mode) == expected
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["profile.json", "reference.txt", "walk.csv"]  # no temp file left
+
+
+def _float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Coordinates the writer's kernel formats (finite, below 2**22 in magnitude):
+#: signed values that print as zero, binary ties and decimal half-ties at the
+#: 10th digit among them.
+_KERNEL_COORDINATES = st.one_of(
+    st.floats(-(2.0**22), 2.0**22, exclude_min=True, exclude_max=True),
+    st.floats(-1e-9, 1e-9),
+    st.builds(lambda k, m: (k + 0.5) / 2**m, st.integers(-(2**52), 2**52), st.integers(31, 80)),
+    st.integers(-4 * 10**15, 4 * 10**15).map(lambda k: (k + 0.5) / 1e9),
+)
+#: Any coordinate: those and any float64 bit pattern (NaN and infinities
+#: included), and values on both sides of the kernel's magnitude bound.
+_COORDINATES = st.one_of(
+    _KERNEL_COORDINATES,
+    st.builds(
+        lambda sign, exponent, mantissa: _float_from_bits(sign << 63 | exponent << 52 | mantissa),
+        st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1),
+    ),
+    st.floats(-(2.0**23), 2.0**23),
+)
+
+
+@st.composite
+def odd_captures(draw):
+    frames = draw(st.integers(1, 3))
+    pool = draw(st.sampled_from((_KERNEL_COORDINATES, _COORDINATES)))
+    values = draw(st.lists(pool, min_size=1, max_size=3 * JOINT_COUNT))
+    index = sorted(draw(st.sets(st.integers(-(2**63), 2**63 - 1), min_size=frames, max_size=frames)))
+    xyz = np.resize(np.array(values), (frames, JOINT_COUNT, 3))  # the values repeated in turn
+    return CaptureSequence.from_arrays(xyz, np.array(index, np.int64), GaitDirection.VERTICAL)
+
+
+#: Values at the edges of the writer's kernel: exact binary ties, decimal
+#: half-ties that rint rounds the wrong way, the largest value below the
+#: magnitude bound, the smallest subnormal and values that print as zero.
+_KERNEL_VALUES = [
+    1 / 1024, 3 / 2**11, 2.5 / 2**33, (2**40 + 0.5) / 2**41, 0.9999999995, 1.0000000005, 2.5e-9,
+    1.5e-9, 4194303.9999999995, np.nextafter(2.0**22, 0), 2.0**-1074, 0.0, 1e-12, 5e-10,
+]
+_KERNEL_VALUES += [-v for v in _KERNEL_VALUES]
+#: Values outside the kernel: the bound and above, and values that are not finite.
+_OUTSIDE_VALUES = [2.0**22, np.nextafter(2.0**22, 2.0**23), 9999999.9999999995, 2.0**52 + 1, 1e300, math.nan, math.inf]
+_OUTSIDE_VALUES += [-v for v in _OUTSIDE_VALUES]
+
+
+def _per_value_ydiff_bytes(seq, series):
+    """The ydiff report as the original per-value writer printed it."""
+    lines = ["frame," + ",".join(s.joint.name.lower() for s in series)]
+    for index, diffs in zip(seq.frame_index.tolist(), zip(*(s.per_frame_diff for s in series))):
+        lines.append(",".join([str(index), *(f"{d:.9f}" for d in diffs)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _per_value_bone_bytes(report):
+    """The bone report as the original per-value writer printed it."""
+    lines = ["parent,child,parent_name,child_name,mean_m,std_m,max_abs_dev_m"]
+    for e in report.per_edge:
+        lines.append(
+            f"{int(e.edge.parent)},{int(e.edge.child)},"
+            f"{e.edge.parent.name.lower()},{e.edge.child.name.lower()},"
+            f"{e.mean_length_m:.9f},{e.std_length_m:.9f},{e.max_abs_dev_m:.9f}"
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriterKernel:
+    """Every CSV the writers print has the bytes of ``format(v, ".9f")`` per value."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(odd_captures())
+    def test_any_float64_bit_pattern(self, fuzz_dir, seq):
+        path = fuzz_dir / "odd.csv"
+        write_capture(seq, path)
+        assert path.read_bytes() == _per_value_capture_bytes(seq)
+
+    @pytest.mark.parametrize("outside", [False, True])
+    @pytest.mark.parametrize("frames", [1, fileio._BLOCK_FRAMES, 2 * fileio._BLOCK_FRAMES + 1])
+    def test_edge_values_across_blocks(self, frames, outside, tmp_path):
+        xyz = np.random.default_rng(frames).normal(0.0, 2.0, (frames, JOINT_COUNT, 3))
+        flat = xyz.reshape(-1)
+        # a run of the kernel's edge values at the start of the file and
+        # across every boundary between blocks
+        n = len(_KERNEL_VALUES)
+        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio._BLOCK_FRAMES):
+            start = min(max(at - n // 2, 0), len(flat) - n)
+            flat[start : start + n] = _KERNEL_VALUES
+        if outside:  # the last block is then formatted value by value
+            flat[-len(_OUTSIDE_VALUES) :] = _OUTSIDE_VALUES
+        index = np.arange(frames) * 7 - 2**62
+        index[0], index[-1] = -(2**63), 2**63 - 1
+        seq = CaptureSequence.from_arrays(xyz, index, GaitDirection.VERTICAL)
+        path = tmp_path / "edges.csv"
+        write_capture(seq, path)
+        assert path.read_bytes() == _per_value_capture_bytes(seq)
+
+    @pytest.mark.parametrize("values", [_KERNEL_VALUES, _KERNEL_VALUES + _OUTSIDE_VALUES])
+    def test_reports_match_per_value_format(self, template, values, tmp_path):
+        walk = generate_truth_capture(template, GaitDirection.HORIZONTAL, 120, 4.5, 1.5)
+        spec = DistortionSpec(noise_std_m=0.005, seed=4)
+        xyz = apply_distortion(walk, spec).xyz.copy()
+        xyz[: len(values), JointIndex.HEAD, 1] = values
+        xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
+        seq = CaptureSequence.from_arrays(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
+        series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
+        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
+        report = bone_length_stability(apply_distortion(walk, spec))
+        write_bone_report(report, tmp_path / "bones.csv")
+        assert (tmp_path / "bones.csv").read_bytes() == _per_value_bone_bytes(report)
+
+
+class TestCrlfCaptures:
+    def crlf_pair(self, template, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_capture(_pin_capture(template), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        return lf, crlf
+
+    def test_crlf_read_equals_lf_read(self, template, tmp_path):
+        lf, crlf = self.crlf_pair(template, tmp_path)
+        a, b = read_capture(lf, GaitDirection.VERTICAL), read_capture(crlf, GaitDirection.VERTICAL)
+        assert a.xyz.tobytes() == b.xyz.tobytes()
+        assert a.frame_index.tolist() == b.frame_index.tolist()
+
+    def test_crlf_read_takes_the_kernel(self, template, tmp_path):
+        _, crlf = self.crlf_pair(template, tmp_path)
+        with mock.patch.object(fileio, "_parse_lines", side_effect=AssertionError("line parser used")):
+            assert len(read_capture(crlf, GaitDirection.VERTICAL)) == 250
 
 
 def _pin_capture(template):

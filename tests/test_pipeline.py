@@ -71,6 +71,37 @@ class TestCalibrate:
         assert err.value.stage == "tilt-estimation"
         assert "tilt-estimation" in str(err.value)
 
+    @pytest.mark.parametrize("first_seed", [0, 10, 20])
+    def test_level_sensor_with_tracking_noise(self, truth_walk, first_seed):
+        # with 5 mm noise the per-gait means scatter about 0 with both signs,
+        # each within 3 of its standard errors, inside the 5 that count as 0
+        gaits = [
+            apply_distortion(truth_walk, DistortionSpec(noise_std_m=0.005, seed=first_seed + i))
+            for i in range(10)
+        ]
+        assert calibrate(gaits, 0.75).tilt.tilt_rad == 0.0
+
+    @pytest.mark.parametrize("first_seed", [0, 10, 20])
+    def test_small_tilt_with_tracking_noise(self, truth_walk, first_seed):
+        # each 0.5 degree gait mean lies a few standard errors from 0, but all
+        # share a sign, so they are aggregated rather than taken as 0
+        gaits = [
+            apply_distortion(
+                truth_walk, DistortionSpec(tilt_rad=math.radians(0.5), noise_std_m=0.005, seed=first_seed + i)
+            )
+            for i in range(10)
+        ]
+        tilt_rad = calibrate(gaits, 0.75).tilt.tilt_rad
+        assert tilt_rad == pytest.approx(math.radians(0.5), abs=math.radians(0.15))
+
+    def test_noisy_opposed_tilts_still_raise(self, truth_walk):
+        gaits = [
+            apply_distortion(truth_walk, DistortionSpec(tilt_rad=tilt, noise_std_m=0.005, seed=i))
+            for i, tilt in enumerate((-0.1, 0.1, 0.1))
+        ]
+        with pytest.raises(MixedSignAnglesError):
+            calibrate(gaits, 0.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(beta_degree=0)
