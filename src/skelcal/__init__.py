@@ -1,124 +1,85 @@
-"""skelcal: calibration and correction of depth-sensor skeleton captures."""
+"""skelcal: calibration and correction of depth-sensor skeleton captures.
 
-from .errors import CalibrationError
-from .skeleton import (
-    CaptureSequence,
-    GaitDirection,
-    JOINT_COUNT,
-    JointIndex,
-    Point3,
-    SKELETON_EDGES,
-    SkeletonEdge,
-    SkeletonFrame,
-    joint_track,
-    validate_sequence,
-)
-from .numerics import (
-    FitPoint,
-    Polynomial,
-    arithmetic_mean,
-    geometric_mean,
-    polyeval,
-    polyfit_least_squares,
-)
-from .tilt import (
-    GaitInclination,
-    TiltParams,
-    aggregate_inclination,
-    frame_inclination,
-    gait_inclination,
-    tilt_correct_point,
-    tilt_correct_sequence,
-)
-from .perspective import (
-    BetaModel,
-    BetaPoint,
-    DEFAULT_BETA_JOINTS,
-    fit_beta_model,
-    joint_perspective_degree,
-    mean_perspective_degrees,
-    perspective_correct_point,
-    perspective_correct_sequence,
-)
-from .pipeline import CalibrationProfile, PipelineConfig, apply_profile, calibrate
-from .synthetic import (
-    BodyTemplate,
-    DistortionSpec,
-    TiltModel,
-    add_noise,
-    apply_distortion,
-    default_template,
-    distort_perspective,
-    distort_tilt,
-    generate_truth_capture,
-)
-from .diagnostics import (
-    DiffSeries,
-    EdgeStability,
-    StabilityReport,
-    bone_length_stability,
-    bone_lengths,
-    max_y_diff,
-    y_diff_to_last,
-)
-from .fileio import read_capture, read_profile, write_capture, write_profile
+The public names below are loaded lazily (PEP 562): ``import skelcal`` runs
+no submodule, and so no numpy, until a name is first read.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaModel",
-    "BetaPoint",
-    "BodyTemplate",
-    "CalibrationError",
-    "CalibrationProfile",
-    "CaptureSequence",
-    "DEFAULT_BETA_JOINTS",
-    "DiffSeries",
-    "DistortionSpec",
-    "EdgeStability",
-    "FitPoint",
-    "GaitDirection",
-    "GaitInclination",
-    "JOINT_COUNT",
-    "JointIndex",
-    "PipelineConfig",
-    "Point3",
-    "Polynomial",
-    "SKELETON_EDGES",
-    "SkeletonEdge",
-    "SkeletonFrame",
-    "StabilityReport",
-    "TiltModel",
-    "TiltParams",
-    "add_noise",
-    "aggregate_inclination",
-    "apply_distortion",
-    "apply_profile",
-    "arithmetic_mean",
-    "bone_length_stability",
-    "bone_lengths",
-    "calibrate",
-    "default_template",
-    "distort_perspective",
-    "distort_tilt",
-    "fit_beta_model",
-    "frame_inclination",
-    "gait_inclination",
-    "generate_truth_capture",
-    "geometric_mean",
-    "joint_perspective_degree",
-    "joint_track",
-    "max_y_diff",
-    "mean_perspective_degrees",
-    "perspective_correct_point",
-    "perspective_correct_sequence",
-    "polyeval",
-    "polyfit_least_squares",
-    "read_capture",
-    "read_profile",
-    "tilt_correct_point",
-    "tilt_correct_sequence",
-    "validate_sequence",
-    "write_capture",
-    "write_profile",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CalibrationError": "errors",
+    "CaptureSequence": "skeleton",
+    "GaitDirection": "skeleton",
+    "JOINT_COUNT": "skeleton",
+    "JointIndex": "skeleton",
+    "Point3": "skeleton",
+    "SKELETON_EDGES": "skeleton",
+    "SkeletonEdge": "skeleton",
+    "SkeletonFrame": "skeleton",
+    "joint_track": "skeleton",
+    "validate_sequence": "skeleton",
+    "FitPoint": "numerics",
+    "Polynomial": "numerics",
+    "arithmetic_mean": "numerics",
+    "geometric_mean": "numerics",
+    "polyeval": "numerics",
+    "polyfit_least_squares": "numerics",
+    "GaitInclination": "tilt",
+    "TiltParams": "tilt",
+    "aggregate_inclination": "tilt",
+    "frame_inclination": "tilt",
+    "gait_inclination": "tilt",
+    "tilt_correct_point": "tilt",
+    "tilt_correct_sequence": "tilt",
+    "BetaModel": "perspective",
+    "BetaPoint": "perspective",
+    "DEFAULT_BETA_JOINTS": "perspective",
+    "fit_beta_model": "perspective",
+    "joint_perspective_degree": "perspective",
+    "mean_perspective_degrees": "perspective",
+    "perspective_correct_point": "perspective",
+    "perspective_correct_sequence": "perspective",
+    "CalibrationProfile": "pipeline",
+    "PipelineConfig": "pipeline",
+    "apply_profile": "pipeline",
+    "calibrate": "pipeline",
+    "BodyTemplate": "synthetic",
+    "DistortionSpec": "synthetic",
+    "TiltModel": "synthetic",
+    "add_noise": "synthetic",
+    "apply_distortion": "synthetic",
+    "default_template": "synthetic",
+    "distort_perspective": "synthetic",
+    "distort_tilt": "synthetic",
+    "generate_truth_capture": "synthetic",
+    "DiffSeries": "diagnostics",
+    "EdgeStability": "diagnostics",
+    "StabilityReport": "diagnostics",
+    "bone_length_stability": "diagnostics",
+    "bone_lengths": "diagnostics",
+    "max_y_diff": "diagnostics",
+    "y_diff_to_last": "diagnostics",
+    "read_capture": "fileio",
+    "read_profile": "fileio",
+    "write_capture": "fileio",
+    "write_profile": "fileio",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

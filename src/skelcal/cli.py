@@ -7,6 +7,11 @@ error, printing the structured error to stderr and never to the data output.
 
 from __future__ import annotations
 
+import os
+
+# before numpy loads: skelcal's one BLAS call is a tiny lstsq, and OpenBLAS threads cost ~60 ms a run
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
 import sys
@@ -30,10 +35,6 @@ from .synthetic import (
 )
 
 
-def _direction(value: str) -> GaitDirection:
-    return GaitDirection(value)
-
-
 def _beta_poly_from_degrees(text: str) -> Polynomial:
     try:
         coeffs = tuple(math.radians(float(v)) for v in text.split(","))
@@ -49,6 +50,9 @@ def _joint_list(text: str) -> tuple[JointIndex, ...]:
         raise argparse.ArgumentTypeError(f"bad joint list '{text}': {exc}")
 
 
+_DIRECTIONS = [d.value for d in GaitDirection]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skelcal",
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic truth capture and its distorted raw twin")
-    p.add_argument("--direction", type=_direction, choices=list(GaitDirection), default=GaitDirection.VERTICAL)
+    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
     p.add_argument("--frames", type=int, default=90)
     p.add_argument("--z-start", type=float, default=4.5, help="walk start depth, m")
     p.add_argument("--z-end", type=float, default=1.5, help="walk end depth, m")
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", type=Path, required=True)
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--direction", type=_direction, choices=list(GaitDirection), default=GaitDirection.VERTICAL)
+    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
     p.set_defaults(handler=cmd_apply)
 
     p = sub.add_parser("diagnose", help="emit plot-ready consistency reports for a capture")
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["ydiff", "bones", "both"], default="ydiff")
     p.add_argument("--joints", type=_joint_list, default=DEFAULT_BETA_JOINTS,
                    metavar="J0,J1,...", help="joints for the ydiff report")
-    p.add_argument("--direction", type=_direction, choices=list(GaitDirection), default=GaitDirection.VERTICAL)
+    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
     p.add_argument("--out", type=Path, required=True,
                    help="output CSV; with --report both, writes <out>_ydiff.csv and <out>_bones.csv")
     p.set_defaults(handler=cmd_diagnose)
@@ -112,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     truth = generate_truth_capture(
-        default_template(), args.direction, args.frames, args.z_start, args.z_end
+        default_template(), GaitDirection(args.direction), args.frames, args.z_start, args.z_end
     )
     spec = DistortionSpec(
         tilt_model=TiltModel.SHEAR_INVERSE if args.tilt_model == "shear" else TiltModel.ROTATION,
@@ -145,7 +149,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_apply(args) -> int:
     profile = fileio.read_profile(args.profile)
-    seq = fileio.read_capture(args.input, args.direction)
+    seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     corrected = apply_profile(seq, profile)
     # correction brings a raw capture's feet to y = 0 and a corrected one's to +h_k
     if abs(_median_foot_y(seq)) < abs(_median_foot_y(corrected)):
@@ -165,7 +169,7 @@ def _median_foot_y(seq: CaptureSequence) -> float:
 
 
 def cmd_diagnose(args) -> int:
-    seq = fileio.read_capture(args.input, args.direction)
+    seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     if args.profile is not None:
         seq = apply_profile(seq, fileio.read_profile(args.profile))
 

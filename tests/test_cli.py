@@ -54,6 +54,33 @@ class TestSynth:
         assert again.read_bytes() == raw.read_bytes()
 
 
+class TestDirection:
+    @pytest.mark.parametrize("command", ["synth", "apply", "diagnose"])
+    def test_help_lists_direction_words(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert "--direction {vertical,horizontal}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["synth", "apply", "diagnose"])
+    def test_bad_direction_names_the_choices(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--direction", "bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "vertical" in err and "horizontal" in err
+
+    def test_horizontal_walk_round_trips(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        assert run("synth", "--direction", "horizontal", "--frames", 30,
+                   "--out-truth", truth, "--out-raw", tmp_path / "raw.csv") == 0
+        seq = read_capture(truth, GaitDirection.HORIZONTAL)
+        assert seq.direction is GaitDirection.HORIZONTAL
+        report = tmp_path / "ydiff.csv"
+        assert run("diagnose", "--direction", "horizontal", "--in", truth, "--out", report) == 0
+        assert len(report.read_text().splitlines()) == 31
+
+
 class TestCalibrateApplyDiagnose:
     @pytest.fixture
     def captures(self, tmp_path):
