@@ -19,9 +19,7 @@ _EXPORTS = {
     "SKELETON_EDGES": "skeleton",
     "SkeletonEdge": "skeleton",
     "SkeletonFrame": "skeleton",
-    "joint_track": "skeleton",
     "validate_sequence": "skeleton",
-    "FitPoint": "numerics",
     "Polynomial": "numerics",
     "arithmetic_mean": "numerics",
     "geometric_mean": "numerics",

@@ -37,10 +37,9 @@ from .synthetic import (
 
 def _beta_poly_from_degrees(text: str) -> Polynomial:
     try:
-        coeffs = tuple(math.radians(float(v)) for v in text.split(","))
+        return Polynomial(tuple(math.radians(float(v)) for v in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list '{text}': {exc}")
-    return Polynomial(coeffs)
 
 
 def _joint_list(text: str) -> tuple[JointIndex, ...]:
@@ -51,6 +50,7 @@ def _joint_list(text: str) -> tuple[JointIndex, ...]:
 
 
 _DIRECTIONS = [d.value for d in GaitDirection]
+_TILT_MODELS = [m.value for m in TiltModel]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic truth capture and its distorted raw twin")
     p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
-    p.add_argument("--frames", type=int, default=90)
+    p.add_argument("--frames", dest="frame_count", metavar="FRAMES", type=int, default=90)
     p.add_argument("--z-start", type=float, default=4.5, help="walk start depth, m")
     p.add_argument("--z-end", type=float, default=1.5, help="walk end depth, m")
     p.add_argument("--tilt-deg", type=float, default=0.0, help="injected sensor tilt, degrees")
-    p.add_argument("--tilt-model", choices=["shear", "rotation"], default="shear")
+    p.add_argument("--tilt-model", choices=_TILT_MODELS, default=TiltModel.SHEAR_INVERSE.value)
     p.add_argument("--sensor-height", type=float, default=0.0, help="sensor height above ground, m")
     p.add_argument(
         "--beta-coeffs",
@@ -116,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     truth = generate_truth_capture(
-        default_template(), GaitDirection(args.direction), args.frames, args.z_start, args.z_end
+        default_template(), GaitDirection(args.direction), args.frame_count, args.z_start, args.z_end
     )
     spec = DistortionSpec(
-        tilt_model=TiltModel.SHEAR_INVERSE if args.tilt_model == "shear" else TiltModel.ROTATION,
+        tilt_model=TiltModel(args.tilt_model),
         tilt_rad=math.radians(args.tilt_deg),
         sensor_height_m=args.sensor_height,
         beta_poly=args.beta_coeffs,
@@ -129,7 +129,7 @@ def cmd_synth(args) -> int:
     raw = apply_distortion(truth, spec)
     fileio.write_capture(truth, args.out_truth)
     fileio.write_capture(raw, args.out_raw)
-    print(f"wrote {args.out_truth} and {args.out_raw} ({args.frames} frames)", file=sys.stderr)
+    print(f"wrote {args.out_truth} and {args.out_raw} ({args.frame_count} frames)", file=sys.stderr)
     return 0
 
 

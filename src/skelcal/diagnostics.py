@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .perspective import DEFAULT_BETA_JOINTS
-from .skeleton import (
-    CaptureSequence,
-    JointIndex,
-    SKELETON_EDGES,
-    SkeletonEdge,
-    SkeletonFrame,
-)
+from .skeleton import SKELETON_EDGES, CaptureSequence, JointIndex, SkeletonEdge
 
 
 @dataclass(frozen=True)
@@ -67,14 +61,9 @@ def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAUL
     return max(series.max_abs for series in y_diff_to_last(seq, joints))
 
 
-def bone_lengths(frame: SkeletonFrame) -> list[tuple[SkeletonEdge, float]]:
-    """Euclidean length of each of the 24 skeleton edges in one frame."""
-    out = []
-    for edge in SKELETON_EDGES:
-        a = frame.joints[edge.parent]
-        b = frame.joints[edge.child]
-        out.append((edge, math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))))
-    return out
+def bone_lengths(joints: Sequence[Sequence[float]]) -> list[tuple[SkeletonEdge, float]]:
+    """Euclidean length of each of the 24 skeleton edges in one frame's (25, 3) ``joints``."""
+    return [(edge, math.dist(joints[edge.parent], joints[edge.child])) for edge in SKELETON_EDGES]
 
 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:

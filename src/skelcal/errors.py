@@ -36,13 +36,6 @@ class NonFiniteCoordinateError(CalibrationError):
         self.field = field
 
 
-class WrongJointCountError(CalibrationError):
-    def __init__(self, frame_index: int, count: int):
-        super().__init__(f"frame {frame_index} has {count} joints, expected 25")
-        self.frame_index = frame_index
-        self.count = count
-
-
 class NonMonotonicFrameIndexError(CalibrationError):
     pass
 

@@ -207,13 +207,9 @@ def _capture_chunks(seq: CaptureSequence) -> Iterator[bytes]:
         yield _csv_rows(head.reshape(-1, width), seq.xyz[block].reshape(-1, 3))
 
 
-def read_capture(
-    path: str | Path,
-    direction: GaitDirection,
-    nominal_fps: float = 30.0,
-    label: str | None = None,
-) -> CaptureSequence:
-    """Parse a capture CSV; malformed rows are reported with their line number.
+def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
+    """Parse a capture CSV, labelled with the file's stem; malformed rows are
+    reported with their line number.
 
     Files as ``write_capture`` writes them are parsed from their bytes by
     ``_parse_bytes``, and so are such files with CRLF line ends, once each
@@ -239,14 +235,7 @@ def read_capture(
 
     if not len(frame_indices):
         raise EmptySequenceError(f"{path} contains no data rows")
-    seq = CaptureSequence.from_arrays(
-        xyz,
-        frame_indices,
-        direction,
-        nominal_fps,
-        label if label is not None else path.stem,
-    )
-    return validate_sequence(seq)
+    return validate_sequence(CaptureSequence(xyz, frame_indices, direction, path.stem))
 
 
 def _decode_text(data: bytes) -> str:

@@ -35,12 +35,6 @@ class Polynomial:
         return len(self.coefficients) - 1
 
 
-@dataclass(frozen=True)
-class FitPoint:
-    x: float
-    y: float
-
-
 def arithmetic_mean(values: Sequence[float]) -> float:
     if len(values) == 0:
         raise EmptyInputError("mean of empty list")
@@ -61,8 +55,8 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
 
-def polyfit_least_squares(points: Sequence[FitPoint], degree: int) -> Polynomial:
-    """Least-squares polynomial fit of the given degree.
+def polyfit_least_squares(xs: Sequence[float], ys: Sequence[float], degree: int) -> Polynomial:
+    """Least-squares polynomial fit of the given degree to the points (xs[i], ys[i]).
 
     Solved through an orthogonal decomposition (SVD-backed lstsq) rather than
     raw normal equations, for conditioning. Requires more distinct x values
@@ -70,8 +64,6 @@ def polyfit_least_squares(points: Sequence[FitPoint], degree: int) -> Polynomial
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
     if len(set(xs)) <= degree:
         raise InsufficientPointsError(
             f"need more than {degree} distinct x values, got {len(set(xs))}"

@@ -22,7 +22,7 @@ from .errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
-from .numerics import FitPoint, Polynomial, arithmetic_mean, polyeval, polyfit_least_squares
+from .numerics import Polynomial, arithmetic_mean, polyeval, polyfit_least_squares
 from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3
 
 #: Minimum first-to-last depth travel for a usable estimate.
@@ -75,11 +75,7 @@ class BetaModel:
             raise ValueError("need more source points than the fit degree")
 
 
-def joint_perspective_degree(
-    seq: CaptureSequence,
-    j: JointIndex | int,
-    min_depth_travel_m: float = MIN_DEPTH_TRAVEL_M,
-) -> float:
+def joint_perspective_degree(seq: CaptureSequence, j: JointIndex | int) -> float:
     """Perspective angle of joint ``j`` from the first and last frame, radians.
 
     atan of (Y picked up per meter of depth lost) between the two end frames:
@@ -93,9 +89,9 @@ def joint_perspective_degree(
     idx = int(j)
     (_, y_first, z_first), (_, y_last, z_last) = seq.xyz[[0, -1], idx].tolist()
     depth_travel = z_first - z_last
-    if abs(depth_travel) <= min_depth_travel_m:
+    if abs(depth_travel) <= MIN_DEPTH_TRAVEL_M:
         raise InsufficientDepthTravelError(
-            f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {min_depth_travel_m} m"
+            f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {MIN_DEPTH_TRAVEL_M} m"
         )
     return math.atan((y_last - y_first) / depth_travel)
 
@@ -103,7 +99,6 @@ def joint_perspective_degree(
 def mean_perspective_degrees(
     seqs: Sequence[CaptureSequence],
     joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS,
-    min_depth_travel_m: float = MIN_DEPTH_TRAVEL_M,
 ) -> list[BetaPoint]:
     """Per-joint mean perspective angles across the vertical calibration gaits.
 
@@ -120,7 +115,7 @@ def mean_perspective_degrees(
         betas = []
         for seq in vertical:
             try:
-                betas.append(joint_perspective_degree(seq, idx, min_depth_travel_m))
+                betas.append(joint_perspective_degree(seq, idx))
             except InsufficientDepthTravelError:
                 continue
         if not betas:
@@ -135,18 +130,17 @@ def mean_perspective_degrees(
 
 def fit_beta_model(points: Sequence[BetaPoint], degree: int) -> BetaModel:
     """Fit the height -> perspective angle polynomial over the given points."""
-    fit = polyfit_least_squares(
-        [FitPoint(p.height_y_m, p.beta_rad) for p in points], degree
-    )
+    fit = polyfit_least_squares([p.height_y_m for p in points], [p.beta_rad for p in points], degree)
     return BetaModel(fit, degree, tuple(points))
 
 
-def perspective_correct_point(p: Point3, model: BetaModel) -> Point3:
-    """Correct one point's Y: y + z * tan(angle at the incoming y). X, Z unchanged."""
-    beta = polyeval(model.poly, p.y)
+def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:
+    """Correct one ``(x, y, z)`` point's Y: y + z * tan(angle at the incoming y). X, Z unchanged."""
+    x, y, z = p
+    beta = polyeval(model.poly, y)
     if abs(beta) >= math.pi / 2 - 1e-6:
-        raise BetaOutOfRangeError(f"angle {beta} rad too close to pi/2 at y={p.y}")
-    return Point3(p.x, p.y + p.z * math.tan(beta), p.z)
+        raise BetaOutOfRangeError(f"angle {beta} rad too close to pi/2 at y={y}")
+    return Point3(x, y + z * math.tan(beta), z)
 
 
 def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:

@@ -18,7 +18,6 @@ from .errors import CalibrationError, EmptyInputError, MixedSignAnglesError
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
-    MIN_DEPTH_TRAVEL_M,
     fit_beta_model,
     mean_perspective_degrees,
     perspective_correct_sequence,
@@ -41,7 +40,6 @@ NEAR_ZERO_STANDARD_ERRORS = 5.0
 class PipelineConfig:
     beta_degree: int = 2
     beta_joints: tuple[JointIndex, ...] = DEFAULT_BETA_JOINTS
-    min_depth_travel_m: float = MIN_DEPTH_TRAVEL_M
 
     def __post_init__(self):
         if not 1 <= self.beta_degree <= 6:
@@ -124,7 +122,7 @@ def calibrate(
     corrected = [tilt_correct_sequence(g, tilt) for g in gaits]
 
     try:
-        points = mean_perspective_degrees(corrected, config.beta_joints, config.min_depth_travel_m)
+        points = mean_perspective_degrees(corrected, config.beta_joints)
         beta = fit_beta_model(points, config.beta_degree)
     except CalibrationError as exc:
         raise _staged(exc, "perspective-estimation")

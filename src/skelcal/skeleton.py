@@ -9,16 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptySequenceError,
-    NonFiniteCoordinateError,
-    NonMonotonicFrameIndexError,
-    WrongJointCountError,
-)
+from .errors import EmptySequenceError, NonFiniteCoordinateError, NonMonotonicFrameIndexError
 
 JOINT_COUNT = 25
 
@@ -60,9 +55,8 @@ class GaitDirection(Enum):
     HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
-class Point3:
-    """One joint position in meters. Finiteness is enforced by validate_sequence."""
+class Point3(NamedTuple):
+    """One joint position in meters; unpacks as ``x, y, z`` like any ``xyz`` row."""
 
     x: float
     y: float
@@ -74,56 +68,25 @@ class SkeletonFrame:
     frame_index: int
     joints: tuple[Point3, ...]
 
-    def joint(self, j: JointIndex | int) -> Point3:
-        return self.joints[int(j)]
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class CaptureSequence:
-    """Ordered frames of one recorded gait plus its direction and metadata.
+    """Ordered frames of one recorded gait plus its direction and label.
 
     Joint positions are one read-only float64 array ``xyz`` of shape
-    (frames, 25, 3), next to a read-only int64 ``frame_index`` array.
-    Stages transform ``xyz`` whole and return a new sequence from
-    ``with_xyz``; ``frames`` rebuilds per-frame objects on each access.
+    (frames, 25, 3), next to a read-only int64 ``frame_index`` array; both
+    are copies of what the constructor is given. Stages transform ``xyz``
+    whole and return a new sequence from ``with_xyz``.
     """
 
     xyz: np.ndarray
     frame_index: np.ndarray
     direction: GaitDirection
-    nominal_fps: float = 30.0
     label: str = ""
 
     def __init__(
-        self,
-        frames: Iterable[SkeletonFrame],
-        direction: GaitDirection,
-        nominal_fps: float = 30.0,
-        label: str = "",
+        self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str = ""
     ):
-        frames = tuple(frames)
-        for f in frames:
-            if len(f.joints) != JOINT_COUNT:
-                raise WrongJointCountError(f.frame_index, len(f.joints))
-        xyz = np.array([[(p.x, p.y, p.z) for p in f.joints] for f in frames], dtype=np.float64)
-        index = [f.frame_index for f in frames]
-        self._set(xyz.reshape(len(frames), JOINT_COUNT, 3), index, direction, nominal_fps, label)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        xyz: np.ndarray,
-        frame_index: np.ndarray,
-        direction: GaitDirection,
-        nominal_fps: float = 30.0,
-        label: str = "",
-    ) -> CaptureSequence:
-        """Sequence over read-only copies of ``xyz`` (frames, 25, 3) and ``frame_index``."""
-        seq = cls.__new__(cls)
-        seq._set(xyz, frame_index, direction, nominal_fps, label)
-        return seq
-
-    def _set(self, xyz, frame_index, direction, nominal_fps, label) -> None:
         xyz = np.array(xyz, dtype=np.float64)
         frame_index = np.array(frame_index, dtype=np.int64)
         if xyz.shape[1:] != (JOINT_COUNT, 3) or frame_index.shape != xyz.shape[:1]:
@@ -133,19 +96,18 @@ class CaptureSequence:
             )
         xyz.flags.writeable = False
         frame_index.flags.writeable = False
-        self.__dict__.update(
-            xyz=xyz, frame_index=frame_index, direction=direction, nominal_fps=nominal_fps, label=label
-        )
+        self.__dict__.update(xyz=xyz, frame_index=frame_index, direction=direction, label=label)
 
     def with_xyz(self, xyz: np.ndarray) -> CaptureSequence:
         """The same frame indices and metadata with new joint positions."""
-        return CaptureSequence.from_arrays(
-            xyz, self.frame_index, self.direction, self.nominal_fps, self.label
-        )
+        return CaptureSequence(xyz, self.frame_index, self.direction, self.label)
 
     @property
     def frames(self) -> tuple[SkeletonFrame, ...]:
-        """Per-frame view of ``xyz``, rebuilt on every access."""
+        """Per-frame ``Point3`` view of ``xyz``, rebuilt on every access.
+
+        Slow on long captures: kept for the benchmark harness, which reads it.
+        """
         return tuple(
             SkeletonFrame(index, tuple(Point3(*p) for p in joints))
             for index, joints in zip(self.frame_index.tolist(), self.xyz.tolist())
@@ -158,8 +120,7 @@ class CaptureSequence:
         if not isinstance(other, CaptureSequence):
             return NotImplemented
         return (
-            (self.direction, self.nominal_fps, self.label)
-            == (other.direction, other.nominal_fps, other.label)
+            (self.direction, self.label) == (other.direction, other.label)
             and np.array_equal(self.frame_index, other.frame_index)
             and np.array_equal(self.xyz, other.xyz)
         )
@@ -241,7 +202,3 @@ def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
         )
     return raw
 
-
-def joint_track(seq: CaptureSequence, j: JointIndex | int) -> list[Point3]:
-    """Positions of joint ``j`` across all frames, in frame order."""
-    return [Point3(*p) for p in seq.xyz[:, int(j)].tolist()]

@@ -23,16 +23,17 @@ import numpy as np
 
 from .errors import FixedPointDivergenceError, InvalidScenarioError
 from .numerics import Polynomial, polyeval
-from .skeleton import (
-    JOINT_COUNT,
-    CaptureSequence,
-    GaitDirection,
-    JointIndex,
-    Point3,
-    SKELETON_EDGES,
-)
+from .skeleton import JOINT_COUNT, SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3
 
 _J = JointIndex
+
+#: Frame rate of generated captures, Hz: it sets how many gait cycles a walk holds.
+FRAME_RATE_HZ = 30.0
+#: Label of every generated ground-truth capture.
+TRUTH_LABEL = "synthetic-truth"
+#: Iteration cap and convergence step of distort_perspective's fixed-point solve.
+FIXED_POINT_ITERATIONS = 50
+FIXED_POINT_TOLERANCE = 1e-10
 
 #: Standing-adult joint offsets relative to the base of the spine, meters.
 _DEFAULT_OFFSETS: dict[JointIndex, tuple[float, float, float]] = {
@@ -98,8 +99,7 @@ class BodyTemplate:
         if not all(a > b for a, b in zip(heights, heights[1:])):
             raise ValueError("head/neck/spine offsets must decrease in height")
         for edge in SKELETON_EDGES:
-            a, b = off[edge.parent], off[edge.child]
-            if math.dist((a.x, a.y, a.z), (b.x, b.y, b.z)) <= 0.0:
+            if math.dist(off[edge.parent], off[edge.child]) <= 0.0:
                 raise ValueError(f"zero-length bone {edge.parent.name}->{edge.child.name}")
         if self.stride_length_m < 0 or self.step_frequency_hz <= 0:
             raise ValueError("stride length must be >= 0 and step frequency > 0")
@@ -114,6 +114,11 @@ def default_template() -> BodyTemplate:
     return BodyTemplate(tuple(Point3(*_DEFAULT_OFFSETS[_J(i)]) for i in range(JOINT_COUNT)))
 
 
+def _check_noise_std(std_m: float) -> None:
+    if not (math.isfinite(std_m) and std_m >= 0):
+        raise ValueError(f"noise std must be finite and >= 0, got {std_m}")
+
+
 @dataclass(frozen=True)
 class DistortionSpec:
     """Parameterized raw-capture distortion: tilt model, perspective polynomial, noise."""
@@ -126,10 +131,12 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if abs(self.tilt_rad) >= 0.5:
+        # written so that NaN fails each check, as ±inf does
+        if not abs(self.tilt_rad) < 0.5:
             raise ValueError(f"|tilt| must be < 0.5 rad, got {self.tilt_rad}")
-        if self.noise_std_m < 0:
-            raise ValueError("noise std must be >= 0")
+        if not math.isfinite(self.sensor_height_m):
+            raise ValueError(f"sensor height must be finite, got {self.sensor_height_m}")
+        _check_noise_std(self.noise_std_m)
 
 
 # math's sin, cos and tan per element: numpy's own may differ from them in the
@@ -143,8 +150,6 @@ def generate_truth_capture(
     frames: int,
     z_start: float,
     z_end: float,
-    nominal_fps: float = 30.0,
-    label: str = "synthetic-truth",
 ) -> CaptureSequence:
     """Ground-truth capture of the template walking a straight line.
 
@@ -157,14 +162,14 @@ def generate_truth_capture(
     """
     if frames < 2:
         raise InvalidScenarioError(f"need at least 2 frames, got {frames}")
-    if z_start < z_end:
-        raise InvalidScenarioError(f"z_start {z_start} must be >= z_end {z_end}")
-    if z_end < 0.8:
+    if not (math.isfinite(z_start) and z_start >= z_end):
+        raise InvalidScenarioError(f"z_start {z_start} must be finite and >= z_end {z_end}")
+    if not z_end >= 0.8:
         raise InvalidScenarioError(f"z_end {z_end} must stay >= 0.8 m from the sensor")
 
     path_length = z_start - z_end
     pelvis_y = template.pelvis_height_m
-    duration_s = (frames - 1) / nominal_fps
+    duration_s = (frames - 1) / FRAME_RATE_HZ
     if path_length > 0:
         cycles = max(1, round(duration_s * template.step_frequency_hz / 2))
         off = template.joint_offsets
@@ -183,7 +188,7 @@ def generate_truth_capture(
     swing = _sin(2 * math.pi * cycles * t)
     # limbs swing in the walking plane: y/z toward the sensor, y/x across it
     across = 2 if direction is GaitDirection.VERTICAL else 0
-    posed = np.tile([(p.x, p.y, p.z) for p in template.joint_offsets], (frames, 1, 1))
+    posed = np.tile(template.joint_offsets, (frames, 1, 1))
     limbs = ((_LEG_CHAINS, leg_amp, (1.0, -1.0)), (_ARM_CHAINS, arm_amp, (-1.0, 1.0)))
     for chains, amp, signs in limbs:
         for (pivot_j, chain), sign in zip(chains, signs):
@@ -195,9 +200,7 @@ def generate_truth_capture(
                 da = posed[:, j, across] - pivot[:, across]
                 posed[:, j, 1] = pivot[:, 1] + dy * c - da * s
                 posed[:, j, across] = pivot[:, across] + dy * s + da * c
-    return CaptureSequence.from_arrays(
-        base[:, None] + posed, np.arange(frames), direction, nominal_fps, label
-    )
+    return CaptureSequence(base[:, None] + posed, np.arange(frames), direction, TRUTH_LABEL)
 
 
 def distort_tilt(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:
@@ -220,41 +223,35 @@ def distort_tilt(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:
     return seq.with_xyz(np.stack((x, y_raw, z_raw), axis=-1))
 
 
-def distort_perspective(
-    seq: CaptureSequence,
-    beta_poly: Polynomial,
-    max_iterations: int = 50,
-    tolerance: float = 1e-10,
-) -> CaptureSequence:
+def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureSequence:
     """Simulate height-dependent perspective drift of Y.
 
     Solves y_raw = y_true - z*tan(beta(y_raw)) per point by fixed-point
     iteration, sampling the angle at the *raw* height so the perspective
     correction with the same polynomial inverts this exactly. A point keeps
-    the first iterate within ``tolerance`` of the one before it.
+    the first iterate within FIXED_POINT_TOLERANCE of the one before it.
     """
     x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
     y_raw = y
     pending = np.ones(y.shape, dtype=bool)
     # a runaway iterate may overflow, silently as it does in Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iterations):
+        for _ in range(FIXED_POINT_ITERATIONS):
             y_next = y - z * _tan(polyeval(beta_poly, y_raw))
-            converged = np.abs(y_next - y_raw) < tolerance
+            converged = np.abs(y_next - y_raw) < FIXED_POINT_TOLERANCE
             y_raw = np.where(pending, y_next, y_raw)
             pending &= ~converged
             if not pending.any():
                 return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))
     k = np.flatnonzero(pending)[0]
     raise FixedPointDivergenceError(
-        f"no convergence after {max_iterations} iterations at y={y.flat[k]}, z={z.flat[k]}"
+        f"no convergence after {FIXED_POINT_ITERATIONS} iterations at y={y.flat[k]}, z={z.flat[k]}"
     )
 
 
 def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:
     """Independent zero-mean Gaussian perturbation of every coordinate."""
-    if std_m < 0:
-        raise ValueError("noise std must be >= 0")
+    _check_noise_std(std_m)
     if std_m == 0:
         return seq
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from .errors import (
     ZeroAngleError,
 )
 from .numerics import arithmetic_mean, geometric_mean
-from .skeleton import CaptureSequence, JointIndex, Point3, SkeletonFrame
+from .skeleton import CaptureSequence, JointIndex, Point3
 
 #: Minimum spine height difference for a usable inclination estimate.
 MIN_SPINE_RISE_M = 1e-6
@@ -51,21 +51,18 @@ class GaitInclination:
     mean_rad: float
 
 
-def frame_inclination(frame: SkeletonFrame) -> float:
-    """Inclination of one frame from its spine segment, in radians.
+def frame_inclination(joints: Sequence[Sequence[float]]) -> float:
+    """Inclination of one frame's (25, 3) ``joints`` from its spine segment, in radians.
 
     Computed as atan2(z_base - z_mid, y_mid - y_base): the depth loss per unit
     height gain along the spine. Zero when the spine is vertically aligned in
     Z; positive when the upper spine joint reads closer to the sensor.
     """
-    base = frame.joint(JointIndex.SPINE_BASE)
-    mid = frame.joint(JointIndex.SPINE_MID)
-    rise = mid.y - base.y
+    base, mid = joints[JointIndex.SPINE_BASE], joints[JointIndex.SPINE_MID]
+    rise = mid[1] - base[1]
     if abs(rise) <= MIN_SPINE_RISE_M:
-        raise DegenerateSpineError(
-            f"frame {frame.frame_index}: spine height difference {rise} too small"
-        )
-    return math.atan2(base.z - mid.z, rise)
+        raise DegenerateSpineError(f"spine height difference {rise} too small")
+    return math.atan2(base[2] - mid[2], rise)
 
 
 def gait_inclination(seq: CaptureSequence) -> GaitInclination:
@@ -107,18 +104,19 @@ def aggregate_inclination(gait_means: Sequence[float]) -> float:
     return math.copysign(geometric_mean([abs(m) for m in gait_means]), gait_means[0])
 
 
-def tilt_correct_point(p: Point3, params: TiltParams) -> Point3:
-    """Correct one point for sensor tilt and reference it to the ground plane.
+def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
+    """Correct one ``(x, y, z)`` point for sensor tilt and reference it to the ground plane.
 
     Z is corrected first from the raw Y; the corrected Z is then fed back into
     the Y correction together with the sensor height. X is untouched. Note the
     Y step intentionally uses the already-corrected Z, so the map is a shear,
     not a rigid rotation; it is exactly invertible (see synthetic.distort_tilt).
     """
+    x, y, z = p
     s = math.sin(params.tilt_rad)
-    z_c = p.y * s + p.z
-    y_c = z_c * s + p.y + params.sensor_height_m
-    return Point3(p.x, y_c, z_c)
+    z_c = y * s + z
+    y_c = z_c * s + y + params.sensor_height_m
+    return Point3(x, y_c, z_c)
 
 
 def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSequence:

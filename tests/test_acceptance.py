@@ -12,7 +12,6 @@ import pytest
 
 from skelcal import (
     DistortionSpec,
-    FitPoint,
     GaitDirection,
     Polynomial,
     TiltModel,
@@ -51,11 +50,7 @@ def report(num, name, ok, detail=""):
 
 
 def max_coordinate_error(a, b):
-    return max(
-        max(abs(pa.x - pb.x), abs(pa.y - pb.y), abs(pa.z - pb.z))
-        for fa, fb in zip(a.frames, b.frames)
-        for pa, pb in zip(fa.joints, fb.joints)
-    )
+    return float(np.abs(a.xyz - b.xyz).max())
 
 
 def shear_spec(seed=None, beta=Polynomial((0.0,))):
@@ -88,11 +83,7 @@ def test_criterion_2_perspective_round_trip(truth_walk):
     start = time.perf_counter()
     raw = distort_perspective(truth_walk, poly)
     back = perspective_correct_sequence(raw, model)
-    err = max(
-        abs(pa.y - pb.y)
-        for fa, fb in zip(back.frames, truth_walk.frames)
-        for pa, pb in zip(fa.joints, fb.joints)
-    )
+    err = float(np.abs(back.xyz[..., 1] - truth_walk.xyz[..., 1]).max())
     elapsed = time.perf_counter() - start
     report(
         2, "perspective round-trip", err <= 1e-6 and elapsed < 1.0,
@@ -197,7 +188,7 @@ def test_criterion_7_numerics_properties():
         while len(set(xs.tolist())) <= degree:
             xs = rng.uniform(-2, 2, degree + 4)
         ys = [float(sum(c * x**k for k, c in enumerate(truth))) for x in xs]
-        fit = polyfit_least_squares([FitPoint(float(x), y) for x, y in zip(xs, ys)], degree)
+        fit = polyfit_least_squares(xs.tolist(), ys, degree)
         design = np.vander(xs, degree + 1, increasing=True)
         oracle = np.linalg.solve(design.T @ design, design.T @ np.asarray(ys))
         dev = max(

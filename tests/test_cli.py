@@ -2,7 +2,18 @@ import math
 
 import pytest
 
-from skelcal import GaitDirection, read_capture, read_profile
+from skelcal import (
+    DistortionSpec,
+    GaitDirection,
+    Polynomial,
+    TiltModel,
+    apply_distortion,
+    default_template,
+    generate_truth_capture,
+    read_capture,
+    read_profile,
+    write_capture,
+)
 from skelcal.cli import main
 
 
@@ -28,7 +39,7 @@ class TestSynth:
         truth, raw = synth_files
         t = read_capture(truth, GaitDirection.VERTICAL)
         r = read_capture(raw, GaitDirection.VERTICAL)
-        assert len(t.frames) == len(r.frames) == 60
+        assert len(t) == len(r) == 60
 
     def test_seed_reproducible(self, tmp_path):
         args = ["synth", "--frames", 30, "--noise-std", 0.005, "--seed", 3,
@@ -44,9 +55,51 @@ class TestSynth:
         captured = capsys.readouterr()
         assert "error" in captured.err
 
-    def test_rewrite_round_trip_byte_identical(self, synth_files, tmp_path):
-        from skelcal import write_capture
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tilt-deg", "nan"), ("--tilt-deg", "inf"), ("--tilt-deg", "-inf"),
+            ("--sensor-height", "nan"), ("--sensor-height", "inf"), ("--sensor-height", "-inf"),
+            ("--noise-std", "nan"), ("--noise-std", "inf"),
+            ("--z-start", "nan"), ("--z-start", "inf"), ("--z-end", "nan"), ("--z-end", "-inf"),
+        ],
+    )
+    def test_non_finite_input_rejected_before_writing(self, tmp_path, capsys, flag, value):
+        truth, raw = tmp_path / "t.csv", tmp_path / "r.csv"
+        # --flag=value, since argparse would read a lone "-inf" as an option
+        assert run("synth", "--frames", 10, f"{flag}={value}", "--out-truth", truth, "--out-raw", raw) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if flag in ("--z-start", "--z-end"):
+            assert "InvalidScenarioError" in err
+        assert not truth.exists() and not raw.exists()
 
+    @pytest.mark.parametrize("coeffs", ["nan", "2.0,inf"])
+    def test_non_finite_beta_coefficients_named(self, tmp_path, capsys, coeffs):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--beta-coeffs", coeffs,
+                "--out-truth", tmp_path / "t.csv", "--out-raw", tmp_path / "r.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad coefficient list '{coeffs}': polynomial coefficients must be finite" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_rotation_tilt_model_matches_library(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        assert run("synth", "--tilt-model", "rotation", "--frames", 40, "--tilt-deg", 5,
+                   "--sensor-height", 0.6, "--beta-coeffs", "2.0,-1.0", "--noise-std", 0.002,
+                   "--seed", 4, "--out-truth", tmp_path / "truth.csv", "--out-raw", raw) == 0
+        truth = generate_truth_capture(default_template(), GaitDirection.VERTICAL, 40, 4.5, 1.5)
+        beta = Polynomial((math.radians(2.0), math.radians(-1.0)))
+        spec = DistortionSpec(TiltModel.ROTATION, math.radians(5), 0.6, beta, 0.002, 4)
+        expected = tmp_path / "expected.csv"
+        write_capture(apply_distortion(truth, spec), expected)
+        assert raw.read_bytes() == expected.read_bytes()
+        with pytest.raises(SystemExit):
+            run("synth", "--help")
+        assert "--tilt-model {shear,rotation}" in capsys.readouterr().out
+
+    def test_rewrite_round_trip_byte_identical(self, synth_files, tmp_path):
         _, raw = synth_files
         back = read_capture(raw, GaitDirection.VERTICAL)
         again = tmp_path / "again.csv"
@@ -109,7 +162,7 @@ class TestCalibrateApplyDiagnose:
         assert run("apply", "--profile", profile_path, "--in", captures[3],
                    "--out", corrected) == 0
         out = read_capture(corrected, GaitDirection.VERTICAL)
-        assert len(out.frames) == 60
+        assert len(out) == 60
 
     def test_apply_warns_on_calibrated_input(self, tmp_path, captures, capsys):
         profile_path = tmp_path / "profile.json"

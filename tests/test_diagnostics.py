@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from skelcal import (
@@ -8,10 +9,8 @@ from skelcal import (
     GaitDirection,
     JOINT_COUNT,
     JointIndex,
-    Point3,
     Polynomial,
     SKELETON_EDGES,
-    SkeletonFrame,
     apply_distortion,
     apply_profile,
     bone_length_stability,
@@ -25,11 +24,11 @@ from skelcal import (
 
 
 def flat_seq(ys):
-    frames = tuple(
-        SkeletonFrame(k, tuple(Point3(0.0, y, 2.0) for _ in range(JOINT_COUNT)))
-        for k, y in enumerate(ys)
-    )
-    return CaptureSequence(frames, GaitDirection.VERTICAL)
+    """Frame k has every joint at (0, ys[k], 2)."""
+    xyz = np.zeros((len(ys), JOINT_COUNT, 3))
+    xyz[..., 1] = np.asarray(ys)[:, None]
+    xyz[..., 2] = 2.0
+    return CaptureSequence(xyz, range(len(ys)), GaitDirection.VERTICAL)
 
 
 class TestYDiffToLast:
@@ -66,9 +65,9 @@ class TestYDiffToLast:
 
 class TestBoneLengths:
     def test_simple_distance(self):
-        joints = [Point3(0.0, 0.0, 0.0) for _ in range(JOINT_COUNT)]
-        joints[JointIndex.SPINE_MID] = Point3(0.0, 0.3, 0.0)
-        lengths = dict(bone_lengths(SkeletonFrame(0, tuple(joints))))
+        joints = np.zeros((JOINT_COUNT, 3))
+        joints[JointIndex.SPINE_MID] = (0.0, 0.3, 0.0)
+        lengths = dict(bone_lengths(joints))
         spine_edge = next(
             e for e in SKELETON_EDGES
             if e.parent == JointIndex.SPINE_BASE and e.child == JointIndex.SPINE_MID
@@ -76,33 +75,23 @@ class TestBoneLengths:
         assert lengths[spine_edge] == pytest.approx(0.3, abs=1e-15)
 
     def test_all_24_edges_reported(self, truth_walk):
-        result = bone_lengths(truth_walk.frames[0])
+        result = bone_lengths(truth_walk.xyz[0])
         assert len(result) == 24
         assert {r[0] for r in result} == set(SKELETON_EDGES)
 
     def test_rigid_frame_matches_template(self, template, truth_walk):
         offsets = template.joint_offsets
         expected = {
-            e: math.dist(
-                (offsets[e.parent].x, offsets[e.parent].y, offsets[e.parent].z),
-                (offsets[e.child].x, offsets[e.child].y, offsets[e.child].z),
-            )
-            for e in SKELETON_EDGES
+            e: math.dist(offsets[e.parent], offsets[e.child]) for e in SKELETON_EDGES
         }
-        for edge, length in bone_lengths(truth_walk.frames[0]):
+        for edge, length in bone_lengths(truth_walk.xyz[0]):
             assert length == pytest.approx(expected[edge], abs=1e-12)
 
     def test_invariant_under_rigid_transform(self, truth_walk):
-        frame = truth_walk.frames[10]
+        frame = truth_walk.xyz[10]
         angle = 0.3
         c, s = math.cos(angle), math.sin(angle)
-        moved = SkeletonFrame(
-            frame.frame_index,
-            tuple(
-                Point3(p.x * c - p.z * s + 0.5, p.y + 1.0, p.x * s + p.z * c - 0.2)
-                for p in frame.joints
-            ),
-        )
+        moved = [(x * c - z * s + 0.5, y + 1.0, x * s + z * c - 0.2) for x, y, z in frame.tolist()]
         before = [l for _, l in bone_lengths(frame)]
         after = [l for _, l in bone_lengths(moved)]
         assert after == pytest.approx(before, abs=1e-12)
@@ -114,7 +103,7 @@ class TestBoneLengthStability:
         assert report.max_std_m <= 1e-12
 
     def test_single_frame_rejected(self, truth_walk):
-        one = CaptureSequence((truth_walk.frames[0],), truth_walk.direction)
+        one = CaptureSequence(truth_walk.xyz[:1], truth_walk.frame_index[:1], truth_walk.direction)
         with pytest.raises(ValueError):
             bone_length_stability(one)
 

@@ -22,10 +22,11 @@ from skelcal import (
     generate_truth_capture,
     read_capture,
     read_profile,
+    validate_sequence,
     write_capture,
     write_profile,
 )
-from skelcal import CaptureSequence, JOINT_COUNT, Point3, SkeletonFrame, bone_length_stability, y_diff_to_last
+from skelcal import CaptureSequence, JOINT_COUNT, bone_length_stability, y_diff_to_last
 from skelcal import fileio
 from skelcal.fileio import write_bone_report, write_ydiff_report
 from skelcal.errors import (
@@ -56,13 +57,9 @@ class TestCaptureRoundTrip:
         path = tmp_path / "walk.csv"
         write_capture(short_walk, path)
         back = read_capture(path, GaitDirection.VERTICAL)
-        assert len(back.frames) == len(short_walk.frames)
-        for fa, fb in zip(back.frames, short_walk.frames):
-            assert fa.frame_index == fb.frame_index
-            for a, b in zip(fa.joints, fb.joints):
-                assert abs(a.x - b.x) <= 1e-9
-                assert abs(a.y - b.y) <= 1e-9
-                assert abs(a.z - b.z) <= 1e-9
+        assert len(back) == len(short_walk)
+        assert back.frame_index.tolist() == short_walk.frame_index.tolist()
+        assert np.abs(back.xyz - short_walk.xyz).max() <= 1e-9
 
     def test_read_write_byte_identical(self, short_walk, tmp_path):
         first = tmp_path / "a.csv"
@@ -297,11 +294,10 @@ class TestArrayBackedIo:
         assert err.value.line == 2
 
     def test_ydiff_report_rows_carry_frame_indices(self, tmp_path):
-        frames = [
-            SkeletonFrame(k, tuple(Point3(0.0, y, 2.0) for _ in range(JOINT_COUNT)))
-            for k, y in ((3, 1.3), (7, 1.7), (9, 1.9))
-        ]
-        seq = CaptureSequence(frames, GaitDirection.VERTICAL)
+        xyz = np.zeros((3, JOINT_COUNT, 3))
+        xyz[..., 1] = np.array([1.3, 1.7, 1.9])[:, None]
+        xyz[..., 2] = 2.0
+        seq = CaptureSequence(xyz, [3, 7, 9], GaitDirection.VERTICAL)
         path = tmp_path / "ydiff.csv"
         write_ydiff_report(seq, y_diff_to_last(seq, [JointIndex.HEAD]), path)
         assert path.read_text() == "frame,head\n3,-0.600000000\n7,-0.200000000\n9,0.000000000\n"
@@ -331,7 +327,7 @@ class TestBlockCodec:
         xyz[99, 24] = (5e-10, 1e6, 2.0**-1074)
         xyz[249, 24] = (-1 / 1024, -5e-10, -1e6)
         frames = np.arange(250) * 3 - 400  # gaps and negative indices
-        seq = CaptureSequence.from_arrays(xyz, frames, GaitDirection.VERTICAL)
+        seq = CaptureSequence(xyz, frames, GaitDirection.VERTICAL)
 
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_capture(seq, first)
@@ -386,7 +382,7 @@ def odd_captures(draw):
     values = draw(st.lists(pool, min_size=1, max_size=3 * JOINT_COUNT))
     index = sorted(draw(st.sets(st.integers(-(2**63), 2**63 - 1), min_size=frames, max_size=frames)))
     xyz = np.resize(np.array(values), (frames, JOINT_COUNT, 3))  # the values repeated in turn
-    return CaptureSequence.from_arrays(xyz, np.array(index, np.int64), GaitDirection.VERTICAL)
+    return CaptureSequence(xyz, np.array(index, np.int64), GaitDirection.VERTICAL)
 
 
 #: Values at the edges of the writer's kernel: exact binary ties, decimal
@@ -447,7 +443,7 @@ class TestWriterKernel:
             flat[-len(_OUTSIDE_VALUES) :] = _OUTSIDE_VALUES
         index = np.arange(frames) * 7 - 2**62
         index[0], index[-1] = -(2**63), 2**63 - 1
-        seq = CaptureSequence.from_arrays(xyz, index, GaitDirection.VERTICAL)
+        seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
         path = tmp_path / "edges.csv"
         write_capture(seq, path)
         assert path.read_bytes() == _per_value_capture_bytes(seq)
@@ -459,7 +455,7 @@ class TestWriterKernel:
         xyz = apply_distortion(walk, spec).xyz.copy()
         xyz[: len(values), JointIndex.HEAD, 1] = values
         xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
-        seq = CaptureSequence.from_arrays(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
+        seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
         write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
@@ -498,7 +494,7 @@ def _pin_capture(template):
     xyz[0, 0] = (-0.0, -1e-12, 1 / 1024)
     xyz[99, 24] = (5e-10, 1e6, 2.0**-1074)
     xyz[249, 24] = (-1 / 1024, -5e-10, -1e6)
-    return CaptureSequence.from_arrays(xyz, np.arange(250) * 3 - 400, GaitDirection.VERTICAL)
+    return CaptureSequence(xyz, np.arange(250) * 3 - 400, GaitDirection.VERTICAL)
 
 
 def _coordinate_texts():
@@ -738,8 +734,35 @@ class TestBlockReaderFuzz:
             assert isinstance(got, CaptureSequence)
             assert got.xyz.tobytes() == expected.xyz.tobytes()
             assert got.frame_index.tolist() == expected.frame_index.tolist()
-            assert (got.direction, got.nominal_fps, got.label) == (
-                expected.direction, expected.nominal_fps, expected.label
-            )
+            assert (got.direction, got.label) == (expected.direction, expected.label)
         else:
             assert got == expected
+
+
+#: Text made of what capture rows are made of, so that the parsers get past the header.
+_CSV_TEXT = st.text(alphabet="0123456789,.-+eEinaf \r\n", max_size=400)
+
+
+class TestCaptureFuzz:
+    """Any bytes or text yield a validated capture or a CalibrationError, never another exception."""
+
+    def read(self, fuzz_dir, data, header):
+        path = fuzz_dir / "any.csv"
+        path.write_bytes((b"frame,joint,x,y,z\n" if header else b"") + data)
+        try:
+            seq = read_capture(path, GaitDirection.VERTICAL)
+        except CalibrationError:
+            return
+        assert validate_sequence(seq) is seq
+        assert seq.xyz.shape == (len(seq), JOINT_COUNT, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(), st.booleans())
+    def test_arbitrary_bytes(self, fuzz_dir, data, header):
+        self.read(fuzz_dir, data, header)
+
+    @example("\n".join(_ONE_FRAME[1:]) + "\n", True)
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), _CSV_TEXT), st.booleans())
+    def test_arbitrary_text(self, fuzz_dir, text, header):
+        self.read(fuzz_dir, text.encode("utf-8", "surrogatepass"), header)

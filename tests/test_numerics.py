@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from skelcal import FitPoint, Polynomial, arithmetic_mean, geometric_mean, polyeval, polyfit_least_squares
+from skelcal import Polynomial, arithmetic_mean, geometric_mean, polyeval, polyfit_least_squares
 from skelcal.errors import (
     DegenerateSystemError,
     EmptyInputError,
@@ -71,26 +71,25 @@ class TestGeometricMean:
 
 class TestPolyfit:
     def test_exact_line_recovered(self):
-        points = [FitPoint(x, 0.01 + 0.02 * x) for x in (0.0, 0.5, 1.0, 1.8, 2.2)]
-        fit = polyfit_least_squares(points, 1)
+        xs = (0.0, 0.5, 1.0, 1.8, 2.2)
+        fit = polyfit_least_squares(xs, [0.01 + 0.02 * x for x in xs], 1)
         assert fit.coefficients[0] == pytest.approx(0.01, abs=1e-9)
         assert fit.coefficients[1] == pytest.approx(0.02, abs=1e-9)
 
     def test_insufficient_points(self):
-        points = [FitPoint(x, x) for x in (0.0, 1.0, 2.0)]
+        xs = [0.0, 1.0, 2.0]
         with pytest.raises(InsufficientPointsError):
-            polyfit_least_squares(points, 3)
+            polyfit_least_squares(xs, xs, 3)
 
     def test_duplicate_x_counts_once(self):
-        points = [FitPoint(1.0, 2.0), FitPoint(1.0, 2.1), FitPoint(2.0, 3.0)]
         with pytest.raises(InsufficientPointsError):
-            polyfit_least_squares(points, 2)
+            polyfit_least_squares([1.0, 1.0, 2.0], [2.0, 2.1, 3.0], 2)
 
     def test_quadratic_recovered_and_matches_normal_equations_oracle(self):
         truth = (0.005, -0.01, 0.002)
         xs = [0.2, 0.7, 1.1, 1.4, 1.9, 2.3]
         ys = [truth[0] + truth[1] * x + truth[2] * x * x for x in xs]
-        fit = polyfit_least_squares([FitPoint(x, y) for x, y in zip(xs, ys)], 2)
+        fit = polyfit_least_squares(xs, ys, 2)
         oracle = normal_equations_fit(xs, ys, 2)
         for got, want, ref in zip(fit.coefficients, truth, oracle):
             assert got == pytest.approx(want, abs=1e-9)
@@ -101,7 +100,7 @@ class TestPolyfit:
         for degree in (1, 2, 3):
             xs = rng.uniform(-2, 2, 12)
             ys = rng.normal(0, 0.5, 12)
-            fit = polyfit_least_squares([FitPoint(x, y) for x, y in zip(xs, ys)], degree)
+            fit = polyfit_least_squares(xs, ys, degree)
             oracle = normal_equations_fit(xs, ys, degree)
             assert np.allclose(fit.coefficients, oracle, atol=1e-8)
 
@@ -111,16 +110,15 @@ class TestPolyfit:
             n = int(rng.integers(4, 15))
             xs = rng.uniform(-3, 3, n)
             ys = rng.normal(0, 1, n)
-            fit = polyfit_least_squares([FitPoint(x, y) for x, y in zip(xs, ys)], 2)
+            fit = polyfit_least_squares(xs, ys, 2)
             sse_fit = sum((y - polyeval(fit, x)) ** 2 for x, y in zip(xs, ys))
             sse_zero = sum(y * y for y in ys)
             assert sse_fit <= sse_zero + 1e-12
 
     def test_singular_design_matrix_rejected(self):
         # distinct x values whose higher powers underflow to an all-zero column
-        points = [FitPoint(0.0, 1.0), FitPoint(1e-200, 2.0), FitPoint(2e-200, 3.0)]
         with pytest.raises(DegenerateSystemError):
-            polyfit_least_squares(points, 2)
+            polyfit_least_squares([0.0, 1e-200, 2e-200], [1.0, 2.0, 3.0], 2)
 
     @given(
         st.lists(st.integers(min_value=-20, max_value=20), min_size=4, max_size=10, unique=True),
@@ -130,7 +128,7 @@ class TestPolyfit:
         xs = [g / 10 for g in grid]  # well-separated sample points in [-2, 2]
         poly = Polynomial(tuple(coeffs))
         ys = [polyeval(poly, x) for x in xs]
-        fit = polyfit_least_squares([FitPoint(x, y) for x, y in zip(xs, ys)], 2)
+        fit = polyfit_least_squares(xs, ys, 2)
         for x, y in zip(xs, ys):
             assert polyeval(fit, x) == pytest.approx(y, abs=1e-9)
 

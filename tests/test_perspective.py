@@ -13,9 +13,7 @@ from skelcal import (
     GaitDirection,
     JOINT_COUNT,
     JointIndex,
-    Point3,
     Polynomial,
-    SkeletonFrame,
     distort_perspective,
     fit_beta_model,
     joint_perspective_degree,
@@ -34,11 +32,8 @@ from skelcal.errors import (
 
 
 def two_frame_seq(first, last, direction=GaitDirection.VERTICAL):
-    frames = (
-        SkeletonFrame(0, tuple(first for _ in range(JOINT_COUNT))),
-        SkeletonFrame(1, tuple(last for _ in range(JOINT_COUNT))),
-    )
-    return CaptureSequence(frames, direction)
+    """Two frames with every joint at ``first``, then at ``last``."""
+    return CaptureSequence(np.repeat([[first], [last]], JOINT_COUNT, axis=1), [0, 1], direction)
 
 
 def zero_model():
@@ -55,23 +50,23 @@ def model_from(poly):
 
 class TestJointPerspectiveDegree:
     def test_no_y_drift_gives_zero(self):
-        seq = two_frame_seq(Point3(0, 1.5, 4.0), Point3(0, 1.5, 1.5))
+        seq = two_frame_seq((0, 1.5, 4.0), (0, 1.5, 1.5))
         assert joint_perspective_degree(seq, JointIndex.HEAD) == 0.0
 
     def test_known_drift(self):
         # joint reads 8 cm low at 4.0 m, correct at 1.5 m
-        seq = two_frame_seq(Point3(0, 1.62, 4.0), Point3(0, 1.70, 1.5))
+        seq = two_frame_seq((0, 1.62, 4.0), (0, 1.70, 1.5))
         beta = joint_perspective_degree(seq, JointIndex.HEAD)
         assert beta == pytest.approx(0.031989084039315045, abs=1e-12)
 
     def test_no_depth_travel_rejected(self):
-        seq = two_frame_seq(Point3(0, 1.6, 2.0), Point3(0, 1.7, 2.0))
+        seq = two_frame_seq((0, 1.6, 2.0), (0, 1.7, 2.0))
         with pytest.raises(InsufficientDepthTravelError):
             joint_perspective_degree(seq, JointIndex.HEAD)
 
     def test_horizontal_gait_rejected(self):
         seq = two_frame_seq(
-            Point3(0, 1.6, 4.0), Point3(0, 1.7, 1.5), direction=GaitDirection.HORIZONTAL
+            (0, 1.6, 4.0), (0, 1.7, 1.5), direction=GaitDirection.HORIZONTAL
         )
         with pytest.raises(WrongDirectionError):
             joint_perspective_degree(seq, JointIndex.HEAD)
@@ -79,7 +74,7 @@ class TestJointPerspectiveDegree:
     def test_sign_follows_drift_per_depth_ratio(self):
         # estimate and (y_last - y_first)/(z_first - z_last) share sign by construction
         for y_last in (1.55, 1.65):
-            seq = two_frame_seq(Point3(0, 1.6, 4.0), Point3(0, y_last, 1.5))
+            seq = two_frame_seq((0, 1.6, 4.0), (0, y_last, 1.5))
             beta = joint_perspective_degree(seq, JointIndex.HEAD)
             ratio = (y_last - 1.6) / 2.5
             assert beta * ratio >= 0.0
@@ -87,7 +82,7 @@ class TestJointPerspectiveDegree:
 
 class TestMeanPerspectiveDegrees:
     def test_single_gait_mean_is_that_gait(self):
-        seq = two_frame_seq(Point3(0, 1.62, 4.0), Point3(0, 1.70, 1.5))
+        seq = two_frame_seq((0, 1.62, 4.0), (0, 1.70, 1.5))
         points = mean_perspective_degrees([seq], [JointIndex.HEAD])
         assert len(points) == 1
         assert points[0].beta_rad == pytest.approx(
@@ -97,7 +92,7 @@ class TestMeanPerspectiveDegrees:
     def test_mean_of_two_gaits(self):
         def gait(beta):
             drift = 2.5 * math.tan(beta)
-            return two_frame_seq(Point3(0, 1.6 - drift, 4.0), Point3(0, 1.6, 1.5))
+            return two_frame_seq((0, 1.6 - drift, 4.0), (0, 1.6, 1.5))
 
         points = mean_perspective_degrees([gait(0.02), gait(0.04)], [JointIndex.HEAD])
         assert points[0].beta_rad == pytest.approx(0.03, abs=1e-9)
@@ -116,14 +111,14 @@ class TestMeanPerspectiveDegrees:
             assert p.beta_rad == pytest.approx(polyeval(poly, p.height_y_m), abs=2e-3)
 
     def test_joint_without_depth_travel_rejected(self):
-        seq = two_frame_seq(Point3(0, 1.6, 2.0), Point3(0, 1.7, 1.99))
+        seq = two_frame_seq((0, 1.6, 2.0), (0, 1.7, 1.99))
         with pytest.raises(NoUsableGaitsError) as err:
             mean_perspective_degrees([seq], [JointIndex.HEAD])
         assert err.value.joint == int(JointIndex.HEAD)
 
     def test_no_vertical_gait_rejected(self):
         seq = two_frame_seq(
-            Point3(0, 1.6, 4.0), Point3(0, 1.7, 1.5), direction=GaitDirection.HORIZONTAL
+            (0, 1.6, 4.0), (0, 1.7, 1.5), direction=GaitDirection.HORIZONTAL
         )
         with pytest.raises(WrongDirectionError):
             mean_perspective_degrees([seq], [JointIndex.HEAD])
@@ -160,12 +155,12 @@ class TestFitBetaModel:
 
 class TestPerspectiveCorrectPoint:
     def test_zero_model_is_identity(self):
-        p = Point3(0.4, 1.3, 2.7)
+        p = (0.4, 1.3, 2.7)
         assert perspective_correct_point(p, zero_model()) == p
 
     def test_constant_angle_worked_example(self):
         model = model_from(Polynomial((0.02,)))
-        out = perspective_correct_point(Point3(0.0, 1.5, 2.0), model)
+        out = perspective_correct_point((0.0, 1.5, 2.0), model)
         assert out.y == pytest.approx(1.5400053341868047, abs=1e-12)
 
     @given(
@@ -175,37 +170,33 @@ class TestPerspectiveCorrectPoint:
     )
     def test_x_and_z_never_change(self, x, y, z):
         model = model_from(Polynomial((0.03, -0.01)))
-        out = perspective_correct_point(Point3(x, y, z), model)
+        out = perspective_correct_point((x, y, z), model)
         assert out.x == x
         assert out.z == z
 
     def test_angle_near_right_angle_rejected(self):
         model = model_from(Polynomial((1.6,)))
         with pytest.raises(BetaOutOfRangeError):
-            perspective_correct_point(Point3(0, 1.0, 2.0), model)
+            perspective_correct_point((0, 1.0, 2.0), model)
 
 
 class TestPerspectiveCorrectSequence:
     def test_zero_model_preserves_sequence(self, truth_walk):
         out = perspective_correct_sequence(truth_walk, zero_model())
-        assert out.frames == truth_walk.frames
+        assert np.array_equal(out.frame_index, truth_walk.frame_index)
+        assert np.array_equal(out.xyz, truth_walk.xyz)
 
     def test_structure_preserved(self, truth_walk):
         out = perspective_correct_sequence(truth_walk, model_from(Polynomial((0.01,))))
-        assert len(out.frames) == len(truth_walk.frames)
-        assert [f.frame_index for f in out.frames] == [f.frame_index for f in truth_walk.frames]
+        assert out.xyz.shape == truth_walk.xyz.shape
+        assert out.frame_index.tolist() == truth_walk.frame_index.tolist()
         assert out.direction is truth_walk.direction
 
     def test_inverts_fixed_point_distortion(self, truth_walk):
         poly = Polynomial((math.radians(3), -0.02))
         raw = distort_perspective(truth_walk, poly)
         back = perspective_correct_sequence(raw, model_from(poly))
-        worst = max(
-            abs(a.y - b.y)
-            for fa, fb in zip(back.frames, truth_walk.frames)
-            for a, b in zip(fa.joints, fb.joints)
-        )
-        assert worst <= 1e-6
+        assert np.abs(back.xyz[..., 1] - truth_walk.xyz[..., 1]).max() <= 1e-6
 
 
 class TestBetaTypes:
@@ -235,13 +226,13 @@ class TestSequenceMatchesScalarOracle:
     )
     def test_within_1e12_of_point(self, xyz, c0, c1, c2):
         model = model_from(Polynomial((c0, c1, c2)))
-        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        seq = CaptureSequence(xyz, range(len(xyz)), GaitDirection.VERTICAL)
         out = perspective_correct_sequence(seq, model)
-        for fa, fb in zip(out.frames, seq.frames):
-            for a, b in zip(fa.joints, fb.joints):
+        for fa, fb in zip(out.xyz.tolist(), xyz.tolist()):
+            for (x, y, z), b in zip(fa, fb):
                 expected = perspective_correct_point(b, model)
-                assert (a.x, a.z) == (expected.x, expected.z)
-                assert abs(a.y - expected.y) <= 1e-12
+                assert (x, z) == (expected.x, expected.z)
+                assert abs(y - expected.y) <= 1e-12
 
     def test_angle_near_right_angle_rejected(self, truth_walk):
         with pytest.raises(BetaOutOfRangeError):

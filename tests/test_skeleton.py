@@ -10,28 +10,22 @@ from skelcal import (
     JointIndex,
     Point3,
     SKELETON_EDGES,
-    SkeletonFrame,
-    joint_track,
     validate_sequence,
 )
 from skelcal.errors import (
     EmptySequenceError,
     NonFiniteCoordinateError,
     NonMonotonicFrameIndexError,
-    WrongJointCountError,
 )
 
 
-def make_frame(index, override=None):
-    joints = [Point3(0.1 * j, 1.0, 2.5) for j in range(JOINT_COUNT)]
-    if override:
-        for j, p in override.items():
-            joints[j] = p
-    return SkeletonFrame(index, tuple(joints))
+def make_xyz(n_frames):
+    """(n_frames, 25, 3) joints, joint j of every frame at (0.1 * j, 1.0, 2.5)."""
+    return np.tile([(0.1 * j, 1.0, 2.5) for j in range(JOINT_COUNT)], (n_frames, 1, 1))
 
 
 def make_seq(n_frames, direction=GaitDirection.VERTICAL):
-    return CaptureSequence(tuple(make_frame(k) for k in range(n_frames)), direction)
+    return CaptureSequence(make_xyz(n_frames), range(n_frames), direction)
 
 
 class TestJointIndex:
@@ -79,52 +73,54 @@ class TestValidateSequence:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
-            validate_sequence(CaptureSequence((), GaitDirection.VERTICAL))
+            validate_sequence(CaptureSequence(make_xyz(0), [], GaitDirection.VERTICAL))
 
     def test_nan_reported_with_frame_joint_field(self):
-        frames = [make_frame(k) for k in range(5)]
-        frames[3] = make_frame(3, {14: Point3(0.0, math.nan, 2.5)})
+        xyz = make_xyz(5)
+        xyz[3, 14] = (0.0, math.nan, 2.5)
         with pytest.raises(NonFiniteCoordinateError) as err:
-            validate_sequence(CaptureSequence(tuple(frames), GaitDirection.VERTICAL))
+            validate_sequence(CaptureSequence(xyz, range(5), GaitDirection.VERTICAL))
         assert err.value.frame_index == 3
         assert err.value.joint == 14
         assert err.value.field == "y"
 
     def test_infinity_rejected(self):
-        seq = CaptureSequence(
-            (make_frame(0, {0: Point3(math.inf, 1.0, 2.0)}),), GaitDirection.VERTICAL
-        )
+        xyz = make_xyz(1)
+        xyz[0, 0] = (math.inf, 1.0, 2.0)
+        seq = CaptureSequence(xyz, [0], GaitDirection.VERTICAL)
         with pytest.raises(NonFiniteCoordinateError):
             validate_sequence(seq)
 
     def test_repeated_frame_index_rejected(self):
-        seq = CaptureSequence((make_frame(0), make_frame(0)), GaitDirection.VERTICAL)
+        seq = CaptureSequence(make_xyz(2), [0, 0], GaitDirection.VERTICAL)
         with pytest.raises(NonMonotonicFrameIndexError):
             validate_sequence(seq)
-
-    def test_wrong_joint_count_rejected(self):
-        short = SkeletonFrame(0, tuple(Point3(0, 1, 2) for _ in range(24)))
-        with pytest.raises(WrongJointCountError) as err:
-            validate_sequence(CaptureSequence((short,), GaitDirection.VERTICAL))
-        assert err.value.count == 24
 
 
 class TestJointTrack:
     def test_one_point_per_frame_in_order(self):
         seq = make_seq(3)
-        track = joint_track(seq, JointIndex.HEAD)
+        track = seq.xyz[:, JointIndex.HEAD]
         assert len(track) == 3
-        assert track == [f.joints[3] for f in seq.frames]
+        assert track.tolist() == [[0.1 * 3, 1.0, 2.5]] * 3
 
     def test_single_frame(self):
-        assert len(joint_track(make_seq(1), JointIndex.THUMB_RIGHT)) == 1
+        assert len(make_seq(1).xyz[:, JointIndex.THUMB_RIGHT]) == 1
 
     def test_projection_matches_frames_exhaustively(self):
-        seq = make_seq(4)
-        for j in JointIndex:
-            track = joint_track(seq, j)
-            for k, frame in enumerate(seq.frames):
-                assert track[k] == frame.joints[j]
+        # the per-frame view the benchmark harness reads: frames[k].joints[j] and frame_index
+        xyz = np.random.default_rng(4).normal(size=(4, JOINT_COUNT, 3))
+        seq = CaptureSequence(xyz, [3, 5, 8, 13], GaitDirection.VERTICAL)
+        frames = seq.frames
+        assert len(frames) == len(seq)
+        assert [f.frame_index for f in frames] == seq.frame_index.tolist() == [3, 5, 8, 13]
+        for k, frame in enumerate(frames):
+            assert type(frame.frame_index) is int
+            assert len(frame.joints) == JOINT_COUNT
+            for j in JointIndex:
+                p = frame.joints[j]
+                assert isinstance(p, Point3)
+                assert (p.x, p.y, p.z) == tuple(seq.xyz[k, j].tolist()) == tuple(xyz[k, j])
 
 
 class TestValidationOrder:
@@ -137,10 +133,10 @@ class TestValidationOrder:
         ],
     )
     def test_first_violation_in_frame_order_is_reported(self, nan_at, error):
-        frames = [make_frame(k) for k in (0, 2, 1, 3)]
-        frames[nan_at] = make_frame(frames[nan_at].frame_index, {5: Point3(0.0, 1.0, math.nan)})
+        xyz = make_xyz(4)
+        xyz[nan_at, 5] = (0.0, 1.0, math.nan)
         with pytest.raises(error):
-            validate_sequence(CaptureSequence(tuple(frames), GaitDirection.VERTICAL))
+            validate_sequence(CaptureSequence(xyz, [0, 2, 1, 3], GaitDirection.VERTICAL))
 
 
 class TestCaptureSequenceValue:
@@ -156,16 +152,17 @@ class TestCaptureSequenceValue:
     def test_equality_compares_values(self):
         seq = make_seq(3)
         assert seq == make_seq(3)
-        assert seq == CaptureSequence(seq.frames, seq.direction, seq.nominal_fps, seq.label)
+        assert seq == CaptureSequence(seq.xyz, seq.frame_index, seq.direction, seq.label)
         assert seq != make_seq(2)
         assert seq != make_seq(3, GaitDirection.HORIZONTAL)
-        moved = [make_frame(0), make_frame(1, {4: Point3(0.4, 1.0, 2.6)}), make_frame(2)]
-        assert seq != CaptureSequence(tuple(moved), GaitDirection.VERTICAL)
+        moved = make_xyz(3)
+        moved[1, 4] = (0.4, 1.0, 2.6)
+        assert seq != CaptureSequence(moved, range(3), GaitDirection.VERTICAL)
 
-    def test_from_arrays_copies_its_inputs(self):
+    def test_constructor_copies_its_inputs(self):
         xyz = np.zeros((2, JOINT_COUNT, 3))
         index = np.array([0, 1])
-        seq = CaptureSequence.from_arrays(xyz, index, GaitDirection.VERTICAL)
+        seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
         xyz[0, 0, 0] = 1.0
         index[0] = 5
         assert seq.xyz[0, 0, 0] == 0.0
@@ -173,12 +170,8 @@ class TestCaptureSequenceValue:
 
     def test_malformed_arrays_rejected(self):
         with pytest.raises(ValueError):
-            CaptureSequence.from_arrays(np.zeros((2, JOINT_COUNT)), [0, 1], GaitDirection.VERTICAL)
+            CaptureSequence(np.zeros((2, JOINT_COUNT)), [0, 1], GaitDirection.VERTICAL)
+        with pytest.raises(ValueError):  # a frame of 24 joints
+            CaptureSequence(np.zeros((2, JOINT_COUNT - 1, 3)), [0, 1], GaitDirection.VERTICAL)
         with pytest.raises(ValueError):
-            CaptureSequence.from_arrays(np.zeros((2, JOINT_COUNT, 3)), [0], GaitDirection.VERTICAL)
-
-    def test_frame_without_25_joints_rejected_at_construction(self):
-        short = SkeletonFrame(1, tuple(Point3(0, 1, 2) for _ in range(24)))
-        with pytest.raises(WrongJointCountError) as err:
-            CaptureSequence((make_frame(0), short), GaitDirection.VERTICAL)
-        assert (err.value.frame_index, err.value.count) == (1, 24)
+            CaptureSequence(np.zeros((2, JOINT_COUNT, 3)), [0], GaitDirection.VERTICAL)

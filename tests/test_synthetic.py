@@ -13,7 +13,6 @@ from skelcal import (
     JointIndex,
     Point3,
     Polynomial,
-    SkeletonFrame,
     TiltModel,
     add_noise,
     bone_lengths,
@@ -30,44 +29,46 @@ from skelcal.synthetic import apply_distortion
 from skelcal.tilt import TiltParams
 
 
+def one_frame(point):
+    """A one-frame vertical sequence with every joint at ``point``."""
+    return CaptureSequence(np.tile(point, (1, JOINT_COUNT, 1)), [0], GaitDirection.VERTICAL)
+
+
 class TestGenerateTruthCapture:
     def test_standing_frames_identical(self, template):
         seq = generate_truth_capture(template, GaitDirection.VERTICAL, 2, 3.0, 3.0)
-        assert seq.frames[0].joints == seq.frames[1].joints
+        assert np.array_equal(seq.xyz[0], seq.xyz[1])
 
     def test_bone_lengths_rigid_across_frames(self, truth_walk):
-        lengths = np.array([[l for _, l in bone_lengths(f)] for f in truth_walk.frames])
+        lengths = np.array([[l for _, l in bone_lengths(f)] for f in truth_walk.xyz])
         assert (lengths.max(axis=0) - lengths.min(axis=0)).max() <= 1e-12
 
     def test_vertical_base_z_strictly_decreasing(self, truth_walk):
-        zs = [f.joint(JointIndex.SPINE_BASE).z for f in truth_walk.frames]
+        zs = truth_walk.xyz[:, JointIndex.SPINE_BASE, 2].tolist()
         assert all(a > b for a, b in zip(zs, zs[1:]))
 
     def test_output_passes_validation(self, truth_walk):
         assert validate_sequence(truth_walk) is truth_walk
 
     def test_ground_contact(self, truth_walk):
-        foot_min = min(
-            min(f.joint(JointIndex.FOOT_LEFT).y, f.joint(JointIndex.FOOT_RIGHT).y)
-            for f in truth_walk.frames
-        )
+        foot_min = float(truth_walk.xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1].min())
         assert foot_min == pytest.approx(0.0, abs=1e-12)
         assert foot_min >= 0.0
 
     def test_first_and_last_frame_share_pose(self, truth_walk):
         # whole number of gait cycles: same joint offsets relative to the base
-        first, last = truth_walk.frames[0], truth_walk.frames[-1]
-        b0, b1 = first.joint(JointIndex.SPINE_BASE), last.joint(JointIndex.SPINE_BASE)
-        for a, b in zip(first.joints, last.joints):
-            assert a.y - b0.y == pytest.approx(b.y - b1.y, abs=1e-9)
-            assert a.x - b0.x == pytest.approx(b.x - b1.x, abs=1e-9)
+        first, last = truth_walk.xyz[0], truth_walk.xyz[-1]
+        (x0, y0, _), (x1, y1, _) = first[JointIndex.SPINE_BASE], last[JointIndex.SPINE_BASE]
+        for (ax, ay, _), (bx, by, _) in zip(first, last):
+            assert ay - y0 == pytest.approx(by - y1, abs=1e-9)
+            assert ax - x0 == pytest.approx(bx - x1, abs=1e-9)
 
     def test_horizontal_crosses_at_midpoint_depth(self, template):
         seq = generate_truth_capture(template, GaitDirection.HORIZONTAL, 30, 4.0, 2.0)
-        base = [f.joint(JointIndex.SPINE_BASE) for f in seq.frames]
-        assert base[0].x == pytest.approx(-1.0)
-        assert base[-1].x == pytest.approx(1.0)
-        assert all(p.z == pytest.approx(3.0) for p in base)
+        base = seq.xyz[:, JointIndex.SPINE_BASE]
+        assert base[0, 0] == pytest.approx(-1.0)
+        assert base[-1, 0] == pytest.approx(1.0)
+        assert all(z == pytest.approx(3.0) for z in base[:, 2])
 
     @pytest.mark.parametrize(
         "frames,z_start,z_end",
@@ -88,64 +89,58 @@ class TestDistortTilt:
     def test_zero_tilt_identity_in_both_modes(self, truth_walk):
         for model in TiltModel:
             spec = DistortionSpec(tilt_model=model)
-            assert distort_tilt(truth_walk, spec).frames == truth_walk.frames
+            assert distort_tilt(truth_walk, spec) == truth_walk
 
     def test_shear_inverse_worked_example(self):
         # inverse of correcting (0.2, 1.0, 2.0) with tilt 0.1, height 0.5
-        point = Point3(0.2, 1.7096335443730355, 2.099833416646828)
-        seq = CaptureSequence(
-            (SkeletonFrame(0, tuple(point for _ in range(JOINT_COUNT))),),
-            GaitDirection.VERTICAL,
-        )
+        seq = one_frame((0.2, 1.7096335443730355, 2.099833416646828))
         raw = distort_tilt(seq, DistortionSpec(tilt_rad=0.1, sensor_height_m=0.5))
-        got = raw.frames[0].joints[0]
-        assert got.x == 0.2
-        assert got.y == pytest.approx(1.0, abs=1e-9)
-        assert got.z == pytest.approx(2.0, abs=1e-9)
+        x, y, z = raw.xyz[0, 0]
+        assert x == 0.2
+        assert y == pytest.approx(1.0, abs=1e-9)
+        assert z == pytest.approx(2.0, abs=1e-9)
 
     def test_shear_then_correct_identity(self, truth_walk):
         spec = DistortionSpec(tilt_rad=0.21, sensor_height_m=0.6)
         raw = distort_tilt(truth_walk, spec)
         params = TiltParams(spec.tilt_rad, spec.sensor_height_m)
-        for fa, fb in zip(raw.frames, truth_walk.frames):
-            for a, b in zip(fa.joints, fb.joints):
+        for fa, fb in zip(raw.xyz, truth_walk.xyz):
+            for a, (_, y, z) in zip(fa, fb):
                 back = tilt_correct_point(a, params)
-                assert back.y == pytest.approx(b.y, abs=1e-9)
-                assert back.z == pytest.approx(b.z, abs=1e-9)
+                assert back.y == pytest.approx(y, abs=1e-9)
+                assert back.z == pytest.approx(z, abs=1e-9)
 
     def test_rotation_mode_is_rigid(self, truth_walk):
         spec = DistortionSpec(tilt_model=TiltModel.ROTATION, tilt_rad=0.15, sensor_height_m=0.75)
         raw = distort_tilt(truth_walk, spec)
-        before = [l for _, l in bone_lengths(truth_walk.frames[0])]
-        after = [l for _, l in bone_lengths(raw.frames[0])]
+        before = [l for _, l in bone_lengths(truth_walk.xyz[0])]
+        after = [l for _, l in bone_lengths(raw.xyz[0])]
         assert after == pytest.approx(before, abs=1e-12)
 
     def test_spec_rejects_large_tilt(self):
         with pytest.raises(ValueError):
             DistortionSpec(tilt_rad=0.6)
 
+    @pytest.mark.parametrize("field", ["tilt_rad", "sensor_height_m", "noise_std_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            DistortionSpec(**{field: value})
+
 
 class TestDistortPerspective:
     def test_zero_polynomial_identity(self, truth_walk):
         out = distort_perspective(truth_walk, Polynomial((0.0,)))
-        assert out.frames == truth_walk.frames
+        assert out == truth_walk
 
     def test_constant_angle_inverse_of_worked_example(self):
-        point = Point3(0.0, 1.5400053341868047, 2.0)
-        seq = CaptureSequence(
-            (SkeletonFrame(0, tuple(point for _ in range(JOINT_COUNT))),),
-            GaitDirection.VERTICAL,
-        )
+        seq = one_frame((0.0, 1.5400053341868047, 2.0))
         out = distort_perspective(seq, Polynomial((0.02,)))
-        assert out.frames[0].joints[0].y == pytest.approx(1.5, abs=1e-9)
+        assert out.xyz[0, 0, 1] == pytest.approx(1.5, abs=1e-9)
 
     def test_divergence_detected(self):
         # steep angle-vs-height slope breaks the fixed-point contraction
-        point = Point3(0.0, 1.4, 4.0)
-        seq = CaptureSequence(
-            (SkeletonFrame(0, tuple(point for _ in range(JOINT_COUNT))),),
-            GaitDirection.VERTICAL,
-        )
+        seq = one_frame((0.0, 1.4, 4.0))
         with pytest.raises(FixedPointDivergenceError):
             distort_perspective(seq, Polynomial((0.0, 1.0)))
 
@@ -154,25 +149,25 @@ class TestAddNoise:
     def test_zero_std_returns_sequence_unchanged(self, truth_walk):
         assert add_noise(truth_walk, 0.0, 42) is truth_walk
 
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -0.001])
+    def test_bad_std_rejected(self, truth_walk, std):
+        with pytest.raises(ValueError):
+            add_noise(truth_walk, std, 42)
+
     def test_same_seed_reproducible(self, truth_walk):
         a = add_noise(truth_walk, 0.005, 42)
         b = add_noise(truth_walk, 0.005, 42)
-        assert a.frames == b.frames
+        assert a == b
 
     def test_different_seed_differs(self, truth_walk):
         a = add_noise(truth_walk, 0.005, 1)
         b = add_noise(truth_walk, 0.005, 2)
-        assert a.frames != b.frames
+        assert a != b
 
     def test_sample_std_close_to_requested(self, template):
         clean = generate_truth_capture(template, GaitDirection.VERTICAL, 134, 4.5, 1.5)
         noisy = add_noise(clean, 0.005, 7)
-        deltas = [
-            d
-            for fa, fb in zip(noisy.frames, clean.frames)
-            for a, b in zip(fa.joints, fb.joints)
-            for d in (a.x - b.x, a.y - b.y, a.z - b.z)
-        ]
+        deltas = (noisy.xyz - clean.xyz).ravel()
         assert len(deltas) >= 10_000
         sample_std = float(np.std(deltas))
         assert abs(sample_std - 0.005) / 0.005 <= 0.05

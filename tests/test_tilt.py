@@ -11,7 +11,6 @@ from skelcal import (
     GaitDirection,
     JOINT_COUNT,
     Point3,
-    SkeletonFrame,
     TiltModel,
     TiltParams,
     aggregate_inclination,
@@ -31,69 +30,69 @@ from skelcal.errors import (
 )
 
 
-def spine_frame(index, base, mid):
-    """Frame with the two spine joints set; everything else neutral."""
-    joints = [Point3(0.0, 1.0, 2.5) for _ in range(JOINT_COUNT)]
+def spine_frame(base, mid):
+    """One frame's (25, 3) joints with the two spine joints set; everything else neutral."""
+    joints = np.tile((0.0, 1.0, 2.5), (JOINT_COUNT, 1))
     joints[0], joints[1] = base, mid
-    return SkeletonFrame(index, tuple(joints))
+    return joints
 
 
-def frame_with_tilt(index, tilt_rad, z0=2.5):
+def frame_with_tilt(tilt_rad, z0=2.5):
     # estimator reads atan2(z_base - z_mid, y_mid - y_base)
     rise = 0.3
-    return spine_frame(
-        index, Point3(0.0, 0.9, z0), Point3(0.0, 1.2, z0 - rise * math.tan(tilt_rad))
-    )
+    return spine_frame((0.0, 0.9, z0), (0.0, 1.2, z0 - rise * math.tan(tilt_rad)))
+
+
+def vertical_gait(frames):
+    return CaptureSequence(frames, range(len(frames)), GaitDirection.VERTICAL)
 
 
 class TestFrameInclination:
     def test_vertical_spine_gives_zero(self):
-        frame = spine_frame(0, Point3(0, 0.90, 2.50), Point3(0, 1.20, 2.50))
+        frame = spine_frame((0, 0.90, 2.50), (0, 1.20, 2.50))
         assert frame_inclination(frame) == 0.0
 
     def test_known_spine_geometry(self):
         # upper spine joint 3 cm deeper over a 30 cm rise
-        frame = spine_frame(0, Point3(0, 0.90, 2.50), Point3(0, 1.20, 2.53))
+        frame = spine_frame((0, 0.90, 2.50), (0, 1.20, 2.53))
         assert frame_inclination(frame) == pytest.approx(-0.0996686524911614, abs=1e-12)
 
     def test_degenerate_spine_rejected(self):
-        frame = spine_frame(0, Point3(0, 1.00, 2.0), Point3(0.1, 1.00, 2.1))
+        frame = spine_frame((0, 1.00, 2.0), (0.1, 1.00, 2.1))
         with pytest.raises(DegenerateSpineError):
             frame_inclination(frame)
 
     def test_recovers_injected_angle_from_round_trip(self):
         for deg in (1, 3, 7, 10):
             tilt = math.radians(deg)
-            assert frame_inclination(frame_with_tilt(0, tilt)) == pytest.approx(tilt, abs=1e-12)
+            assert frame_inclination(frame_with_tilt(tilt)) == pytest.approx(tilt, abs=1e-12)
 
 
 class TestGaitInclination:
     def test_constant_tilt_sequence(self):
-        frames = tuple(frame_with_tilt(k, 0.1) for k in range(5))
-        result = gait_inclination(CaptureSequence(frames, GaitDirection.VERTICAL))
+        frames = [frame_with_tilt(0.1) for _ in range(5)]
+        result = gait_inclination(vertical_gait(frames))
         assert result.mean_rad == pytest.approx(0.1, abs=1e-12)
         assert len(result.per_frame_rad) == 5
 
     def test_mean_of_mixed_frames(self):
-        frames = tuple(frame_with_tilt(k, a) for k, a in enumerate((0.08, 0.10, 0.12)))
-        result = gait_inclination(CaptureSequence(frames, GaitDirection.VERTICAL))
+        frames = [frame_with_tilt(a) for a in (0.08, 0.10, 0.12)]
+        result = gait_inclination(vertical_gait(frames))
         assert result.mean_rad == pytest.approx(0.10, abs=1e-12)
 
     def test_degenerate_frames_skipped(self):
-        frames = (
-            frame_with_tilt(0, 0.1),
-            spine_frame(1, Point3(0, 1.0, 2.0), Point3(0, 1.0, 2.1)),
-            frame_with_tilt(2, 0.1),
-        )
-        result = gait_inclination(CaptureSequence(frames, GaitDirection.VERTICAL))
+        frames = [
+            frame_with_tilt(0.1),
+            spine_frame((0, 1.0, 2.0), (0, 1.0, 2.1)),
+            frame_with_tilt(0.1),
+        ]
+        result = gait_inclination(vertical_gait(frames))
         assert len(result.per_frame_rad) == 2
 
     def test_all_degenerate_rejected(self):
-        frames = tuple(
-            spine_frame(k, Point3(0, 1.0, 2.0), Point3(0, 1.0, 2.1)) for k in range(3)
-        )
+        frames = [spine_frame((0, 1.0, 2.0), (0, 1.0, 2.1)) for _ in range(3)]
         with pytest.raises(NoUsableFramesError):
-            gait_inclination(CaptureSequence(frames, GaitDirection.VERTICAL))
+            gait_inclination(vertical_gait(frames))
 
 
 class TestAggregateInclination:
@@ -125,15 +124,15 @@ class TestAggregateInclination:
 
 class TestTiltCorrectPoint:
     def test_identity_with_zero_params(self):
-        p = Point3(0.3, 1.2, 3.4)
+        p = (0.3, 1.2, 3.4)
         assert tilt_correct_point(p, TiltParams(0.0, 0.0)) == p
 
     def test_pure_height_offset(self):
-        corrected = tilt_correct_point(Point3(0.2, 1.0, 2.0), TiltParams(0.0, 0.75))
+        corrected = tilt_correct_point((0.2, 1.0, 2.0), TiltParams(0.0, 0.75))
         assert corrected == Point3(0.2, 1.75, 2.0)
 
     def test_worked_example(self):
-        corrected = tilt_correct_point(Point3(0.2, 1.0, 2.0), TiltParams(0.1, 0.5))
+        corrected = tilt_correct_point(np.array([0.2, 1.0, 2.0]), TiltParams(0.1, 0.5))
         assert corrected.x == 0.2
         assert corrected.z == pytest.approx(2.099833416646828, abs=1e-12)
         assert corrected.y == pytest.approx(1.7096335443730355, abs=1e-12)
@@ -146,7 +145,7 @@ class TestTiltCorrectPoint:
         st.floats(min_value=0, max_value=2),
     )
     def test_x_never_changes(self, x, y, z, tilt, h):
-        assert tilt_correct_point(Point3(x, y, z), TiltParams(tilt, h)).x == x
+        assert tilt_correct_point((x, y, z), TiltParams(tilt, h)).x == x
 
     @given(
         st.floats(min_value=-0.5, max_value=2.5),
@@ -157,14 +156,11 @@ class TestTiltCorrectPoint:
     def test_shear_distort_then_correct_is_identity(self, y, z, tilt, h):
         params = TiltParams(tilt, h)
         spec = DistortionSpec(tilt_rad=tilt, sensor_height_m=h)
-        truth = CaptureSequence(
-            (SkeletonFrame(0, tuple(Point3(0.0, y, z) for _ in range(JOINT_COUNT))),),
-            GaitDirection.VERTICAL,
-        )
+        truth = vertical_gait(np.tile((0.0, y, z), (1, JOINT_COUNT, 1)))
         back = tilt_correct_sequence(distort_tilt(truth, spec), params)
-        got = back.frames[0].joints[0]
-        assert got.y == pytest.approx(y, abs=1e-9)
-        assert got.z == pytest.approx(z, abs=1e-9)
+        _, got_y, got_z = back.xyz[0, 0]
+        assert got_y == pytest.approx(y, abs=1e-9)
+        assert got_z == pytest.approx(z, abs=1e-9)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -176,16 +172,16 @@ class TestTiltCorrectPoint:
 class TestTiltCorrectSequence:
     def test_zero_params_preserve_sequence(self, truth_walk):
         out = tilt_correct_sequence(truth_walk, TiltParams(0.0, 0.0))
-        assert out.frames == truth_walk.frames
+        assert np.array_equal(out.frame_index, truth_walk.frame_index)
+        assert np.array_equal(out.xyz, truth_walk.xyz)
         assert out.direction is truth_walk.direction
 
     def test_single_frame_structure_preserved(self):
-        frame = frame_with_tilt(7, 0.05)
-        seq = CaptureSequence((frame,), GaitDirection.HORIZONTAL, 25.0, "one")
+        seq = CaptureSequence([frame_with_tilt(0.05)], [7], GaitDirection.HORIZONTAL, "one")
         out = tilt_correct_sequence(seq, TiltParams(0.1, 0.4))
-        assert len(out.frames) == 1
-        assert out.frames[0].frame_index == 7
-        assert out.nominal_fps == 25.0
+        assert out.xyz.shape == (1, JOINT_COUNT, 3)
+        assert out.frame_index.tolist() == [7]
+        assert out.direction is GaitDirection.HORIZONTAL
         assert out.label == "one"
 
     def test_recovers_truth_from_shear_distortion(self, truth_walk):
@@ -195,12 +191,7 @@ class TestTiltCorrectSequence:
             DistortionSpec(tilt_rad=params.tilt_rad, sensor_height_m=params.sensor_height_m),
         )
         back = tilt_correct_sequence(raw, params)
-        worst = max(
-            max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
-            for fa, fb in zip(back.frames, truth_walk.frames)
-            for a, b in zip(fa.joints, fb.joints)
-        )
-        assert worst <= 1e-9
+        assert np.abs(back.xyz - truth_walk.xyz).max() <= 1e-9
 
 
 class TestRotationModelRecovery:
@@ -215,8 +206,8 @@ class TestRotationModelRecovery:
             assert abs(estimate - tilt) <= math.radians(0.25)
 
     def test_upright_truth_frames_estimate_zero(self, truth_walk):
-        for frame in truth_walk.frames[::10]:
-            assert abs(frame_inclination(frame)) <= 1e-12
+        for joints in truth_walk.xyz[::10]:
+            assert abs(frame_inclination(joints)) <= 1e-12
 
 
 #: 1-6 frames of 25 joints with every coordinate in the sensor's working range.
@@ -231,18 +222,17 @@ class TestArrayKernelsMatchScalarOracle:
     @given(capture_xyz, st.floats(min_value=-0.49, max_value=0.49), st.floats(min_value=0, max_value=2))
     def test_tilt_correct_sequence_equals_point(self, xyz, tilt, h):
         params = TiltParams(tilt, h)
-        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
-        out = tilt_correct_sequence(seq, params)
-        for fa, fb in zip(out.frames, seq.frames):
-            assert fa.joints == tuple(tilt_correct_point(p, params) for p in fb.joints)
+        out = tilt_correct_sequence(vertical_gait(xyz), params)
+        for k, joints in enumerate(xyz.tolist()):
+            assert list(map(tuple, out.xyz[k].tolist())) == [tilt_correct_point(p, params) for p in joints]
 
     @given(capture_xyz)
     def test_gait_inclination_equals_frame_inclination(self, xyz):
-        seq = CaptureSequence.from_arrays(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        seq = vertical_gait(xyz)
         expected = []
-        for frame in seq.frames:
+        for joints in xyz:
             try:
-                expected.append(frame_inclination(frame))
+                expected.append(frame_inclination(joints))
             except DegenerateSpineError:
                 continue
         if not expected:
@@ -257,5 +247,5 @@ class TestArrayKernelsMatchScalarOracle:
         walk = generate_truth_capture(template, GaitDirection.VERTICAL, 600, 4.5, 1.5)
         tilted = distort_tilt(walk, DistortionSpec(TiltModel.ROTATION, tilt_rad=0.3))
         raw = add_noise(tilted, 0.005, 1)
-        expected = tuple(frame_inclination(f) for f in raw.frames)
+        expected = tuple(frame_inclination(joints) for joints in raw.xyz)
         assert gait_inclination(raw).per_frame_rad == expected
