@@ -26,6 +26,7 @@ _EXPORTS = {
     "polyeval": "numerics",
     "polyfit_least_squares": "numerics",
     "GaitInclination": "tilt",
+    "TiltModel": "tilt",
     "TiltParams": "tilt",
     "aggregate_inclination": "tilt",
     "frame_inclination": "tilt",
@@ -46,7 +47,6 @@ _EXPORTS = {
     "calibrate": "pipeline",
     "BodyTemplate": "synthetic",
     "DistortionSpec": "synthetic",
-    "TiltModel": "synthetic",
     "add_noise": "synthetic",
     "apply_distortion": "synthetic",
     "default_template": "synthetic",

@@ -3,6 +3,14 @@
 Angles cross the CLI boundary in degrees for human convenience; profile files
 and all internal computation use radians. Every subcommand exits nonzero on
 error, printing the structured error to stderr and never to the data output.
+
+Each run is a short process, so importing this module sets it up to start
+quickly: numpy gets one OpenBLAS thread unless the caller chose a count, and
+``gc.freeze()`` after the imports keeps the collector from traversing the
+import-time heap again, during the run or at exit. A program that imports
+``skelcal.cli`` in-process freezes its own heap too: what is alive then is
+never collected. Each subcommand imports only what it runs (``synthetic`` for
+``synth``, ``diagnostics`` for ``diagnose``).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -20,19 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .diagnostics import bone_length_stability, y_diff_to_last
 from .errors import CalibrationError
 from .perspective import DEFAULT_BETA_JOINTS
 from .pipeline import PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
 from .skeleton import CaptureSequence, GaitDirection, JointIndex
-from .synthetic import (
-    DistortionSpec,
-    TiltModel,
-    apply_distortion,
-    default_template,
-    generate_truth_capture,
-)
+from .tilt import TiltModel
+
+# these modules live until exit: spare them the full collections of the run and of exit
+gc.freeze()
 
 
 def _beta_poly_from_degrees(text: str) -> Polynomial:
@@ -115,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import DistortionSpec, apply_distortion, default_template, generate_truth_capture
+
     truth = generate_truth_capture(
         default_template(), GaitDirection(args.direction), args.frame_count, args.z_start, args.z_end
     )
@@ -169,6 +176,8 @@ def _median_foot_y(seq: CaptureSequence) -> float:
 
 
 def cmd_diagnose(args) -> int:
+    from .diagnostics import bone_length_stability, y_diff_to_last
+
     seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     if args.profile is not None:
         seq = apply_profile(seq, fileio.read_profile(args.profile))

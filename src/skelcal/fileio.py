@@ -18,11 +18,10 @@ import math
 import os
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .diagnostics import DiffSeries, StabilityReport
 from .errors import (
     EmptySequenceError,
     IoFailureError,
@@ -41,6 +40,9 @@ from .skeleton import (
     validate_sequence,
 )
 from .tilt import TiltParams
+
+if TYPE_CHECKING:  # annotations only: the other subcommands never load diagnostics
+    from .diagnostics import DiffSeries, StabilityReport
 
 CAPTURE_HEADER = "frame,joint,x,y,z"
 PROFILE_SCHEMA_VERSION = 1

@@ -27,6 +27,8 @@ from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3
 
 #: Minimum first-to-last depth travel for a usable estimate.
 MIN_DEPTH_TRAVEL_M = 0.05
+#: Largest |angle| a correction accepts: tan grows without bound toward pi/2.
+MAX_ABS_BETA_RAD = math.pi / 2 - 1e-6
 
 #: Default joint subset for estimation: torso chain, head, knees, ankles —
 #: stable landmarks spanning the body's height top to bottom.
@@ -138,7 +140,7 @@ def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:
     """Correct one ``(x, y, z)`` point's Y: y + z * tan(angle at the incoming y). X, Z unchanged."""
     x, y, z = p
     beta = polyeval(model.poly, y)
-    if abs(beta) >= math.pi / 2 - 1e-6:
+    if abs(beta) >= MAX_ABS_BETA_RAD:
         raise BetaOutOfRangeError(f"angle {beta} rad too close to pi/2 at y={y}")
     return Point3(x, y + z * math.tan(beta), z)
 
@@ -147,7 +149,7 @@ def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> Capt
     """perspective_correct_point applied to every joint of every frame."""
     x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
     beta = polyeval(model.poly, y)
-    steep = np.flatnonzero(np.abs(beta) >= math.pi / 2 - 1e-6)
+    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
     if steep.size:
         k = steep[0]
         raise BetaOutOfRangeError(f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}")

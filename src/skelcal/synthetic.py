@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import FixedPointDivergenceError, InvalidScenarioError
+from .errors import BetaOutOfRangeError, FixedPointDivergenceError, InvalidScenarioError
 from .numerics import Polynomial, polyeval
+from .perspective import MAX_ABS_BETA_RAD
 from .skeleton import JOINT_COUNT, SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3
+from .tilt import TiltModel
 
 _J = JointIndex
 
@@ -73,11 +74,6 @@ _ARM_CHAINS = (
     (_J.SHOULDER_LEFT, (_J.ELBOW_LEFT, _J.WRIST_LEFT, _J.HAND_LEFT, _J.HAND_TIP_LEFT, _J.THUMB_LEFT)),
     (_J.SHOULDER_RIGHT, (_J.ELBOW_RIGHT, _J.WRIST_RIGHT, _J.HAND_RIGHT, _J.HAND_TIP_RIGHT, _J.THUMB_RIGHT)),
 )
-
-
-class TiltModel(Enum):
-    SHEAR_INVERSE = "shear"
-    ROTATION = "rotation"
 
 
 @dataclass(frozen=True)
@@ -230,6 +226,8 @@ def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureS
     iteration, sampling the angle at the *raw* height so the perspective
     correction with the same polynomial inverts this exactly. A point keeps
     the first iterate within FIXED_POINT_TOLERANCE of the one before it.
+    Raises BetaOutOfRangeError where the angle at the raw height is one that
+    perspective_correct_sequence refuses, so every result can be corrected.
     """
     x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
     y_raw = y
@@ -242,11 +240,21 @@ def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureS
             y_raw = np.where(pending, y_next, y_raw)
             pending &= ~converged
             if not pending.any():
-                return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))
-    k = np.flatnonzero(pending)[0]
-    raise FixedPointDivergenceError(
-        f"no convergence after {FIXED_POINT_ITERATIONS} iterations at y={y.flat[k]}, z={z.flat[k]}"
-    )
+                break
+        else:
+            k = np.flatnonzero(pending)[0]
+            raise FixedPointDivergenceError(
+                f"no convergence after {FIXED_POINT_ITERATIONS} iterations at y={y.flat[k]}, z={z.flat[k]}"
+            )
+        beta = polyeval(beta_poly, y_raw)
+    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
+    if steep.size:
+        k = steep[0]
+        raise BetaOutOfRangeError(
+            f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}, z={z.flat[k]}: "
+            "no perspective correction could undo it"
+        )
+    return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))
 
 
 def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:

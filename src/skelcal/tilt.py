@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,13 @@ from .skeleton import CaptureSequence, JointIndex, Point3
 
 #: Minimum spine height difference for a usable inclination estimate.
 MIN_SPINE_RISE_M = 1e-6
+
+
+class TiltModel(Enum):
+    """How synthetic.distort_tilt tilts a capture: tilt_correct_point's exact inverse, or a rotation."""
+
+    SHEAR_INVERSE = "shear"
+    ROTATION = "rotation"
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,15 @@ class TestSynth:
         assert f"bad coefficient list '{coeffs}': polynomial coefficients must be finite" in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("coeffs", ["100", "1e308", "-90"])
+    def test_uncorrectable_angle_rejected_before_writing(self, tmp_path, capsys, coeffs):
+        truth, raw = tmp_path / "t.csv", tmp_path / "r.csv"
+        code = run("synth", "--frames", 5, f"--beta-coeffs={coeffs}", "--out-truth", truth, "--out-raw", raw)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BetaOutOfRangeError: ") and " at y=" in err and ", z=" in err
+        assert not truth.exists() and not raw.exists()
+
     def test_rotation_tilt_model_matches_library(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         assert run("synth", "--tilt-model", "rotation", "--frames", 40, "--tilt-deg", 5,

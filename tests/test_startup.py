@@ -2,8 +2,10 @@
 
 ``import skelcal`` loads no submodule (and so no numpy) until a public name is
 read. ``skelcal.cli`` starts numpy with a single-threaded OpenBLAS unless the
-caller chose a thread count. The in-process CLI tests set that default in the
-test process itself, so every child here gets an environment built explicitly.
+caller chose a thread count, loads only the modules its subcommands share, and
+freezes the heap it imported; the library freezes nothing. The in-process CLI
+tests set the OpenBLAS default in the test process itself, so every child here
+gets an environment built explicitly.
 """
 
 import json
@@ -88,3 +90,54 @@ class TestOpenBlasDefault:
     def test_caller_setting_wins(self):
         value, _ = child(THREADS, OPENBLAS_NUM_THREADS="2")
         assert value == "2"
+
+
+class TestCliStartup:
+    """The CLI loads only what a subcommand runs and freezes its import-time heap."""
+
+    def test_cli_import_loads_numpy_but_no_unused_subcommand_module(self):
+        loaded = child(
+            "import json, sys, skelcal.cli\n"
+            "names = ('numpy', 'skelcal.synthetic', 'skelcal.diagnostics')\n"
+            "print(json.dumps([m in sys.modules for m in names]))"
+        )
+        assert loaded == [True, False, False]
+
+    def test_cli_import_freezes_the_heap(self):
+        assert child("import gc, json, skelcal.cli; print(json.dumps(gc.get_freeze_count()))") > 0
+
+    def test_library_imports_freeze_nothing(self):
+        assert child(
+            "import gc, json, skelcal, skelcal.pipeline, skelcal.fileio\n"
+            "print(json.dumps(gc.get_freeze_count()))"
+        ) == 0
+
+    def test_every_subcommand_runs_in_one_process(self, tmp_path):
+        codes = child(
+            "import contextlib, io, json, sys\n"
+            "from skelcal.cli import main\n"
+            f"d = {str(tmp_path)!r}\n"
+            "runs = [\n"
+            "    ['synth', '--direction', 'horizontal', '--frames', '40', '--out-truth', d + '/t.csv',\n"
+            "     '--out-raw', d + '/r.csv'],\n"
+            "    ['synth', '--frames', '40', '--tilt-deg', '4', '--sensor-height', '0.8',\n"
+            "     '--beta-coeffs', '2,-1', '--out-truth', d + '/vt.csv', '--out-raw', d + '/v.csv'],\n"
+            "    ['calibrate', d + '/v.csv', '--sensor-height', '0.8', '--out-profile', d + '/p.json'],\n"
+            "    ['apply', '--profile', d + '/p.json', '--in', d + '/r.csv', '--out', d + '/c.csv',\n"
+            "     '--direction', 'horizontal'],\n"
+            "    ['diagnose', '--in', d + '/r.csv', '--profile', d + '/p.json', '--report', 'both',\n"
+            "     '--direction', 'horizontal', '--out', d + '/rep.csv'],\n"
+            "]\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in runs]\n"
+            "    help_text = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(help_text):\n"
+            "        try:\n"
+            "            main(['synth', '--help'])\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
+            "print(json.dumps([codes, '{shear,rotation}' in help_text.getvalue()]))"
+        )
+        assert codes == [[0, 0, 0, 0, 0, 0], True]
+        for name in ("t.csv", "r.csv", "v.csv", "p.json", "c.csv", "rep_ydiff.csv", "rep_bones.csv"):
+            assert (tmp_path / name).stat().st_size > 0

@@ -23,8 +23,9 @@ from skelcal import (
     tilt_correct_point,
     validate_sequence,
 )
-from skelcal.errors import FixedPointDivergenceError, InvalidScenarioError
+from skelcal.errors import BetaOutOfRangeError, FixedPointDivergenceError, InvalidScenarioError
 from skelcal.fileio import write_capture
+from skelcal.perspective import MAX_ABS_BETA_RAD, BetaModel, BetaPoint, perspective_correct_sequence
 from skelcal.synthetic import apply_distortion
 from skelcal.tilt import TiltParams
 
@@ -143,6 +144,17 @@ class TestDistortPerspective:
         seq = one_frame((0.0, 1.4, 4.0))
         with pytest.raises(FixedPointDivergenceError):
             distort_perspective(seq, Polynomial((0.0, 1.0)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shares_the_corrections_angle_bound(self, sign):
+        seq = one_frame((0.0, 1.0, 3.0))
+        with pytest.raises(BetaOutOfRangeError, match=r"at y=1\.0, z=3\.0"):
+            distort_perspective(seq, Polynomial((sign * MAX_ABS_BETA_RAD,)))
+        beta = sign * math.nextafter(MAX_ABS_BETA_RAD, 0.0)
+        raw = distort_perspective(seq, Polynomial((beta,)))
+        model = BetaModel(Polynomial((beta,)), 0, (BetaPoint(JointIndex.HEAD, 1.0, beta),))
+        back = perspective_correct_sequence(raw, model)
+        assert back.xyz[0, 0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestAddNoise:
