@@ -29,6 +29,7 @@ _EXPORTS = {
     "TiltModel": "tilt",
     "TiltParams": "tilt",
     "aggregate_inclination": "tilt",
+    "distort_tilt": "tilt",
     "frame_inclination": "tilt",
     "gait_inclination": "tilt",
     "tilt_correct_point": "tilt",
@@ -36,6 +37,7 @@ _EXPORTS = {
     "BetaModel": "perspective",
     "BetaPoint": "perspective",
     "DEFAULT_BETA_JOINTS": "perspective",
+    "distort_perspective": "perspective",
     "fit_beta_model": "perspective",
     "joint_perspective_degree": "perspective",
     "mean_perspective_degrees": "perspective",
@@ -50,8 +52,6 @@ _EXPORTS = {
     "add_noise": "synthetic",
     "apply_distortion": "synthetic",
     "default_template": "synthetic",
-    "distort_perspective": "synthetic",
-    "distort_tilt": "synthetic",
     "generate_truth_capture": "synthetic",
     "DiffSeries": "diagnostics",
     "EdgeStability": "diagnostics",

@@ -1,4 +1,4 @@
-"""Height-dependent perspective estimation and the Y-coordinate correction.
+"""Height-dependent perspective estimation, the Y-coordinate correction and its inverse.
 
 As a subject approaches the sensor, each joint's apparent Y drifts by an
 amount proportional to depth; the drift angle depends on the joint's height.
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BetaOutOfRangeError,
+    FixedPointDivergenceError,
     InsufficientDepthTravelError,
     NoUsableGaitsError,
     WrongDirectionError,
@@ -29,6 +30,9 @@ from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3
 MIN_DEPTH_TRAVEL_M = 0.05
 #: Largest |angle| a correction accepts: tan grows without bound toward pi/2.
 MAX_ABS_BETA_RAD = math.pi / 2 - 1e-6
+#: Iteration cap and convergence step of distort_perspective's fixed-point solve.
+FIXED_POINT_ITERATIONS = 50
+FIXED_POINT_TOLERANCE = 1e-10
 
 #: Default joint subset for estimation: torso chain, head, knees, ankles —
 #: stable landmarks spanning the body's height top to bottom.
@@ -145,12 +149,54 @@ def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:
     return Point3(x, y + z * math.tan(beta), z)
 
 
+def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """Raise BetaOutOfRangeError at the first angle that no correction accepts."""
+    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
+    if steep.size:
+        k = steep[0]
+        raise BetaOutOfRangeError(
+            f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}, z={z.flat[k]}"
+        )
+
+
 def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
     """perspective_correct_point applied to every joint of every frame."""
     x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
     beta = polyeval(model.poly, y)
-    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
-    if steep.size:
-        k = steep[0]
-        raise BetaOutOfRangeError(f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}")
+    _check_angles(beta, y, z)
     return seq.with_xyz(np.stack((x, y + z * np.tan(beta), z), axis=-1))
+
+
+# math.tan per element: np.tan may differ in the last bit, and generated captures are pinned by SHA-256
+_tan = np.vectorize(math.tan, otypes=[float])
+
+
+def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureSequence:
+    """Simulate height-dependent perspective drift of Y.
+
+    Solves y_raw = y_true - z*tan(beta(y_raw)) per point by fixed-point
+    iteration, sampling the angle at the *raw* height so the perspective
+    correction with the same polynomial inverts this exactly. A point keeps
+    the first iterate within FIXED_POINT_TOLERANCE of the one before it, and
+    an angle that no correction accepts raises BetaOutOfRangeError.
+    """
+    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    y_raw = y
+    pending = np.ones(y.shape, dtype=bool)
+    # a runaway iterate may overflow, silently as it does in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(FIXED_POINT_ITERATIONS):
+            y_next = y - z * _tan(polyeval(beta_poly, y_raw))
+            converged = np.abs(y_next - y_raw) < FIXED_POINT_TOLERANCE
+            y_raw = np.where(pending, y_next, y_raw)
+            pending &= ~converged
+            if not pending.any():
+                break
+        else:
+            k = np.flatnonzero(pending)[0]
+            raise FixedPointDivergenceError(
+                f"no convergence after {FIXED_POINT_ITERATIONS} iterations at y={y.flat[k]}, z={z.flat[k]}"
+            )
+        beta = polyeval(beta_poly, y_raw)
+    _check_angles(beta, y, z)
+    return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))

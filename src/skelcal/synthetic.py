@@ -1,16 +1,9 @@
-"""Synthetic ground-truth captures and exactly-invertible distortions.
+"""Synthetic ground-truth captures and the raw captures distorted from them.
 
 Every calibration stage gets an oracle from here: a rigid body template walks
 a straight path while limbs swing as pendulums about their sockets (bone
-lengths stay exact), and the tilt/perspective distortions are constructed to
-be algebraic inverses of the corresponding corrections.
-
-Two tilt models are provided. SHEAR_INVERSE is the exact inverse of
-tilt.tilt_correct_point, so correcting with the injected parameters recovers
-ground truth to rounding error. ROTATION is the physically honest rigid
-rotation of the (Y, Z) plane; correcting rotated data with the shear-style
-correction leaves a small-angle residual, which is the point: it separates
-"implemented faithfully" from "physically exact".
+lengths stay exact), and apply_distortion composes the tilt and perspective
+distortions, each defined beside the correction it inverts, with sensor noise.
 """
 
 from __future__ import annotations
@@ -20,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaOutOfRangeError, FixedPointDivergenceError, InvalidScenarioError
-from .numerics import Polynomial, polyeval
-from .perspective import MAX_ABS_BETA_RAD
+from .errors import InvalidScenarioError
+from .numerics import Polynomial
+from .perspective import distort_perspective
 from .skeleton import JOINT_COUNT, SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3
-from .tilt import TiltModel
+from .tilt import TiltModel, TiltParams, distort_tilt
 
 _J = JointIndex
 
@@ -32,9 +25,6 @@ _J = JointIndex
 FRAME_RATE_HZ = 30.0
 #: Label of every generated ground-truth capture.
 TRUTH_LABEL = "synthetic-truth"
-#: Iteration cap and convergence step of distort_perspective's fixed-point solve.
-FIXED_POINT_ITERATIONS = 50
-FIXED_POINT_TOLERANCE = 1e-10
 
 #: Standing-adult joint offsets relative to the base of the spine, meters.
 _DEFAULT_OFFSETS: dict[JointIndex, tuple[float, float, float]] = {
@@ -127,17 +117,15 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails each check, as ±inf does
+        TiltParams(self.tilt_rad, self.sensor_height_m)  # a correction must be able to undo the tilt
         if not abs(self.tilt_rad) < 0.5:
             raise ValueError(f"|tilt| must be < 0.5 rad, got {self.tilt_rad}")
-        if not math.isfinite(self.sensor_height_m):
-            raise ValueError(f"sensor height must be finite, got {self.sensor_height_m}")
         _check_noise_std(self.noise_std_m)
 
 
-# math's sin, cos and tan per element: numpy's own may differ from them in the
+# math's sin and cos per element: numpy's own may differ from them in the
 # last bit, and generated captures are pinned byte for byte by their SHA-256
-_sin, _cos, _tan = (np.vectorize(f, otypes=[float]) for f in (math.sin, math.cos, math.tan))
+_sin, _cos = (np.vectorize(f, otypes=[float]) for f in (math.sin, math.cos))
 
 
 def generate_truth_capture(
@@ -199,64 +187,6 @@ def generate_truth_capture(
     return CaptureSequence(base[:, None] + posed, np.arange(frames), direction, TRUTH_LABEL)
 
 
-def distort_tilt(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:
-    """Simulate a tilted sensor.
-
-    SHEAR_INVERSE applies the exact algebraic inverse of the tilt correction:
-    y_raw = y - z*sin(a) - h, then z_raw = z - y_raw*sin(a). ROTATION rigidly
-    rotates (y, z) by -a about the sensor origin and subtracts the sensor
-    height from y.
-    """
-    a, h = spec.tilt_rad, spec.sensor_height_m
-    s, c = math.sin(a), math.cos(a)
-    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
-    if spec.tilt_model is TiltModel.SHEAR_INVERSE:
-        y_raw = y - z * s - h
-        z_raw = z - y_raw * s
-    else:
-        y_raw = y * c + z * s - h
-        z_raw = z * c - y * s
-    return seq.with_xyz(np.stack((x, y_raw, z_raw), axis=-1))
-
-
-def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureSequence:
-    """Simulate height-dependent perspective drift of Y.
-
-    Solves y_raw = y_true - z*tan(beta(y_raw)) per point by fixed-point
-    iteration, sampling the angle at the *raw* height so the perspective
-    correction with the same polynomial inverts this exactly. A point keeps
-    the first iterate within FIXED_POINT_TOLERANCE of the one before it.
-    Raises BetaOutOfRangeError where the angle at the raw height is one that
-    perspective_correct_sequence refuses, so every result can be corrected.
-    """
-    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
-    y_raw = y
-    pending = np.ones(y.shape, dtype=bool)
-    # a runaway iterate may overflow, silently as it does in Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(FIXED_POINT_ITERATIONS):
-            y_next = y - z * _tan(polyeval(beta_poly, y_raw))
-            converged = np.abs(y_next - y_raw) < FIXED_POINT_TOLERANCE
-            y_raw = np.where(pending, y_next, y_raw)
-            pending &= ~converged
-            if not pending.any():
-                break
-        else:
-            k = np.flatnonzero(pending)[0]
-            raise FixedPointDivergenceError(
-                f"no convergence after {FIXED_POINT_ITERATIONS} iterations at y={y.flat[k]}, z={z.flat[k]}"
-            )
-        beta = polyeval(beta_poly, y_raw)
-    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
-    if steep.size:
-        k = steep[0]
-        raise BetaOutOfRangeError(
-            f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}, z={z.flat[k]}: "
-            "no perspective correction could undo it"
-        )
-    return seq.with_xyz(np.stack((x, y_raw, z), axis=-1))
-
-
 def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:
     """Independent zero-mean Gaussian perturbation of every coordinate."""
     _check_noise_std(std_m)
@@ -273,5 +203,5 @@ def apply_distortion(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSeque
     effects: tilt correction first, perspective correction second.
     """
     out = distort_perspective(seq, spec.beta_poly)
-    out = distort_tilt(out, spec)
+    out = distort_tilt(out, TiltParams(spec.tilt_rad, spec.sensor_height_m), spec.tilt_model)
     return add_noise(out, spec.noise_std_m, spec.seed)

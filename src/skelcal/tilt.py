@@ -1,4 +1,4 @@
-"""Sensor inclination estimation from the spine segment and the tilt correction.
+"""Sensor inclination estimation from the spine segment, the tilt correction and its inverse.
 
 The inclination estimate reads the base-of-spine -> middle-of-spine segment of
 each frame. Sign convention: positive tilt means higher joints read *smaller*
@@ -31,7 +31,15 @@ MIN_SPINE_RISE_M = 1e-6
 
 
 class TiltModel(Enum):
-    """How synthetic.distort_tilt tilts a capture: tilt_correct_point's exact inverse, or a rotation."""
+    """How distort_tilt simulates a sensor tilted by angle a at height h.
+
+    SHEAR_INVERSE is tilt_correct_point's exact inverse, y_raw = y - z*sin(a) - h
+    then z_raw = z - y_raw*sin(a), so correcting with the injected parameters
+    recovers ground truth to rounding error. ROTATION is the physically honest
+    rigid rotation of (y, z) by -a about the sensor, less h in y; the shear-style
+    correction leaves a small-angle residual on it, which is the point: it
+    separates "implemented faithfully" from "physically exact".
+    """
 
     SHEAR_INVERSE = "shear"
     ROTATION = "rotation"
@@ -118,7 +126,7 @@ def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
     Z is corrected first from the raw Y; the corrected Z is then fed back into
     the Y correction together with the sensor height. X is untouched. Note the
     Y step intentionally uses the already-corrected Z, so the map is a shear,
-    not a rigid rotation; it is exactly invertible (see synthetic.distort_tilt).
+    not a rigid rotation; it is exactly invertible (see distort_tilt).
     """
     x, y, z = p
     s = math.sin(params.tilt_rad)
@@ -134,3 +142,19 @@ def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSe
     z_c = y * s + z
     y_c = z_c * s + y + params.sensor_height_m
     return seq.with_xyz(np.stack((x, y_c, z_c), axis=-1))
+
+
+def distort_tilt(
+    seq: CaptureSequence, params: TiltParams, model: TiltModel = TiltModel.SHEAR_INVERSE
+) -> CaptureSequence:
+    """Simulate a sensor tilted by ``params`` under ``model``, a TiltModel or its value."""
+    a, h = params.tilt_rad, params.sensor_height_m
+    s, c = math.sin(a), math.cos(a)
+    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    if TiltModel(model) is TiltModel.SHEAR_INVERSE:
+        y_raw = y - z * s - h
+        z_raw = z - y_raw * s
+    else:
+        y_raw = y * c + z * s - h
+        z_raw = z * c - y * s
+    return seq.with_xyz(np.stack((x, y_raw, z_raw), axis=-1))

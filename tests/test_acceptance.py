@@ -22,8 +22,6 @@ from skelcal import (
     bone_length_stability,
     calibrate,
     default_template,
-    distort_perspective,
-    distort_tilt,
     generate_truth_capture,
     geometric_mean,
     max_y_diff,
@@ -36,8 +34,9 @@ from skelcal import (
     write_capture,
     write_profile,
 )
-from skelcal.perspective import BetaModel, BetaPoint
+from skelcal.perspective import BetaModel, BetaPoint, distort_perspective
 from skelcal.skeleton import JointIndex
+from skelcal.tilt import distort_tilt
 
 TILT_7_DEG = math.radians(7)
 SENSOR_HEIGHT = 0.75
@@ -65,7 +64,7 @@ def shear_spec(seed=None, beta=Polynomial((0.0,))):
 
 def test_criterion_1_shear_round_trip(truth_walk):
     start = time.perf_counter()
-    raw = distort_tilt(truth_walk, shear_spec())
+    raw = distort_tilt(truth_walk, TiltParams(TILT_7_DEG, SENSOR_HEIGHT))
     back = tilt_correct_sequence(raw, TiltParams(TILT_7_DEG, SENSOR_HEIGHT))
     err = max_coordinate_error(back, truth_walk)
     elapsed = time.perf_counter() - start
@@ -98,9 +97,7 @@ def test_criterion_3_tilt_recovery(truth_walk):
     shear_err = abs(shear_estimate - expected)
 
     rotation_gaits = [
-        distort_tilt(truth_walk, DistortionSpec(
-            tilt_model=TiltModel.ROTATION, tilt_rad=TILT_7_DEG, sensor_height_m=SENSOR_HEIGHT,
-        ))
+        distort_tilt(truth_walk, TiltParams(TILT_7_DEG, SENSOR_HEIGHT), TiltModel.ROTATION)
         for _ in range(10)
     ]
     rotation_estimate = calibrate(rotation_gaits, SENSOR_HEIGHT).tilt.tilt_rad

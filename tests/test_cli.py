@@ -93,6 +93,12 @@ class TestSynth:
         assert err.startswith("error: BetaOutOfRangeError: ") and " at y=" in err and ", z=" in err
         assert not truth.exists() and not raw.exists()
 
+    def test_negative_sensor_height_rejected_before_writing(self, tmp_path, capsys):
+        truth, raw = tmp_path / "t.csv", tmp_path / "r.csv"
+        assert run("synth", "--frames", 20, "--sensor-height=-0.5", "--out-truth", truth, "--out-raw", raw) == 1
+        assert "sensor height must be finite and >= 0, got -0.5" in capsys.readouterr().err
+        assert not truth.exists() and not raw.exists()
+
     def test_rotation_tilt_model_matches_library(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         assert run("synth", "--tilt-model", "rotation", "--frames", 40, "--tilt-deg", 5,

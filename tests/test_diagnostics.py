@@ -16,11 +16,11 @@ from skelcal import (
     bone_length_stability,
     bone_lengths,
     calibrate,
-    distort_perspective,
     max_y_diff,
     tilt_correct_sequence,
     y_diff_to_last,
 )
+from skelcal.perspective import distort_perspective
 
 
 def flat_seq(ys):

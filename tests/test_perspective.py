@@ -14,7 +14,6 @@ from skelcal import (
     JOINT_COUNT,
     JointIndex,
     Polynomial,
-    distort_perspective,
     fit_beta_model,
     joint_perspective_degree,
     mean_perspective_degrees,
@@ -29,6 +28,7 @@ from skelcal.errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
+from skelcal.perspective import distort_perspective
 
 
 def two_frame_seq(first, last, direction=GaitDirection.VERTICAL):
@@ -198,6 +198,23 @@ class TestPerspectiveCorrectSequence:
         back = perspective_correct_sequence(raw, model_from(poly))
         assert np.abs(back.xyz[..., 1] - truth_walk.xyz[..., 1]).max() <= 1e-6
 
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.just(JOINT_COUNT), st.just(3)),
+            elements=st.floats(min_value=-0.5, max_value=5.0),
+        ),
+        st.floats(min_value=-0.1, max_value=0.1),
+        st.floats(min_value=-0.02, max_value=0.02),
+        st.floats(min_value=-0.005, max_value=0.005),
+    )
+    def test_undoes_distort_perspective(self, xyz, c0, c1, c2):
+        poly = Polynomial((c0, c1, c2))
+        seq = CaptureSequence(xyz, range(len(xyz)), GaitDirection.VERTICAL)
+        back = perspective_correct_sequence(distort_perspective(seq, poly), model_from(poly))
+        assert back.xyz[..., [0, 2]].tobytes() == xyz[..., [0, 2]].tobytes()
+        assert np.abs(back.xyz[..., 1] - xyz[..., 1]).max() <= 1e-9
+
 
 class TestBetaTypes:
     def test_beta_point_rejects_out_of_range(self):
@@ -235,5 +252,6 @@ class TestSequenceMatchesScalarOracle:
                 assert abs(y - expected.y) <= 1e-12
 
     def test_angle_near_right_angle_rejected(self, truth_walk):
-        with pytest.raises(BetaOutOfRangeError):
+        y, z = truth_walk.xyz[0, 0, 1:]
+        with pytest.raises(BetaOutOfRangeError, match=rf"^angle 1\.6 rad too close to pi/2 at y={y}, z={z}$"):
             perspective_correct_sequence(truth_walk, model_from(Polynomial((1.6,))))

@@ -17,17 +17,21 @@ from skelcal import (
     add_noise,
     bone_lengths,
     default_template,
-    distort_perspective,
-    distort_tilt,
     generate_truth_capture,
     tilt_correct_point,
     validate_sequence,
 )
 from skelcal.errors import BetaOutOfRangeError, FixedPointDivergenceError, InvalidScenarioError
 from skelcal.fileio import write_capture
-from skelcal.perspective import MAX_ABS_BETA_RAD, BetaModel, BetaPoint, perspective_correct_sequence
+from skelcal.perspective import (
+    MAX_ABS_BETA_RAD,
+    BetaModel,
+    BetaPoint,
+    distort_perspective,
+    perspective_correct_sequence,
+)
 from skelcal.synthetic import apply_distortion
-from skelcal.tilt import TiltParams
+from skelcal.tilt import TiltParams, distort_tilt
 
 
 def one_frame(point):
@@ -89,22 +93,20 @@ class TestGenerateTruthCapture:
 class TestDistortTilt:
     def test_zero_tilt_identity_in_both_modes(self, truth_walk):
         for model in TiltModel:
-            spec = DistortionSpec(tilt_model=model)
-            assert distort_tilt(truth_walk, spec) == truth_walk
+            assert distort_tilt(truth_walk, TiltParams(0.0, 0.0), model) == truth_walk
 
     def test_shear_inverse_worked_example(self):
         # inverse of correcting (0.2, 1.0, 2.0) with tilt 0.1, height 0.5
         seq = one_frame((0.2, 1.7096335443730355, 2.099833416646828))
-        raw = distort_tilt(seq, DistortionSpec(tilt_rad=0.1, sensor_height_m=0.5))
+        raw = distort_tilt(seq, TiltParams(0.1, 0.5))
         x, y, z = raw.xyz[0, 0]
         assert x == 0.2
         assert y == pytest.approx(1.0, abs=1e-9)
         assert z == pytest.approx(2.0, abs=1e-9)
 
     def test_shear_then_correct_identity(self, truth_walk):
-        spec = DistortionSpec(tilt_rad=0.21, sensor_height_m=0.6)
-        raw = distort_tilt(truth_walk, spec)
-        params = TiltParams(spec.tilt_rad, spec.sensor_height_m)
+        params = TiltParams(0.21, 0.6)
+        raw = distort_tilt(truth_walk, params)
         for fa, fb in zip(raw.xyz, truth_walk.xyz):
             for a, (_, y, z) in zip(fa, fb):
                 back = tilt_correct_point(a, params)
@@ -112,11 +114,17 @@ class TestDistortTilt:
                 assert back.z == pytest.approx(z, abs=1e-9)
 
     def test_rotation_mode_is_rigid(self, truth_walk):
-        spec = DistortionSpec(tilt_model=TiltModel.ROTATION, tilt_rad=0.15, sensor_height_m=0.75)
-        raw = distort_tilt(truth_walk, spec)
+        raw = distort_tilt(truth_walk, TiltParams(0.15, 0.75), TiltModel.ROTATION)
         before = [l for _, l in bone_lengths(truth_walk.xyz[0])]
         after = [l for _, l in bone_lengths(raw.xyz[0])]
         assert after == pytest.approx(before, abs=1e-12)
+
+    def test_tilt_model_given_by_value(self, truth_walk):
+        shear = apply_distortion(truth_walk, DistortionSpec(TiltModel.SHEAR_INVERSE, 0.2, 0.5))
+        assert apply_distortion(truth_walk, DistortionSpec("shear", 0.2, 0.5)) == shear
+        assert apply_distortion(truth_walk, DistortionSpec("rotation", 0.2, 0.5)) != shear
+        with pytest.raises(ValueError, match="bogus"):
+            apply_distortion(truth_walk, DistortionSpec("bogus", 0.2, 0.5))
 
     def test_spec_rejects_large_tilt(self):
         with pytest.raises(ValueError):

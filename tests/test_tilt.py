@@ -7,20 +7,19 @@ from hypothesis.extra.numpy import arrays
 
 from skelcal import (
     CaptureSequence,
-    DistortionSpec,
     GaitDirection,
     JOINT_COUNT,
     Point3,
     TiltModel,
     TiltParams,
     aggregate_inclination,
-    distort_tilt,
     frame_inclination,
     gait_inclination,
     tilt_correct_point,
     tilt_correct_sequence,
 )
 from skelcal.synthetic import add_noise, generate_truth_capture
+from skelcal.tilt import distort_tilt
 from skelcal.errors import (
     DegenerateSpineError,
     EmptyInputError,
@@ -155,9 +154,8 @@ class TestTiltCorrectPoint:
     )
     def test_shear_distort_then_correct_is_identity(self, y, z, tilt, h):
         params = TiltParams(tilt, h)
-        spec = DistortionSpec(tilt_rad=tilt, sensor_height_m=h)
         truth = vertical_gait(np.tile((0.0, y, z), (1, JOINT_COUNT, 1)))
-        back = tilt_correct_sequence(distort_tilt(truth, spec), params)
+        back = tilt_correct_sequence(distort_tilt(truth, params), params)
         _, got_y, got_z = back.xyz[0, 0]
         assert got_y == pytest.approx(y, abs=1e-9)
         assert got_z == pytest.approx(z, abs=1e-9)
@@ -186,10 +184,7 @@ class TestTiltCorrectSequence:
 
     def test_recovers_truth_from_shear_distortion(self, truth_walk):
         params = TiltParams(math.radians(7), 0.75)
-        raw = distort_tilt(
-            truth_walk,
-            DistortionSpec(tilt_rad=params.tilt_rad, sensor_height_m=params.sensor_height_m),
-        )
+        raw = distort_tilt(truth_walk, params)
         back = tilt_correct_sequence(raw, params)
         assert np.abs(back.xyz - truth_walk.xyz).max() <= 1e-9
 
@@ -198,10 +193,7 @@ class TestRotationModelRecovery:
     def test_inclination_recovered_within_quarter_degree(self, truth_walk):
         for deg in (1, 2, 5, 7, 10):
             tilt = math.radians(deg)
-            raw = distort_tilt(
-                truth_walk,
-                DistortionSpec(tilt_model=TiltModel.ROTATION, tilt_rad=tilt, sensor_height_m=0.75),
-            )
+            raw = distort_tilt(truth_walk, TiltParams(tilt, 0.75), TiltModel.ROTATION)
             estimate = gait_inclination(raw).mean_rad
             assert abs(estimate - tilt) <= math.radians(0.25)
 
@@ -245,7 +237,7 @@ class TestArrayKernelsMatchScalarOracle:
         # numpy's arctan2 differs from math.atan2 in the last bit on a few percent of
         # such frames; 600 of them make any such drift show
         walk = generate_truth_capture(template, GaitDirection.VERTICAL, 600, 4.5, 1.5)
-        tilted = distort_tilt(walk, DistortionSpec(TiltModel.ROTATION, tilt_rad=0.3))
+        tilted = distort_tilt(walk, TiltParams(0.3, 0.0), TiltModel.ROTATION)
         raw = add_noise(tilted, 0.005, 1)
         expected = tuple(frame_inclination(joints) for joints in raw.xyz)
         assert gait_inclination(raw).per_frame_rad == expected
