@@ -126,7 +126,7 @@ def cmd_synth(args) -> int:
         default_template(), GaitDirection(args.direction), args.frame_count, args.z_start, args.z_end
     )
     spec = DistortionSpec(
-        tilt_model=TiltModel(args.tilt_model),
+        tilt_model=args.tilt_model,
         tilt_rad=math.radians(args.tilt_deg),
         sensor_height_m=args.sensor_height,
         beta_poly=args.beta_coeffs,
@@ -172,7 +172,15 @@ def cmd_apply(args) -> int:
 
 
 def _median_foot_y(seq: CaptureSequence) -> float:
-    return float(np.median(seq.xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1]))
+    """The median of both feet's heights: ``np.median``'s value on finite input.
+
+    Two feet per frame make an even count: the mean of the two middle ranks.
+    ``np.median`` would also import ``numpy.ma`` for its NaN check.
+    """
+    y = seq.xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1].ravel()
+    half = len(y) // 2
+    low, high = np.partition(y, (half - 1, half))[half - 1 : half + 1]
+    return float((low + high) / 2)
 
 
 def cmd_diagnose(args) -> int:

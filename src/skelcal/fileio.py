@@ -89,16 +89,23 @@ _FRAME_WIDTH = 20
 #: ``,j`` for each joint j, padded with 0 bytes.
 _JOINT_FIELDS = np.array([f",{j}" for j in range(JOINT_COUNT)], "S3").view(np.uint8).reshape(-1, 3)
 
-#: Bytes the reader's kernel parses per step, cut at a newline; it bounds the
-#: size of the kernel's temporary arrays.
-_CHUNK_BYTES = 1 << 18
+#: Bytes the reader's kernel parses per step, cut at a newline. For the
+#: writer's rows its temporary arrays (about 100 KB) then stay under glibc's
+#: 128 KiB mmap threshold, so the allocator recycles them: reading the ten
+#: 900-frame gaits of the calibration benchmark took 2,355 minor page faults
+#: with 64 KiB chunks and 10,023 with 256 KiB ones (2-CPU Xeon).
+_CHUNK_BYTES = 1 << 16
 _HEADER_BYTES = (CAPTURE_HEADER + "\n").encode()
-#: The separators and dots of one row, in order.
-_ROW_MARKS = np.frombuffer(b",,.,.,.\n", np.uint8)
+#: The separators and dots of one row, in order, as a little-endian word.
+_ROW_MARKS = np.frombuffer(b",,.,.,.\n", "<u8")[0]
+#: Added to the byte offsets of a row's marks: each dot's becomes that of the digit after it.
+_DOT_STEP = np.array([0, 0, 1, 0, 1, 0, 1, 0])[:, None]
 #: ``_KEEP[n]`` keeps the last ``n`` bytes of a little-endian 8-byte word.
 _KEEP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * n) - 1) for n in range(9)], np.uint64)
 _POW10 = 10 ** np.arange(17, dtype=np.uint64)
-_POW10_F = _POW10.astype(np.float64)
+#: 10**k, then -(10**k), for k < 17: a field with k fraction digits, and a
+#: minus sign if ``negative``, is float64(N) / _SIGNED_POW10_F[k + 17 * negative].
+_SIGNED_POW10_F = np.concatenate([_POW10, -_POW10.astype(np.int64)]).astype(np.float64)
 _EXACT_INT_MAX = np.uint64(2**53)
 _INT64_MAX_U = np.uint64(_INT64_MAX)
 #: Eight ASCII digits in a little-endian word to their value, in three steps.
@@ -271,10 +278,11 @@ def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     correctly rounded division of two exactly represented numbers, so it
     equals ``float()`` of the field: the values are those of ``_parse_lines``.
     """
-    rows = data.count(b"\n") - 1
+    raw = np.frombuffer(data, np.uint8)
+    # a fifth of the time of data.count(b"\n"), in chunks whose comparisons the allocator recycles
+    rows = sum(np.count_nonzero(raw[i : i + _CHUNK_BYTES] == 10) for i in range(0, len(raw), _CHUNK_BYTES)) - 1
     if not data.startswith(_HEADER_BYTES) or rows <= 0 or rows % JOINT_COUNT:
         return None
-    raw = np.frombuffer(data, np.uint8)
     # the little-endian 8-byte word at every byte offset of the file
     words = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
     index = np.empty(rows, np.int64)
@@ -306,7 +314,13 @@ def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 def _parse_chunk(
     raw: np.ndarray, words: np.ndarray, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (2, rows) int64 and (3, rows) float64 fields of the rows in ``raw[start:stop]``."""
+    """The (2, rows) int64 and (3, rows) float64 fields of the rows in ``raw[start:stop]``.
+
+    An integer of at most 8 digits is one masked word. A coordinate with at
+    most 7 whole digits and 1 to 9 fraction digits, as the writer prints
+    every value below _FAST_MAX, is two: its whole digits and first fraction
+    digit, then its other fraction digits. Longer fields are ``_digit_runs``.
+    """
     b = raw[start:stop]
     # every byte below "-" (which must be a "," or a "\n"), and the dots
     marks = np.flatnonzero((b < 45) | (b == 46))
@@ -315,35 +329,62 @@ def _parse_chunk(
     # marks, minus signs and digits must be all the bytes
     if len(marks) != 8 * rows or len(marks) + minus + np.count_nonzero((b - 48) < 10) != len(b):
         return None
-    if not (b[marks].reshape(rows, 8) == _ROW_MARKS).all():
+    if not (b[marks].view("<u8") == _ROW_MARKS).all():
         return None
-    # byte offsets in the file, one row per field: its end, its first byte, its dot
-    marks = (marks + start).reshape(rows, 8).T
-    end, dot = marks[[0, 1, 3, 5, 7]], marks[[2, 4, 6]]
-    first = np.empty_like(end)
+    # byte offsets in the file, one row per mark, each dot moved on to the digit after it:
+    # the ends of I and J, then per coordinate its first fraction digit and its end
+    marks = np.add(marks.reshape(rows, 8).T, _DOT_STEP + start, out=np.empty((8, rows), np.int64))
+    first = np.empty((5, rows), np.int64)  # each field's first byte
     first[0, 0] = start
-    first[0, 1:] = end[4, :-1] + 1
-    first[1:] = end[:4] + 1
+    first[0, 1:] = marks[7, :-1] + 1
+    first[1] = marks[0] + 1
+    first[2:] = marks[1:7:2] + 1
     neg = raw[first] == 45
     if np.count_nonzero(neg) != minus:  # a minus sign that does not start its field
         return None
     first += neg
-    int_len, coord_len = end[:2] - first[:2], end[2:] - first[2:] - 1
-    if int_len.min() < 1 or int_len.max() > 19 or coord_len.min() < 1 or coord_len.max() > 16:
+    int_len = marks[:2] - first[:2]
+    if int_len.min() < 1 or int_len.max() > 19:
         return None
+    frac_len = marks[3::2] - marks[2::2]
+    # the digits of each coordinate's two words: whole digits + 1, then fraction digits - 1
+    word_lens = np.empty((6, rows), np.int64)
+    head_len = np.subtract(marks[2::2], first[2:], out=word_lens[::2])
+    tail_len = np.subtract(frac_len, 1, out=word_lens[1::2])
 
-    ints = _digit_runs(words, first[:2], end[:2])
-    if (ints > _INT64_MAX_U + neg[:2]).any():
-        return None
+    # the word that ends before each mark, with the digit after each dot over the dot
+    w = words[marks - 8]
+    w.view(np.uint8).reshape(8, rows, 8)[2::2, :, 7] = raw[marks[2::2]]
+    if int_len.max() <= 8:
+        ints = _swar(w[:2] & _KEEP[int_len])
+    else:
+        ints = _digit_runs(words, first[:2], marks[:2])
+        if (ints > _INT64_MAX_U + neg[:2]).any():
+            return None
     np.negative(ints, out=ints, where=neg[:2])
-    frac_len = end[2:] - dot - 1
-    mantissa = _digit_runs(words, first[2:], dot) * _POW10[frac_len]
-    mantissa += _digit_runs(words, dot + 1, end[2:])
+
+    if word_lens.max() <= 8 and tail_len.min() >= 0:  # 0-7 whole and 1-9 fraction digits
+        head_tail = _swar(w[2:] & _KEEP[word_lens])
+        mantissa = head_tail[::2] * _POW10[tail_len]
+        mantissa += head_tail[1::2]
+    else:
+        coord_len = head_len + tail_len
+        if coord_len.min() < 1 or coord_len.max() > 16:
+            return None
+        mantissa = _digit_runs(words, first[2:], marks[2::2] - 1) * _POW10[frac_len]
+        mantissa += _digit_runs(words, marks[2::2], marks[3::2])
     if (mantissa > _EXACT_INT_MAX).any():
         return None
-    coords = mantissa.astype(np.float64) / _POW10_F[frac_len]
-    np.negative(coords, out=coords, where=neg[2:])
-    return ints.view(np.int64), coords
+    return ints.view(np.int64), mantissa.astype(np.float64) / _SIGNED_POW10_F[frac_len + 17 * neg[2:]]
+
+
+def _swar(w: np.ndarray) -> np.ndarray:
+    """``w``, little-endian words of eight ASCII digits or 0 bytes, made their values in place."""
+    for mask, multiplier, shift in _SWAR_STEPS:
+        w &= mask
+        w *= multiplier
+        w >>= shift
+    return w
 
 
 def _digit_runs(words: np.ndarray, run_start: np.ndarray, run_stop: np.ndarray) -> np.ndarray:
@@ -351,7 +392,7 @@ def _digit_runs(words: np.ndarray, run_start: np.ndarray, run_stop: np.ndarray) 
 
     Eight digits at a time, from the right: the word that ends at a group's
     last digit, with the bytes before the run cleared (so they read as
-    leading zeros), is converted by a SWAR multiply-shift-mask sequence.
+    leading zeros), is converted by ``_swar``.
     """
     length = run_stop - run_start
     value = np.zeros(length.shape, np.uint64)
@@ -359,12 +400,7 @@ def _digit_runs(words: np.ndarray, run_start: np.ndarray, run_stop: np.ndarray) 
         # a group that is empty contributes 0 wherever its word starts
         w = words[np.maximum(run_stop - 8 * (k + 1), 0)]
         w &= _KEEP[np.minimum(np.maximum(length - 8 * k, 0), 8)]
-        for mask, multiplier, shift in _SWAR_STEPS:
-            w &= mask
-            w *= multiplier
-            w >>= shift
-        w *= _POW10[8 * k]
-        value += w
+        value += _swar(w) * _POW10[8 * k]
     return value
 
 

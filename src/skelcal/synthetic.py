@@ -117,6 +117,7 @@ class DistortionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "tilt_model", TiltModel(self.tilt_model))  # a name such as "shear" too
         TiltParams(self.tilt_rad, self.sensor_height_m)  # a correction must be able to undo the tilt
         if not abs(self.tilt_rad) < 0.5:
             raise ValueError(f"|tilt| must be < 0.5 rad, got {self.tilt_rad}")

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from skelcal import (
+    JOINT_COUNT,
+    CaptureSequence,
     DistortionSpec,
     GaitDirection,
+    JointIndex,
     Polynomial,
     TiltModel,
     apply_distortion,
@@ -14,7 +18,7 @@ from skelcal import (
     read_profile,
     write_capture,
 )
-from skelcal.cli import main
+from skelcal.cli import _median_foot_y, main
 
 
 def run(*argv):
@@ -236,3 +240,21 @@ class TestCalibrateApplyDiagnose:
         code = run("apply", "--profile", bad, "--in", captures[0], "--out", tmp_path / "o.csv")
         assert code != 0
         assert "SchemaError" in capsys.readouterr().err
+
+
+class TestMedianFootY:
+    """The apply warning's foot height equals np.median's (the sign of a zero aside)."""
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_numpy_median_with_ties_and_negatives(self, frames, seed):
+        rng = np.random.default_rng(seed)
+        xyz = rng.normal(size=(frames, JOINT_COUNT, 3))
+        feet = [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT]
+        # few distinct heights, so ranks tie; negatives and a signed zero among them
+        xyz[:, feet, 1] = rng.choice([-2.5, -0.75, -0.0, 0.0, 0.125, 1.5], size=(frames, 2))
+        seq = CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL)
+        expected = float(np.median(xyz[:, feet, 1]))
+        got = _median_foot_y(seq)
+        assert got == expected
+        assert got.hex() == expected.hex() or got == 0.0  # -0.0 and 0.0 tie in any order

@@ -550,6 +550,7 @@ class TestKernelGrammar:
         ("-9223372036854775808", "1.0"), ("0000000000000000007", "1.0"), ("-0", "1.0"),
         ("7", "-.5"), ("7", "5."), ("7", "-0."), ("7", "007.5"), ("7", ".0000000000000001"),
         ("7", "9007199254740992."), ("7", "-.9007199254740992"),
+        ("7", "9007199.254740992"), ("7", "-9007199.254740992"), ("7", "1234567.1"), ("7", ".123456789"),
     ])
     def test_inside_the_grammar(self, index, y):
         data = _one_frame_bytes(index, y)
@@ -566,6 +567,7 @@ class TestKernelGrammar:
         ("7", "1-2.0"), ("7", "1.0-"), ("7", "--1.0"), ("7", "1e-3"), ("7", "-"), ("7", "."),
         ("7", "-."), ("7", "+1.0"), ("7", "1..5"), ("7", "1.2.3"), ("7", "15"),
         ("7", ".00000000000000001"), ("7", "1.2345678901234567"), ("7", "90071992547409.93"),
+        ("7", "9007199.254740993"),
     ])
     def test_outside_the_grammar(self, index, y):
         assert fileio._parse_bytes(_one_frame_bytes(index, y)) is None
@@ -576,6 +578,25 @@ class TestKernelGrammar:
         assert fileio._parse_bytes(data[:-1]) is None
         assert fileio._parse_bytes(data.replace(b"\n", b"\r\n")) is None
         assert fileio._parse_bytes(data + b"\n") is None
+
+    def test_two_word_chunks_then_digit_runs(self, tmp_path):
+        """Chunks in the writer's layout take two words per coordinate; a last chunk
+        holding a 10-digit fraction takes digit runs, and a row spans the first cut."""
+        rng = np.random.default_rng(10)
+        frames = 3 * fileio._CHUNK_BYTES // (JOINT_COUNT * 30)
+        xyz = rng.uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
+        path = tmp_path / "chunks.csv"
+        write_capture(CaptureSequence(xyz, np.arange(frames) * 7, GaitDirection.VERTICAL), path)
+        data = path.read_bytes()
+        data = data[: data.rindex(b",")] + b",0.1234567891\n"
+        first_cut = len(b"frame,joint,x,y,z\n") + fileio._CHUNK_BYTES
+        assert len(data) > 2 * fileio._CHUNK_BYTES and data[first_cut - 1] != ord("\n")
+        with mock.patch.object(fileio, "_digit_runs", wraps=fileio._digit_runs) as runs:
+            got = fileio._parse_bytes(data)
+        expected = fileio._parse_lines(data.decode().splitlines())
+        assert runs.call_count == 2  # the whole and fraction digits of the last chunk only
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tolist() == expected[1]
 
 
 class TestUndecodableFiles:

@@ -141,3 +141,20 @@ class TestCliStartup:
         assert codes == [[0, 0, 0, 0, 0, 0], True]
         for name in ("t.csv", "r.csv", "v.csv", "p.json", "c.csv", "rep_ydiff.csv", "rep_bones.csv"):
             assert (tmp_path / name).stat().st_size > 0
+
+    def test_apply_loads_no_masked_arrays(self, tmp_path):
+        loaded = child(
+            "import contextlib, io, json, sys\n"
+            "from skelcal.cli import main\n"
+            f"d = {str(tmp_path)!r}\n"
+            "runs = [\n"
+            "    ['synth', '--frames', '40', '--tilt-deg', '4', '--sensor-height', '0.8',\n"
+            "     '--out-truth', d + '/t.csv', '--out-raw', d + '/r.csv'],\n"
+            "    ['calibrate', d + '/r.csv', '--sensor-height', '0.8', '--out-profile', d + '/p.json'],\n"
+            "    ['apply', '--profile', d + '/p.json', '--in', d + '/r.csv', '--out', d + '/c.csv'],\n"
+            "]\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in runs]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
+        )
+        assert loaded == [[0, 0, 0], False]

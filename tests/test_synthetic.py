@@ -126,6 +126,11 @@ class TestDistortTilt:
         with pytest.raises(ValueError, match="bogus"):
             apply_distortion(truth_walk, DistortionSpec("bogus", 0.2, 0.5))
 
+    def test_tilt_model_resolved_at_construction(self):
+        assert DistortionSpec("rotation", 0.2, 0.5).tilt_model is TiltModel.ROTATION
+        with pytest.raises(ValueError, match="bogus"):
+            DistortionSpec("bogus", 0.2, 0.5)
+
     def test_spec_rejects_large_tilt(self):
         with pytest.raises(ValueError):
             DistortionSpec(tilt_rad=0.6)
