@@ -63,31 +63,30 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-#: Frames formatted per bulk step of the writer. Small blocks keep its
-#: temporary arrays (130 KB at most) in the CPU cache and in memory that the
-#: allocator reuses: the first 9,000-frame write of a process took 0.13 s with
-#: 64-frame blocks and 0.19 s with 1,000-frame ones (2-CPU Xeon).
-_BLOCK_FRAMES = 64
+#: Frames formatted per bulk step of the writer. Writing the 9,000-frame
+#: capture of a fresh ``skelcal apply`` process took a median 67 ms with
+#: 64-frame blocks, 59 ms with 128, 56 ms with 256 and 55 ms with 512 (11 runs
+#: each, 2-CPU Xeon); 256 frames keep a block's record table near 300 KB.
+_BLOCK_FRAMES = 256
 #: Below this magnitude a coordinate times 1e9 is below 2**52, where the
 #: writer's kernel rounds it exactly; its whole part has at most 7 digits.
 _FAST_MAX = 2.0**22
-#: ``_DIGIT_PAIRS[k]`` is the 2 ASCII digits of k < 100 as a little-endian
-#: word, the first digit in the lowest byte ("00" is 0x3030).
-_DIGIT_PAIRS = np.arange(100, dtype="<u4") // 10 + np.arange(100, dtype="<u4") % 10 * 256 + 0x3030
 #: ``_DIGITS4[k]`` is the 4 ASCII digits of k < 10**4, leading zeros included,
-#: in the same way.
-_DIGITS4 = (_DIGIT_PAIRS[:, None] | _DIGIT_PAIRS << 16).ravel()
-#: A whole part below _FAST_MAX has 1 plus as many digits as it reaches of these.
-_DIGIT_STEPS = 10 ** np.arange(1, 7)
-#: One ``,{v:.9f}`` field as 20 bytes, ``,-dddddddd.ddddddddd``, in which a 0
-#: byte is no character: so are a plus sign and leading zeros of the whole part.
-_FIELD = np.dtype(
-    [("comma", "u1"), ("sign", "u1"), ("whole", "<u8"), ("dot", "u1"), ("tenths", "u1"), ("rest", "<u8")]
+#: as a little-endian word, the first digit in the lowest byte ("0000" is 0x30303030).
+_DIGITS4 = sum(np.arange(10**4, dtype=np.uint64) // 10 ** (3 - i) % 10 << 8 * i for i in range(4)) + 0x30303030
+#: ``_LEAD[t + 100 * negative]``, for t < 100, is ``,`` then ``-`` if negative
+#: (else a 0 byte), the digit t // 10, ``.`` and the digit t % 10, in a
+#: little-endian word: a coordinate with a one-digit whole part t // 10 and
+#: first fraction digit t % 10 starts with these 5 bytes.
+_LEAD = np.frombuffer(
+    b"".join(b",%s%d.%d\0\0\0" % (sign, t // 10, t % 10) for sign in (b"\0", b"-") for t in range(100)), "<u8"
 )
-#: A frame index in decimal, at most 20 characters, padded with 0 bytes.
-_FRAME_WIDTH = 20
+#: ``searchsorted(_POWERS10, n, "right")`` is the number of digits of n < 10**7, 0 for n = 0.
+_POWERS10 = 10 ** np.arange(7)
 #: ``,j`` for each joint j, padded with 0 bytes.
 _JOINT_FIELDS = np.array([f",{j}" for j in range(JOINT_COUNT)], "S3").view(np.uint8).reshape(-1, 3)
+#: The one, empty label of a report row, which has no joint field.
+_NO_LABELS = np.empty((1, 0), np.uint8)
 
 #: Bytes the reader's kernel parses per step, cut at a newline. For the
 #: writer's rows its temporary arrays (about 100 KB) then stay under glibc's
@@ -145,58 +144,84 @@ def _atomic_write(path: str | Path, chunks: bytes | Iterable[bytes]) -> None:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_rows(head: np.ndarray, values: np.ndarray) -> bytes:
-    """CSV rows: row r is ``head[r]``, then ``",{:.9f}".format(v)`` for each v in ``values[r]``, then LF.
+def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -> bytes:
+    """CSV rows: for each frame f and each row r of ``labels``, ``frame_index[f]``,
+    then ``labels[r]``, then ``",{:.9f}".format(v)`` for each v in ``values[f, r]``, then LF.
 
-    ``head`` is a (rows, width) uint8 array of ASCII text in which 0 bytes are
-    no character; ``values`` is (rows, k) float64. The bytes are those of the
-    format calls. ``.9f`` prints |v| * 1e9 rounded to an integer N, half to
-    even, with the sign of v. For finite |v| < _FAST_MAX, y = |v| * 1e9 is
-    below 2**52 and within y * 2**-53 of the exact product, so rint(y) is N
-    unless the fraction of y lies within y * 2**-51 of 1/2; such near-ties
-    (exact ties among them) take N from ``"{:.9f}".format``. N is written as
-    its whole part and 9 fraction digits, four digits per lookup in
-    _DIGITS4, into a fixed-width record per row whose 0 bytes are then
-    dropped. If any value is NaN, infinite or at least _FAST_MAX in
-    magnitude, every row is formatted by ``"{:.9f}".format`` instead.
+    ``labels`` is a (per_frame, width) uint8 array of ASCII text in which 0
+    bytes are no character; ``values`` is (frames, per_frame, k) float64. The
+    bytes are those of the format calls. ``.9f`` prints |v| * 1e9 rounded to
+    an integer N, half to even, with the sign of v. For finite
+    |v| < _FAST_MAX, y = |v| * 1e9 is below 2**52 and within y * 2**-53 of the
+    exact product, so rint(y) is N unless the fraction of y lies within
+    y * 2**-51 of 1/2; such near-ties (exact ties among them) take N from
+    ``"{:.9f}".format``. If any value is NaN, infinite or at least _FAST_MAX
+    in magnitude, every row is formatted by ``"{:.9f}".format`` instead.
+
+    Each row is first a record sized to the block's widest frame index and
+    whole part; its 0 bytes (no plus sign, a label's padding, the leading
+    zeros of a shorter index or whole part) are then dropped. A coordinate is
+    two overlapping words: a _LEAD entry, then the other 8 fraction digits.
+    Whole parts of several digits get the others, with the comma and the
+    sign, written over the _LEAD entry's first two bytes and before them.
     """
     magnitude = np.abs(values)
     if not (magnitude < _FAST_MAX).all():  # False for NaN
+        texts = [label[label != 0].tobytes() for label in labels]
         return b"".join(
-            h[h != 0].tobytes() + "".join(map(",{:.9f}".format, row)).encode() + b"\n"
-            for h, row in zip(head, values.tolist())
+            b"%d%s%s\n" % (index, text, "".join(map(",{:.9f}".format, row)).encode())
+            for index, rows in zip(frame_index.tolist(), values.tolist())
+            for text, row in zip(texts, rows)
         )
-    rows, k = values.shape
-    table = np.zeros(rows, [("head", np.uint8, head.shape[1]), ("fields", _FIELD, k), ("lf", np.uint8)])
-    table["head"] = head
-    table["lf"] = ord("\n")
-    fields = table["fields"]
-    fields["comma"] = ord(",")
-    fields["dot"] = ord(".")
-    fields["sign"] = np.signbit(values) * np.uint8(ord("-"))
-
     y = magnitude * 1e9
     nanos = np.rint(y).astype(np.int64)
     near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
     if near_tie.any():
         exact = map("{:.9f}".format, magnitude[near_tie].tolist())
         nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
+    lead = nanos // 10**8  # the whole part, then the first fraction digit
+    tail = _digits8(nanos - lead * 10**8)
 
-    whole, fraction = np.divmod(nanos, 10**9)
-    high, low = np.divmod(whole, 10**4)
-    digits = np.searchsorted(_DIGIT_STEPS, whole, "right") + 1
-    fields["whole"] = (_DIGITS4[high] | _DIGITS4[low].astype(np.uint64) << 32) & _KEEP[digits]
-    tenths, rest = np.divmod(fraction, 10**8)
-    fields["tenths"] = tenths + ord("0")
-    high, low = np.divmod(rest, 10**4)
-    fields["rest"] = _DIGITS4[high] | _DIGITS4[low].astype(np.uint64) << 32
-    text = table.view(np.uint8)
-    return text[text != 0].tobytes()
+    whole_width = len(str(lead.max() // 10))
+    frame_width = max(len(str(frame_index.min())), len(str(frame_index.max())))
+    # a coordinate's _LEAD word ends in the first 3 bytes of its tail word, which is written after it
+    coordinate = {
+        "names": ["lead", "tail", "upper"],
+        "formats": ["<u8", "<u8", ("u1", whole_width + 1)],
+        "offsets": [whole_width - 1, whole_width + 4, 0],
+        "itemsize": whole_width + 12,
+    }
+    record = [
+        ("frame", f"S{frame_width}"),
+        ("label", "u1", labels.shape[1:]),
+        ("coordinates", coordinate, values.shape[2:]),
+        ("lf", "u1"),
+    ]
+    table = np.empty(values.shape[:2], record)
+    table["frame"] = frame_index.astype(f"S{frame_width}")[:, None]
+    table["label"] = labels
+    table["lf"] = ord("\n")
+    coordinates = table["coordinates"]
+    negative = np.signbit(values)
+    if whole_width > 1:
+        upper = lead // 100  # the whole part's digits before its last
+        lead -= upper * 100
+    coordinates["lead"] = _LEAD[lead + 100 * negative]
+    coordinates["tail"] = tail
+    if whole_width > 1:
+        upper = _digits8(upper) & _KEEP[np.searchsorted(_POWERS10, upper, "right")]
+        text = coordinates["upper"]
+        text[..., 0] = ord(",")
+        text[..., 1] = negative * np.uint8(ord("-"))
+        text[..., 2:] = upper[..., None].view(np.uint8)[..., 9 - whole_width :]
+    # bytes.replace finds the 0 bytes with memchr: 29% less time than text[text != 0] for 9,000 frames
+    return table.tobytes().replace(b"\0", b"")
 
 
-def _frame_fields(frame_index: np.ndarray) -> np.ndarray:
-    """(frames, _FRAME_WIDTH) uint8: each frame index in decimal, padded with 0 bytes."""
-    return frame_index.astype(f"S{_FRAME_WIDTH}").view(np.uint8).reshape(-1, _FRAME_WIDTH)
+def _digits8(n: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each n < 10**8, leading zeros included, as little-endian words."""
+    high = n // 10**4  # numpy divides by a constant without a division instruction; % takes one
+    return _DIGITS4[high] | _DIGITS4[n - high * 10**4] << 32
 
 
 def write_capture(seq: CaptureSequence, path: str | Path) -> None:
@@ -206,14 +231,9 @@ def write_capture(seq: CaptureSequence, path: str | Path) -> None:
 def _capture_chunks(seq: CaptureSequence) -> Iterator[bytes]:
     """The capture CSV as the header and then the rows of each block of frames."""
     yield _HEADER_BYTES
-    width = _FRAME_WIDTH + _JOINT_FIELDS.shape[1]
     for start in range(0, len(seq), _BLOCK_FRAMES):
         block = slice(start, start + _BLOCK_FRAMES)
-        frames = _frame_fields(seq.frame_index[block])
-        head = np.empty((len(frames), JOINT_COUNT, width), np.uint8)
-        head[..., :_FRAME_WIDTH] = frames[:, None]
-        head[..., _FRAME_WIDTH:] = _JOINT_FIELDS
-        yield _csv_rows(head.reshape(-1, width), seq.xyz[block].reshape(-1, 3))
+        yield _csv_rows(seq.frame_index[block], _JOINT_FIELDS, seq.xyz[block])
 
 
 def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
@@ -453,7 +473,7 @@ def write_ydiff_report(seq: CaptureSequence, series: Sequence[DiffSeries], path:
     """Plot-ready CSV: one row per frame, its index and each joint's y - y_last."""
     header = "frame," + ",".join(s.joint.name.lower() for s in series) + "\n"
     diffs = np.array([s.per_frame_diff for s in series]).T
-    body = _csv_rows(_frame_fields(seq.frame_index), diffs) if series else b""
+    body = _csv_rows(seq.frame_index, _NO_LABELS, diffs[:, None]) if series else b""
     _atomic_write(path, (header.encode(), body))
 
 
@@ -505,6 +525,16 @@ def _require(doc: dict, field: str, kind, context: str = "profile"):
     return value
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a field given twice is a SchemaError, not a silent overwrite."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(key, "given more than once")
+        doc[key] = value
+    return doc
+
+
 def read_profile(path: str | Path) -> CalibrationProfile:
     """Parse and schema-validate a profile document (strict: unknown fields rejected)."""
     path = Path(path)
@@ -515,7 +545,7 @@ def read_profile(path: str | Path) -> CalibrationProfile:
     except UnicodeDecodeError as exc:
         raise SchemaError("<document>", f"not valid text: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -223,6 +223,24 @@ class TestProfileSchema:
         with pytest.raises(SchemaError):
             read_profile(self.write(tmp_path, doc))
 
+    def test_duplicate_field_rejected(self, tmp_path):
+        # the last copy of a field used to win: this profile applied a 99 m sensor height
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(valid_profile_doc())[:-1] + ', "h_k_m": 99.0}')
+        with pytest.raises(SchemaError) as err:
+            read_profile(path)
+        assert err.value.field == "h_k_m"
+        assert "more than once" in str(err.value)
+
+    def test_duplicate_beta_point_field_rejected(self, tmp_path):
+        # ... and a second joint relabelled the point
+        path = tmp_path / "profile.json"
+        text = json.dumps(valid_profile_doc())
+        path.write_text(text.replace('"beta_rad": 0.005}', '"beta_rad": 0.005, "joint": 7}', 1))
+        with pytest.raises(SchemaError) as err:
+            read_profile(path)
+        assert err.value.field == "joint"
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text("{not json")
@@ -462,6 +480,54 @@ class TestWriterKernel:
         report = bone_length_stability(apply_distortion(walk, spec))
         write_bone_report(report, tmp_path / "bones.csv")
         assert (tmp_path / "bones.csv").read_bytes() == _per_value_bone_bytes(report)
+
+
+def _small_values(frames, seed):
+    """(frames, 25, 3) coordinates whose whole parts all have one digit."""
+    return np.random.default_rng(seed).uniform(-9.5, 9.5, (frames, JOINT_COUNT, 3))
+
+
+class TestRecordWidths:
+    """Frame indices and whole parts narrower or wider than their block's others."""
+
+    @pytest.mark.parametrize("at_edge", [False, True])
+    @pytest.mark.parametrize("first_of_width", [10, 100, -9, 0])
+    def test_frame_width_changes(self, first_of_width, at_edge, tmp_path):
+        # the frame first_of_width starts the second block, or lies inside the first
+        row = fileio._BLOCK_FRAMES if at_edge else fileio._BLOCK_FRAMES // 2
+        index = np.arange(2 * fileio._BLOCK_FRAMES) + first_of_width - row
+        seq = CaptureSequence(_small_values(len(index), 1), index, GaitDirection.VERTICAL)
+        write_capture(seq, tmp_path / "widths.csv")
+        assert (tmp_path / "widths.csv").read_bytes() == _per_value_capture_bytes(seq)
+
+    @pytest.mark.parametrize("frame", [0, 1])
+    @pytest.mark.parametrize("value", [9.9999999995, 9.99999999951, -99.9999999996])
+    def test_value_rounds_into_a_wider_whole_part(self, value, frame, tmp_path):
+        xyz = _small_values(fileio._BLOCK_FRAMES, 2)
+        xyz[-frame, -frame, -frame] = value  # the block's first or its last value
+        xyz[1, 7] = (9.4999999995, -9.9999999994, 0.9999999996)  # these stay one digit wide
+        seq = CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL)
+        write_capture(seq, tmp_path / "round.csv")
+        assert (tmp_path / "round.csv").read_bytes() == _per_value_capture_bytes(seq)
+
+    @pytest.mark.parametrize("wide_block", [0, 1])
+    def test_one_digit_block_beside_the_widest(self, wide_block, tmp_path):
+        xyz = _small_values(2 * fileio._BLOCK_FRAMES, 3)
+        wide = xyz[wide_block * fileio._BLOCK_FRAMES : (wide_block + 1) * fileio._BLOCK_FRAMES]
+        wide[-1, -1, 1] = 4194303.9999999995
+        wide[0, 0, 0] = -12.5
+        seq = CaptureSequence(xyz, np.arange(len(xyz)) * 3 + 5, GaitDirection.VERTICAL)
+        write_capture(seq, tmp_path / "blocks.csv")
+        text = (tmp_path / "blocks.csv").read_bytes()
+        assert text == _per_value_capture_bytes(seq)
+        assert b",4194304.000000000," in text
+
+    @pytest.mark.parametrize("start", [-12, -3, 95, 995])
+    def test_ydiff_report_frame_width_changes(self, start, tmp_path):
+        seq = CaptureSequence(_small_values(10, 4), np.arange(10) + start, GaitDirection.VERTICAL)
+        series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
+        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
 
 class TestCrlfCaptures:
