@@ -14,20 +14,29 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import EmptySequenceError
 from .perspective import DEFAULT_BETA_JOINTS
 from .skeleton import SKELETON_EDGES, CaptureSequence, JointIndex, SkeletonEdge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffSeries:
-    """Per-frame difference of one joint's Y against the last frame's Y."""
+    """Per-frame difference of one joint's Y against the last frame's Y.
+
+    ``per_frame_diff`` is a read-only float64 array, one value per frame.
+    """
 
     joint: JointIndex
-    per_frame_diff: tuple[float, ...]
+    per_frame_diff: np.ndarray
 
     @property
     def max_abs(self) -> float:
-        return max(abs(d) for d in self.per_frame_diff)
+        return float(np.abs(self.per_frame_diff).max())
+
+    def __eq__(self, other):
+        if not isinstance(other, DiffSeries):
+            return NotImplemented
+        return self.joint == other.joint and np.array_equal(self.per_frame_diff, other.per_frame_diff)
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,17 @@ class StabilityReport:
 def y_diff_to_last(
     seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS
 ) -> list[DiffSeries]:
-    """For each joint, the series y(frame k) - y(last frame); last entry is 0."""
+    """For each joint, the series y(frame k) - y(last frame); last entry is 0.
+
+    The series are the rows of one (joints, frames) array.
+    """
+    if len(seq) == 0:
+        raise EmptySequenceError("capture has no frames")
     idx = [int(j) for j in joints]
-    y = seq.xyz[:, idx, 1]
-    return [DiffSeries(JointIndex(j), tuple(d)) for j, d in zip(idx, (y - y[-1]).T.tolist())]
+    diffs = seq.xyz[:, :, 1].T[idx]
+    diffs -= diffs[:, -1:]
+    diffs.flags.writeable = False
+    return [DiffSeries(JointIndex(j), d) for j, d in zip(idx, diffs)]
 
 
 def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS) -> float:
@@ -72,10 +88,19 @@ def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
         raise ValueError("bone-length stability needs at least 2 frames")
     parents = [int(e.parent) for e in SKELETON_EDGES]
     children = [int(e.child) for e in SKELETON_EDGES]
-    lengths = np.linalg.norm(seq.xyz[:, parents] - seq.xyz[:, children], axis=2)
-    mean = lengths.mean(axis=0)
-    std = lengths.std(axis=0)
-    max_dev = np.abs(lengths - mean).max(axis=0)
+    # (edges, frames) arrays: each edge's lengths are contiguous, so numpy sums them pairwise
+    lengths = np.zeros((len(SKELETON_EDGES), len(seq)))
+    for coordinate in seq.xyz.T:
+        step = coordinate[parents] - coordinate[children]
+        step *= step
+        lengths += step
+    np.sqrt(lengths, out=lengths)
+    mean = lengths.mean(axis=1)
+    # numpy's std, from the deviations that also give the largest one
+    dev = np.subtract(lengths, mean[:, None], out=lengths)
+    max_dev = np.abs(dev).max(axis=1)
+    dev *= dev
+    std = np.sqrt(dev.sum(axis=1) / len(seq))
     return StabilityReport(
         tuple(
             EdgeStability(edge, m, s, d)

@@ -79,7 +79,10 @@ def polyfit_least_squares(xs: Sequence[float], ys: Sequence[float], degree: int)
 
 def polyeval(p: Polynomial, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate ``p`` at ``x`` with the Horner scheme; elementwise for an array ``x``."""
-    acc = 0.0
-    for c in reversed(p.coefficients):
-        acc = acc * x + c
+    coefficients = reversed(p.coefficients)
+    acc = 0.0 * x  # a fresh array for an array x, which the Horner steps update in place
+    acc += next(coefficients)
+    for c in coefficients:
+        acc *= x
+        acc += c
     return acc

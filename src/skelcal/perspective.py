@@ -161,10 +161,15 @@ def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
 
 def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
     """perspective_correct_point applied to every joint of every frame."""
-    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
+    y, z = seq.xyz[..., 1], seq.xyz[..., 2]
     beta = polyeval(model.poly, y)
     _check_angles(beta, y, z)
-    return seq.with_xyz(np.stack((x, y + z * np.tan(beta), z), axis=-1))
+    out = seq.xyz.copy()
+    # y + z * tan(beta), with tan(beta) and its product with z computed in place
+    shift = np.tan(beta, out=beta)
+    shift *= z
+    out[..., 1] += shift
+    return seq.with_xyz(out)
 
 
 # math.tan per element: np.tan may differ in the last bit, and generated captures are pinned by SHA-256

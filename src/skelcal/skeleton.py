@@ -74,9 +74,11 @@ class CaptureSequence:
     """Ordered frames of one recorded gait plus its direction and label.
 
     Joint positions are one read-only float64 array ``xyz`` of shape
-    (frames, 25, 3), next to a read-only int64 ``frame_index`` array; both
-    are copies of what the constructor is given. Stages transform ``xyz``
-    whole and return a new sequence from ``with_xyz``.
+    (frames, 25, 3), next to a read-only int64 ``frame_index`` array. The
+    constructor copies both of what it is given, so a caller's later writes
+    never reach the sequence. Stages transform ``xyz`` whole into a fresh
+    array and return a new sequence from ``with_xyz``, which adopts that
+    array without a copy.
     """
 
     xyz: np.ndarray
@@ -88,7 +90,9 @@ class CaptureSequence:
         self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str = ""
     ):
         xyz = np.array(xyz, dtype=np.float64)
-        frame_index = np.array(frame_index, dtype=np.int64)
+        self._adopt(xyz, np.array(frame_index, dtype=np.int64), direction, label)
+
+    def _adopt(self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str):
         if xyz.shape[1:] != (JOINT_COUNT, 3) or frame_index.shape != xyz.shape[:1]:
             raise ValueError(
                 f"expected xyz of shape (frames, {JOINT_COUNT}, 3) and one frame index per "
@@ -99,8 +103,14 @@ class CaptureSequence:
         self.__dict__.update(xyz=xyz, frame_index=frame_index, direction=direction, label=label)
 
     def with_xyz(self, xyz: np.ndarray) -> CaptureSequence:
-        """The same frame indices and metadata with new joint positions."""
-        return CaptureSequence(xyz, self.frame_index, self.direction, self.label)
+        """The same frame indices and metadata with new joint positions.
+
+        Adopts a float64 ``xyz`` without copying it and marks it read-only, so
+        pass a fresh array that nothing else writes to.
+        """
+        seq = object.__new__(CaptureSequence)
+        seq._adopt(np.asarray(xyz, dtype=np.float64), self.frame_index, self.direction, self.label)
+        return seq
 
     @property
     def frames(self) -> tuple[SkeletonFrame, ...]:

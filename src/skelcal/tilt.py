@@ -141,10 +141,16 @@ def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
 def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSequence:
     """tilt_correct_point applied to every joint of every frame; metadata preserved."""
     s = math.sin(params.tilt_rad)
-    x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
-    z_c = y * s + z
-    y_c = z_c * s + y + params.sensor_height_m
-    return seq.with_xyz(np.stack((x, y_c, z_c), axis=-1))
+    y, z = seq.xyz[..., 1], seq.xyz[..., 2]
+    out = seq.xyz.copy()
+    y_c, z_c = out[..., 1], out[..., 2]
+    # the float operations of tilt_correct_point, in its order, written into out's columns
+    np.multiply(y, s, out=z_c)
+    z_c += z
+    np.multiply(z_c, s, out=y_c)
+    y_c += y
+    y_c += params.sensor_height_m
+    return seq.with_xyz(out)
 
 
 def distort_tilt(

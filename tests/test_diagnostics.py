@@ -11,6 +11,7 @@ from skelcal import (
     JointIndex,
     Polynomial,
     SKELETON_EDGES,
+    add_noise,
     apply_distortion,
     apply_profile,
     bone_length_stability,
@@ -20,6 +21,7 @@ from skelcal import (
     tilt_correct_sequence,
     y_diff_to_last,
 )
+from skelcal.errors import EmptySequenceError
 from skelcal.perspective import distort_perspective
 
 
@@ -34,7 +36,7 @@ def flat_seq(ys):
 class TestYDiffToLast:
     def test_constant_y_gives_all_zeros(self):
         series = y_diff_to_last(flat_seq([1.2, 1.2, 1.2]), [JointIndex.HEAD])
-        assert series[0].per_frame_diff == (0.0, 0.0, 0.0)
+        assert series[0].per_frame_diff.tolist() == [0.0, 0.0, 0.0]
 
     def test_last_entry_always_zero(self):
         series = y_diff_to_last(flat_seq([1.0, 1.3, 0.9, 1.1]))
@@ -51,6 +53,32 @@ class TestYDiffToLast:
         shifted = y_diff_to_last(flat_seq([y + 0.7 for y in ys]))
         for a, b in zip(base, shifted):
             assert a.per_frame_diff == pytest.approx(b.per_frame_diff, abs=1e-12)
+
+    def test_matches_per_value_differences_exactly(self, truth_walk):
+        seq = add_noise(truth_walk, 0.005, seed=3)
+        joints = [JointIndex.FOOT_RIGHT, JointIndex.HEAD, JointIndex.KNEE_LEFT]
+        for series in y_diff_to_last(seq, joints):
+            j = int(series.joint)
+            expected = [seq.xyz[k, j, 1] - seq.xyz[-1, j, 1] for k in range(len(seq))]
+            assert series.per_frame_diff.tolist() == expected
+            assert series.max_abs == max(abs(d) for d in expected)
+
+    def test_series_are_read_only_arrays_compared_by_value(self):
+        seq = flat_seq([1.0, 1.3, 0.9])
+        all_series = y_diff_to_last(seq)
+        for series in all_series:
+            assert series.per_frame_diff.dtype == np.float64
+            with pytest.raises(ValueError):
+                series.per_frame_diff[0] = 5.0
+        assert all_series == y_diff_to_last(seq)
+        assert all_series != y_diff_to_last(flat_seq([1.0, 1.2, 0.9]))
+
+    def test_empty_sequence_raises_typed_error(self):
+        empty = CaptureSequence(np.zeros((0, JOINT_COUNT, 3)), [], GaitDirection.VERTICAL)
+        with pytest.raises(EmptySequenceError):
+            y_diff_to_last(empty)
+        with pytest.raises(EmptySequenceError):
+            max_y_diff(empty)
 
     def test_correction_reduces_max_diff(self, truth_walk):
         spec = DistortionSpec(
@@ -101,6 +129,18 @@ class TestBoneLengthStability:
     def test_rigid_capture_has_zero_std(self, truth_walk):
         report = bone_length_stability(truth_walk)
         assert report.max_std_m <= 1e-12
+
+    def test_matches_per_frame_bone_lengths(self, truth_walk):
+        seq = add_noise(truth_walk, 0.005, seed=11)
+        per_frame = [[length for _, length in bone_lengths(joints)] for joints in seq.xyz.tolist()]
+        report = bone_length_stability(seq)
+        assert [e.edge for e in report.per_edge] == list(SKELETON_EDGES)
+        for e, lengths in zip(report.per_edge, zip(*per_frame)):
+            mean = math.fsum(lengths) / len(lengths)
+            std = math.sqrt(math.fsum((l - mean) ** 2 for l in lengths) / len(lengths))
+            assert e.mean_length_m == pytest.approx(mean, abs=1e-12)
+            assert e.std_length_m == pytest.approx(std, abs=1e-12)
+            assert e.max_abs_dev_m == pytest.approx(max(abs(l - mean) for l in lengths), abs=1e-12)
 
     def test_single_frame_rejected(self, truth_walk):
         one = CaptureSequence(truth_walk.xyz[:1], truth_walk.frame_index[:1], truth_walk.direction)

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from skelcal import (
+    BetaModel,
+    BetaPoint,
     CaptureSequence,
     GaitDirection,
     JOINT_COUNT,
     JointIndex,
     Point3,
+    Polynomial,
     SKELETON_EDGES,
+    TiltParams,
+    perspective_correct_sequence,
+    tilt_correct_sequence,
     validate_sequence,
 )
 from skelcal.errors import (
@@ -167,6 +173,28 @@ class TestCaptureSequenceValue:
         index[0] = 5
         assert seq.xyz[0, 0, 0] == 0.0
         assert seq.frame_index.tolist() == [0, 1]
+        assert not np.shares_memory(seq.xyz, xyz)
+
+    def test_with_xyz_adopts_its_argument(self):
+        seq = make_seq(2)
+        xyz = make_xyz(2) + 1.0
+        moved = seq.with_xyz(xyz)
+        assert moved.xyz is xyz
+        assert not xyz.flags.writeable
+        assert moved.frame_index is seq.frame_index
+        assert (moved.direction, moved.label) == (seq.direction, seq.label)
+        with pytest.raises(ValueError):
+            seq.with_xyz(np.zeros((3, JOINT_COUNT, 3)))
+
+    def test_corrections_write_fresh_read_only_arrays(self):
+        seq = make_seq(3)
+        model = BetaModel(Polynomial((0.05,)), 0, (BetaPoint(JointIndex.HEAD, 1.0, 0.05),))
+        for out in (
+            tilt_correct_sequence(seq, TiltParams(0.1, 0.75)),
+            perspective_correct_sequence(seq, model),
+        ):
+            assert not out.xyz.flags.writeable
+            assert not np.shares_memory(out.xyz, seq.xyz)
 
     def test_malformed_arrays_rejected(self):
         with pytest.raises(ValueError):
