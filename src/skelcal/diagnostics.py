@@ -65,11 +65,11 @@ def y_diff_to_last(
     """
     if len(seq) == 0:
         raise EmptySequenceError("capture has no frames")
-    idx = [int(j) for j in joints]
+    idx = [JointIndex(j) for j in joints]
     diffs = seq.xyz[:, :, 1].T[idx]
     diffs -= diffs[:, -1:]
     diffs.flags.writeable = False
-    return [DiffSeries(JointIndex(j), d) for j, d in zip(idx, diffs)]
+    return [DiffSeries(j, d) for j, d in zip(idx, diffs)]
 
 
 def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS) -> float:

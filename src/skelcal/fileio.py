@@ -68,21 +68,21 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 #: 64-frame blocks, 59 ms with 128, 56 ms with 256 and 55 ms with 512 (11 runs
 #: each, 2-CPU Xeon); 256 frames keep a block's record table near 300 KB.
 _BLOCK_FRAMES = 256
-#: Below this magnitude a coordinate times 1e9 is below 2**52, where the
-#: writer's kernel rounds it exactly; its whole part has at most 7 digits.
-_FAST_MAX = 2.0**22
+#: The writer's kernel formats a block whose values are all below this magnitude,
+#: where |v| * 1e9 < 2**52 rounds exactly, and round below it: one whole digit.
+_FAST_MAX = 10.0
 #: ``_DIGITS4[k]`` is the 4 ASCII digits of k < 10**4, leading zeros included,
 #: as a little-endian word, the first digit in the lowest byte ("0000" is 0x30303030).
 _DIGITS4 = sum(np.arange(10**4, dtype=np.uint64) // 10 ** (3 - i) % 10 << 8 * i for i in range(4)) + 0x30303030
 #: ``_LEAD[t + 100 * negative]``, for t < 100, is ``,`` then ``-`` if negative
 #: (else a 0 byte), the digit t // 10, ``.`` and the digit t % 10, in a
-#: little-endian word: a coordinate with a one-digit whole part t // 10 and
-#: first fraction digit t % 10 starts with these 5 bytes.
+#: little-endian word: a coordinate with whole part t // 10 and first fraction
+#: digit t % 10 starts with these 5 bytes.
 _LEAD = np.frombuffer(
     b"".join(b",%s%d.%d\0\0\0" % (sign, t // 10, t % 10) for sign in (b"\0", b"-") for t in range(100)), "<u8"
 )
-#: ``searchsorted(_POWERS10, n, "right")`` is the number of digits of n < 10**7, 0 for n = 0.
-_POWERS10 = 10 ** np.arange(7)
+#: A coordinate: its _LEAD word, then its other 8 fraction digits over that word's last 3 bytes.
+_COORDINATE = np.dtype({"names": ["lead", "tail"], "formats": ["<u8", "<u8"], "offsets": [0, 5], "itemsize": 13})
 #: ``,j`` for each joint j, padded with 0 bytes.
 _JOINT_FIELDS = np.array([f",{j}" for j in range(JOINT_COUNT)], "S3").view(np.uint8).reshape(-1, 3)
 #: The one, empty label of a report row, which has no joint field.
@@ -155,46 +155,37 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
     |v| < _FAST_MAX, y = |v| * 1e9 is below 2**52 and within y * 2**-53 of the
     exact product, so rint(y) is N unless the fraction of y lies within
     y * 2**-51 of 1/2; such near-ties (exact ties among them) take N from
-    ``"{:.9f}".format``. If any value is NaN, infinite or at least _FAST_MAX
-    in magnitude, every row is formatted by ``"{:.9f}".format`` instead.
+    ``"{:.9f}".format``. If any value is NaN, infinite or rounds to a whole
+    part of two digits (9.9999999995 prints as 10.000000000, say), every row
+    is formatted by ``"{:.9f}".format`` instead.
 
-    Each row is first a record sized to the block's widest frame index and
-    whole part; its 0 bytes (no plus sign, a label's padding, the leading
-    zeros of a shorter index or whole part) are then dropped. A coordinate is
-    two overlapping words: a _LEAD entry, then the other 8 fraction digits.
-    Whole parts of several digits get the others, with the comma and the
-    sign, written over the _LEAD entry's first two bytes and before them.
+    Each row is first a record sized to the block's widest frame index, with
+    a _COORDINATE per value; its 0 bytes (no plus sign, the padding of a
+    label or of a shorter index) are then dropped.
     """
     magnitude = np.abs(values)
-    if not (magnitude < _FAST_MAX).all():  # False for NaN
+    lead = None
+    if (magnitude < _FAST_MAX).all():  # False for NaN
+        y = magnitude * 1e9
+        nanos = np.rint(y).astype(np.int64)
+        near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
+        if near_tie.any():
+            exact = map("{:.9f}".format, magnitude[near_tie].tolist())
+            nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
+        lead = nanos // 10**8  # the whole digit, then the first fraction digit
+    if lead is None or lead.max() >= 100:
         texts = [label[label != 0].tobytes() for label in labels]
         return b"".join(
             b"%d%s%s\n" % (index, text, "".join(map(",{:.9f}".format, row)).encode())
             for index, rows in zip(frame_index.tolist(), values.tolist())
             for text, row in zip(texts, rows)
         )
-    y = magnitude * 1e9
-    nanos = np.rint(y).astype(np.int64)
-    near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
-    if near_tie.any():
-        exact = map("{:.9f}".format, magnitude[near_tie].tolist())
-        nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
-    lead = nanos // 10**8  # the whole part, then the first fraction digit
-    tail = _digits8(nanos - lead * 10**8)
 
-    whole_width = len(str(lead.max() // 10))
     frame_width = max(len(str(frame_index.min())), len(str(frame_index.max())))
-    # a coordinate's _LEAD word ends in the first 3 bytes of its tail word, which is written after it
-    coordinate = {
-        "names": ["lead", "tail", "upper"],
-        "formats": ["<u8", "<u8", ("u1", whole_width + 1)],
-        "offsets": [whole_width - 1, whole_width + 4, 0],
-        "itemsize": whole_width + 12,
-    }
     record = [
         ("frame", f"S{frame_width}"),
         ("label", "u1", labels.shape[1:]),
-        ("coordinates", coordinate, values.shape[2:]),
+        ("coordinates", _COORDINATE, values.shape[2:]),
         ("lf", "u1"),
     ]
     table = np.empty(values.shape[:2], record)
@@ -202,18 +193,8 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
     table["label"] = labels
     table["lf"] = ord("\n")
     coordinates = table["coordinates"]
-    negative = np.signbit(values)
-    if whole_width > 1:
-        upper = lead // 100  # the whole part's digits before its last
-        lead -= upper * 100
-    coordinates["lead"] = _LEAD[lead + 100 * negative]
-    coordinates["tail"] = tail
-    if whole_width > 1:
-        upper = _digits8(upper) & _KEEP[np.searchsorted(_POWERS10, upper, "right")]
-        text = coordinates["upper"]
-        text[..., 0] = ord(",")
-        text[..., 1] = negative * np.uint8(ord("-"))
-        text[..., 2:] = upper[..., None].view(np.uint8)[..., 9 - whole_width :]
+    coordinates["lead"] = _LEAD[lead + 100 * np.signbit(values)]
+    coordinates["tail"] = _digits8(nanos - lead * 10**8)
     # bytes.replace finds the 0 bytes with memchr: 29% less time than text[text != 0] for 9,000 frames
     return table.tobytes().replace(b"\0", b"")
 
@@ -225,6 +206,9 @@ def _digits8(n: np.ndarray) -> np.ndarray:
 
 
 def write_capture(seq: CaptureSequence, path: str | Path) -> None:
+    """Write a capture CSV; a capture of no frames, which ``read_capture`` rejects, is an error."""
+    if len(seq) == 0:
+        raise EmptySequenceError(f"cannot write {path}: capture has no frames")
     _atomic_write(path, _capture_chunks(seq))
 
 
@@ -338,8 +322,9 @@ def _parse_chunk(
 
     An integer of at most 8 digits is one masked word. A coordinate with at
     most 7 whole digits and 1 to 9 fraction digits, as the writer prints
-    every value below _FAST_MAX, is two: its whole digits and first fraction
-    digit, then its other fraction digits. Longer fields are ``_digit_runs``.
+    every value below 2**22 (from its kernel below _FAST_MAX, or from
+    ``"{:.9f}".format``), is two: its whole digits and first fraction digit,
+    then its other fraction digits. Longer fields are ``_digit_runs``.
     """
     b = raw[start:stop]
     # every byte below "-" (which must be a "," or a "\n"), and the dots

@@ -92,7 +92,7 @@ def joint_perspective_degree(seq: CaptureSequence, j: JointIndex | int) -> float
         raise WrongDirectionError(
             f"perspective estimation needs a vertical gait, got {seq.direction.value}"
         )
-    idx = int(j)
+    idx = JointIndex(j)
     (_, y_first, z_first), (_, y_last, z_last) = seq.xyz[[0, -1], idx].tolist()
     depth_travel = z_first - z_last
     if abs(depth_travel) <= MIN_DEPTH_TRAVEL_M:
@@ -112,12 +112,12 @@ def mean_perspective_degrees(
     representative height is the joint's mean Y over all frames of all vertical
     gaits. Points come back ordered top to bottom by height.
     """
+    joints = [JointIndex(j) for j in joints]
     vertical = [s for s in seqs if s.direction is GaitDirection.VERTICAL]
     if not vertical:
         raise WrongDirectionError("no vertical gait among the calibration sequences")
     points = []
-    for j in joints:
-        idx = int(j)
+    for idx in joints:
         betas = []
         for seq in vertical:
             try:
@@ -127,9 +127,7 @@ def mean_perspective_degrees(
         if not betas:
             raise NoUsableGaitsError(idx)
         heights = np.concatenate([seq.xyz[:, idx, 1] for seq in vertical]).tolist()
-        points.append(
-            BetaPoint(JointIndex(idx), arithmetic_mean(heights), arithmetic_mean(betas))
-        )
+        points.append(BetaPoint(idx, arithmetic_mean(heights), arithmetic_mean(betas)))
     points.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
     return points
 

@@ -44,8 +44,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not 1 <= self.beta_degree <= 6:
             raise ValueError(f"beta_degree must be in [1, 6], got {self.beta_degree}")
-        if not isinstance(self.beta_joints, tuple):
-            object.__setattr__(self, "beta_joints", tuple(self.beta_joints))
+        object.__setattr__(self, "beta_joints", tuple(JointIndex(j) for j in self.beta_joints))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from skelcal import (
     DistortionSpec,
     GaitDirection,
     JointIndex,
+    PipelineConfig,
     Polynomial,
     TiltModel,
     apply_distortion,
+    calibrate,
     default_template,
     generate_truth_capture,
     read_capture,
@@ -227,6 +229,39 @@ class TestCalibrateApplyDiagnose:
         assert (tmp_path / "report_bones.csv").exists()
         bones = (tmp_path / "report_bones.csv").read_text().splitlines()
         assert len(bones) == 25  # header + 24 edges
+
+    def test_calibrate_joints_match_library(self, tmp_path, captures):
+        joints = (JointIndex.HEAD, JointIndex.NECK, JointIndex.SPINE_SHOULDER, JointIndex.SPINE_MID,
+                  JointIndex.SPINE_BASE)
+        profile_path = tmp_path / "profile.json"
+        assert run("calibrate", "--sensor-height", 0.75, "--joints", "3,2,20,1,0",
+                   "--out-profile", profile_path, *captures[:3]) == 0
+        gaits = [read_capture(path, GaitDirection.VERTICAL) for path in captures[:3]]
+        expected = calibrate(gaits, 0.75, PipelineConfig(beta_joints=joints))
+        profile = read_profile(profile_path)
+        assert profile == expected
+        assert sorted(p.joint for p in profile.beta.source_points) == sorted(joints)
+
+    def test_diagnose_joints_name_the_columns(self, tmp_path, captures):
+        report = tmp_path / "report.csv"
+        assert run("diagnose", "--in", captures[0], "--report", "ydiff", "--joints", "3,15",
+                   "--out", report) == 0
+        lines = report.read_text().splitlines()
+        assert lines[0] == "frame,head,foot_left"
+        assert len(lines) == 61
+
+    @pytest.mark.parametrize("command", ["calibrate", "diagnose"])
+    def test_joint_out_of_range_exits_2_before_writing(self, tmp_path, captures, command, capsys):
+        out = tmp_path / "out"
+        if command == "calibrate":
+            argv = ["calibrate", "--sensor-height", 0.75, "--out-profile", out, *captures[:3]]
+        else:
+            argv = ["diagnose", "--in", captures[0], "--out", out]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--joints", "25")
+        assert exc.value.code == 2
+        assert "'25'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_capture_exits_nonzero(self, tmp_path, capsys):
         code = run("calibrate", "--sensor-height", 0.75,

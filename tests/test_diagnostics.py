@@ -80,6 +80,14 @@ class TestYDiffToLast:
         with pytest.raises(EmptySequenceError):
             max_y_diff(empty)
 
+    @pytest.mark.parametrize("joint", [25, -1])
+    def test_joint_out_of_range_rejected(self, joint):
+        seq = flat_seq([1.0, 1.3, 0.9])
+        with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
+            y_diff_to_last(seq, [JointIndex.HEAD, joint])
+        with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
+            max_y_diff(seq, [joint])
+
     def test_correction_reduces_max_diff(self, truth_walk):
         spec = DistortionSpec(
             tilt_rad=math.radians(7),

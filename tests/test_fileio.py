@@ -105,6 +105,12 @@ class TestCaptureErrors:
         with pytest.raises(EmptySequenceError):
             read_capture(path, GaitDirection.VERTICAL)
 
+    def test_empty_capture_not_written(self, tmp_path):
+        empty = CaptureSequence(np.zeros((0, JOINT_COUNT, 3)), [], GaitDirection.VERTICAL)
+        with pytest.raises(EmptySequenceError):
+            write_capture(empty, tmp_path / "empty.csv")
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["frame,joint,x,y,z"] + [f"0,{j},0.1,1.0,2.0" for j in range(25)]

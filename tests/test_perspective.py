@@ -123,6 +123,14 @@ class TestMeanPerspectiveDegrees:
         with pytest.raises(WrongDirectionError):
             mean_perspective_degrees([seq], [JointIndex.HEAD])
 
+    @pytest.mark.parametrize("joint", [25, -1])
+    def test_joint_out_of_range_rejected(self, joint):
+        seq = two_frame_seq((0, 1.62, 4.0), (0, 1.70, 1.5))
+        with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
+            mean_perspective_degrees([seq], [JointIndex.HEAD, joint])
+        with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
+            joint_perspective_degree(seq, joint)
+
 
 class TestFitBetaModel:
     def test_exact_line(self):

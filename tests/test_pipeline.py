@@ -109,6 +109,16 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             PipelineConfig(beta_degree=7)
 
+    @pytest.mark.parametrize("joint", [25, -1])
+    def test_config_rejects_joint_out_of_range(self, joint):
+        with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
+            PipelineConfig(beta_joints=(JointIndex.HEAD, joint))
+
+    def test_config_stores_joints_as_joint_indices(self):
+        config = PipelineConfig(beta_joints=[3, np.int64(15)])
+        assert config.beta_joints == (JointIndex.HEAD, JointIndex.FOOT_LEFT)
+        assert all(type(j) is JointIndex for j in config.beta_joints)
+
     def test_beta_degree_configurable(self, truth_walk):
         gaits = [apply_distortion(truth_walk, shear_spec()) for _ in range(3)]
         profile = calibrate(gaits, 0.75, PipelineConfig(beta_degree=1))
