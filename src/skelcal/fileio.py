@@ -68,9 +68,10 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 #: 64-frame blocks, 59 ms with 128, 56 ms with 256 and 55 ms with 512 (11 runs
 #: each, 2-CPU Xeon); 256 frames keep a block's record table near 300 KB.
 _BLOCK_FRAMES = 256
-#: The writer's kernel formats a block whose values are all below this magnitude,
-#: where |v| * 1e9 < 2**52 rounds exactly, and round below it: one whole digit.
-_FAST_MAX = 10.0
+#: The smallest double that prints as 10.000000000 (the double nearest
+#: 9.9999999995 lies below the half and prints as 9.999999999): the writer's
+#: kernel formats a block whose values are all below it, so print one whole digit.
+_FAST_MAX = 9.999999999500002
 #: ``_DIGITS4[k]`` is the 4 ASCII digits of k < 10**4, leading zeros included,
 #: as a little-endian word, the first digit in the lowest byte ("0000" is 0x30303030).
 _DIGITS4 = sum(np.arange(10**4, dtype=np.uint64) // 10 ** (3 - i) % 10 << 8 * i for i in range(4)) + 0x30303030
@@ -155,25 +156,16 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
     |v| < _FAST_MAX, y = |v| * 1e9 is below 2**52 and within y * 2**-53 of the
     exact product, so rint(y) is N unless the fraction of y lies within
     y * 2**-51 of 1/2; such near-ties (exact ties among them) take N from
-    ``"{:.9f}".format``. If any value is NaN, infinite or rounds to a whole
-    part of two digits (9.9999999995 prints as 10.000000000, say), every row
-    is formatted by ``"{:.9f}".format`` instead.
+    ``"{:.9f}".format``. If any value is NaN or |v| >= _FAST_MAX (a whole
+    part of two or more digits), every row is formatted by ``"{:.9f}".format``
+    instead.
 
     Each row is first a record sized to the block's widest frame index, with
     a _COORDINATE per value; its 0 bytes (no plus sign, the padding of a
     label or of a shorter index) are then dropped.
     """
     magnitude = np.abs(values)
-    lead = None
-    if (magnitude < _FAST_MAX).all():  # False for NaN
-        y = magnitude * 1e9
-        nanos = np.rint(y).astype(np.int64)
-        near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
-        if near_tie.any():
-            exact = map("{:.9f}".format, magnitude[near_tie].tolist())
-            nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
-        lead = nanos // 10**8  # the whole digit, then the first fraction digit
-    if lead is None or lead.max() >= 100:
+    if not (magnitude < _FAST_MAX).all():  # also for NaN
         texts = [label[label != 0].tobytes() for label in labels]
         return b"".join(
             b"%d%s%s\n" % (index, text, "".join(map(",{:.9f}".format, row)).encode())
@@ -181,6 +173,13 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
             for text, row in zip(texts, rows)
         )
 
+    y = magnitude * 1e9
+    nanos = np.rint(y).astype(np.int64)
+    near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
+    if near_tie.any():
+        exact = map("{:.9f}".format, magnitude[near_tie].tolist())
+        nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
+    lead = nanos // 10**8  # the whole digit, then the first fraction digit
     frame_width = max(len(str(frame_index.min())), len(str(frame_index.max())))
     record = [
         ("frame", f"S{frame_width}"),

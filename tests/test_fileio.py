@@ -536,6 +536,81 @@ class TestRecordWidths:
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
 
+#: The edge values that print with one whole digit, which the writer's kernel
+#: formats: -0.0, -1e-12, +-1/1024, +-5e-10, the smallest subnormal, binary
+#: ties and decimal near-ties among them, and the largest values below the bound.
+_ONE_DIGIT_VALUES = [v for v in _KERNEL_VALUES if abs(v) < 10]
+_ONE_DIGIT_VALUES += [9.9999999995, -9.9999999995, np.nextafter(fileio._FAST_MAX, 0), 9.4999999995]
+#: Coordinates that print with one whole digit, binary ties and decimal
+#: half-ties at the 10th digit among them.
+_ONE_DIGIT_COORDINATES = st.one_of(
+    st.floats(-9.9999999995, 9.9999999995),
+    st.floats(-1e-9, 1e-9),
+    st.builds(lambda k, m: (k + 0.5) / 2**m, st.integers(-(2**31), 2**31 - 1), st.integers(28, 80)),
+    st.integers(-(10**10), 10**10 - 2).map(lambda k: (k + 0.5) / 1e9),
+)
+
+
+@pytest.fixture
+def digits8_spy():
+    """``fileio._digits8``, which only the writer's kernel calls, recording its calls."""
+    with mock.patch.object(fileio, "_digits8", wraps=fileio._digits8) as spy:
+        yield spy
+
+
+class TestOneDigitKernel:
+    """Blocks of one-digit values take the writer's kernel and print as ``format(v, ".9f")``."""
+
+    def test_bound_is_the_first_double_printed_with_two_whole_digits(self):
+        assert format(fileio._FAST_MAX, ".9f") == "10.000000000"
+        assert format(np.nextafter(fileio._FAST_MAX, 0), ".9f") == "9.999999999"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 3), st.lists(_ONE_DIGIT_COORDINATES, min_size=1, max_size=3 * JOINT_COUNT))
+    def test_any_one_digit_values(self, fuzz_dir, frames, values):
+        xyz = np.resize(np.array(values), (frames, JOINT_COUNT, 3))
+        seq = CaptureSequence(xyz, np.arange(frames) - 1, GaitDirection.VERTICAL)
+        with mock.patch.object(fileio, "_digits8", wraps=fileio._digits8) as spy:
+            write_capture(seq, fuzz_dir / "one_digit.csv")
+        assert spy.call_count == 1
+        assert (fuzz_dir / "one_digit.csv").read_bytes() == _per_value_capture_bytes(seq)
+
+    @pytest.mark.parametrize("frames", [1, fileio._BLOCK_FRAMES, 2 * fileio._BLOCK_FRAMES + 1])
+    def test_edge_values_across_blocks(self, frames, digits8_spy, tmp_path):
+        xyz = _small_values(frames, frames)
+        flat = xyz.reshape(-1)
+        n = len(_ONE_DIGIT_VALUES)
+        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio._BLOCK_FRAMES):
+            start = min(max(at - n // 2, 0), len(flat) - n)
+            flat[start : start + n] = _ONE_DIGIT_VALUES
+        index = np.arange(frames) * 7 - 2**62
+        index[0], index[-1] = -(2**63), 2**63 - 1
+        seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
+        write_capture(seq, tmp_path / "edges.csv")
+        assert digits8_spy.call_count == -(-frames // fileio._BLOCK_FRAMES)  # every block
+        assert (tmp_path / "edges.csv").read_bytes() == _per_value_capture_bytes(seq)
+
+    def test_ydiff_report(self, template, digits8_spy, tmp_path):
+        walk = generate_truth_capture(template, GaitDirection.HORIZONTAL, 120, 4.5, 1.5)
+        xyz = apply_distortion(walk, DistortionSpec(noise_std_m=0.005, seed=4)).xyz.copy()
+        xyz[: len(_ONE_DIGIT_VALUES), JointIndex.HEAD, 1] = _ONE_DIGIT_VALUES
+        xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
+        seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
+        series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
+        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        assert digits8_spy.call_count == 1
+        assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
+
+    @pytest.mark.parametrize("value", [fileio._FAST_MAX, -fileio._FAST_MAX, math.nan])
+    def test_block_at_the_bound_is_formatted_per_value(self, value, digits8_spy, tmp_path):
+        xyz = _small_values(2 * fileio._BLOCK_FRAMES, 5)
+        xyz[-1, -1, -1] = value  # in the second block only
+        seq = CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL)
+        write_capture(seq, tmp_path / "bound.csv")
+        assert digits8_spy.call_count == 1  # the first block
+        assert (tmp_path / "bound.csv").read_bytes() == _per_value_capture_bytes(seq)
+
+
 class TestCrlfCaptures:
     def crlf_pair(self, template, tmp_path):
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
