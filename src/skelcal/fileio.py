@@ -13,12 +13,13 @@ line endings.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .skeleton import (
     JOINT_COUNT,
     CaptureSequence,
     GaitDirection,
-    JointIndex,
     validate_sequence,
 )
 from .tilt import TiltParams
@@ -89,12 +89,15 @@ _JOINT_FIELDS = np.array([f",{j}" for j in range(JOINT_COUNT)], "S3").view(np.ui
 #: The one, empty label of a report row, which has no joint field.
 _NO_LABELS = np.empty((1, 0), np.uint8)
 
-#: Bytes the reader's kernel parses per step, cut at a newline. For the
-#: writer's rows its temporary arrays (about 100 KB) then stay under glibc's
-#: 128 KiB mmap threshold, so the allocator recycles them: reading the ten
-#: 900-frame gaits of the calibration benchmark took 2,355 minor page faults
-#: with 64 KiB chunks and 10,023 with 256 KiB ones (2-CPU Xeon).
+#: Bytes of the reader's buffer, whose whole rows its kernel parses per step.
+#: For the writer's rows the kernel's temporary arrays (about 100 KB) then
+#: stay under glibc's 128 KiB mmap threshold, so the allocator recycles them:
+#: reading the ten 900-frame gaits of the calibration benchmark took 2,355
+#: minor page faults with 64 KiB chunks and 10,023 with 256 KiB ones (2-CPU Xeon).
 _CHUNK_BYTES = 1 << 16
+#: Bytes before the reader's data in its buffer: the 8-byte word that ends at
+#: a row's first mark then starts within the buffer.
+_PAD = 8
 _HEADER_BYTES = (CAPTURE_HEADER + "\n").encode()
 #: The separators and dots of one row, in order, as a little-endian word.
 _ROW_MARKS = np.frombuffer(b",,.,.,.\n", "<u8")[0]
@@ -223,21 +226,26 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     """Parse a capture CSV, labelled with the file's stem; malformed rows are
     reported with their line number.
 
-    Files as ``write_capture`` writes them are parsed from their bytes by
-    ``_parse_bytes``, and so are such files with CRLF line ends, once each
-    CRLF is made an LF; any other file is decoded as ``Path.read_text`` would
-    and goes through the line-by-line parser, which accepts the other valid
-    layouts and names the first bad line.
+    Files as ``write_capture`` writes them are parsed by ``_parse_stream``
+    through one small buffer, and so are such files with CRLF line ends, once
+    each CRLF is made an LF; any other file is read whole, decoded as
+    ``Path.read_text`` would, and goes through the line-by-line parser, which
+    accepts the other valid layouts and names the first bad line.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            if not fh.seekable():  # a pipe, which the two passes cannot rewind
+                fh = io.BytesIO(fh.read())
+            parsed = _parse_stream(fh)
+            if parsed is None:
+                fh.seek(0)
+                data = fh.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
-    parsed = _parse_bytes(data)
     if parsed is None and b"\r\n" in data:
-        parsed = _parse_bytes(data.replace(b"\r\n", b"\n"))
+        parsed = _parse_stream(io.BytesIO(data.replace(b"\r\n", b"\n")))
     if parsed is None:
         lines = _decode_text(data).splitlines()
         if not lines or lines[0].strip() != CAPTURE_HEADER:
@@ -247,7 +255,7 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
 
     if not len(frame_indices):
         raise EmptySequenceError(f"{path} contains no data rows")
-    return validate_sequence(CaptureSequence(xyz, frame_indices, direction, path.stem))
+    return validate_sequence(CaptureSequence.adopt(xyz, frame_indices, direction, path.stem))
 
 
 def _decode_text(data: bytes) -> str:
@@ -267,10 +275,10 @@ def _decode_text(data: bytes) -> str:
         raise ParseError(line, f"not valid {encoding} text: {exc.reason}") from exc
 
 
-def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    r"""Numpy parse of a capture file's bytes, or None if they are outside its grammar.
+def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""Numpy parse of a capture file read from ``fh``, or None if it is outside the grammar.
 
-    It accepts the header line, then rows ``I,J,X,Y,Z``, each ending in
+    The file must be the header line, then rows ``I,J,X,Y,Z``, each ending in
     ``\n``, the last one too. The integer fields ``I`` and ``J`` are
     ``-?[0-9]{1,19}`` within int64. The coordinates are ``-?[0-9]*\.[0-9]*``
     with 1 to 16 digits, whose digits read as one integer N <= 2**53. The rows
@@ -280,44 +288,73 @@ def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     ``int``/``float``, and ``float64(N) / 10**fraction_digits`` is one
     correctly rounded division of two exactly represented numbers, so it
     equals ``float()`` of the field: the values are those of ``_parse_lines``.
+
+    ``fh`` is read twice through one _CHUNK_BYTES buffer: once to count the
+    rows, then to parse the whole rows in each fill of it into arrays of
+    exactly that many rows, the partial row at its end carried to its front.
+    Beside those arrays and the buffer it holds one fill's temporaries. A row
+    longer than the buffer, or a file that changed between the two passes,
+    also gives None.
     """
-    raw = np.frombuffer(data, np.uint8)
-    # a fifth of the time of data.count(b"\n"), in chunks whose comparisons the allocator recycles
-    rows = sum(np.count_nonzero(raw[i : i + _CHUNK_BYTES] == 10) for i in range(0, len(raw), _CHUNK_BYTES)) - 1
-    if not data.startswith(_HEADER_BYTES) or rows <= 0 or rows % JOINT_COUNT:
+    buf = bytearray(_PAD + _CHUNK_BYTES)
+    raw = np.frombuffer(buf, np.uint8)
+    data = memoryview(buf)[_PAD:]
+    filled = _fill(fh, data)
+    if not buf.startswith(_HEADER_BYTES, _PAD, _PAD + filled):
         return None
-    # the little-endian 8-byte word at every byte offset of the file
-    words = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
-    index = np.empty(rows, np.int64)
-    joint = np.empty(rows, np.int64)
+    rows = -1  # the header's line end
+    while filled:
+        # a fifth of the time of bytes.count(b"\n")
+        rows += np.count_nonzero(raw[_PAD : _PAD + filled] == 10)
+        filled = _fill(fh, data)
+    if rows <= 0 or rows % JOINT_COUNT:
+        return None
+
+    fh.seek(len(_HEADER_BYTES))
+    # the little-endian 8-byte word at every byte offset of the buffer
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    index_joint = np.empty((2, rows), np.int64)
     xyz = np.empty((rows, 3))
-    start, row = len(_HEADER_BYTES), 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
-        fields = _parse_chunk(raw, words, start, stop) if stop > start else None
+    row = carry = 0
+    while filled := carry + _fill(fh, data[carry:]):
+        end = _PAD + filled
+        stop = buf.rfind(b"\n", _PAD, end) + 1
+        if not stop:  # a row longer than the buffer, or no line end at the end of the file
+            return None
+        fields = _parse_chunk(raw, words, _PAD, stop, xyz[row:])
         if fields is None:
             return None
-        (index_part, joint_part), coords = fields
-        n = len(index_part)
-        index[row : row + n], joint[row : row + n] = index_part, joint_part
-        xyz[row : row + n] = coords.T
-        start, row = stop, row + n
-
-    frames = index.reshape(-1, JOINT_COUNT)
-    frame_index = frames[:, 0]
+        index_joint[:, row : row + fields.shape[1]] = fields
+        row += fields.shape[1]
+        carry = end - stop
+        raw[_PAD : _PAD + carry] = raw[stop:end]
+    frames = index_joint.reshape(2, -1, JOINT_COUNT)
+    frame_index = frames[0, :, 0]
     if not (
-        (joint.reshape(-1, JOINT_COUNT) == np.arange(JOINT_COUNT)).all()
-        and (frames == frame_index[:, None]).all()
+        row == rows
+        and (frames[1] == np.arange(JOINT_COUNT)).all()
+        and (frames[0] == frame_index[:, None]).all()
         and (frame_index[1:] > frame_index[:-1]).all()
     ):
         return None
-    return xyz.reshape(-1, JOINT_COUNT, 3), frame_index
+    # a copy, so that the per-row index is freed
+    return xyz.reshape(-1, JOINT_COUNT, 3), frame_index.copy()
+
+
+def _fill(fh: BinaryIO, view: memoryview) -> int:
+    """Read from ``fh`` into ``view`` until it is full or the file ends; the bytes read."""
+    filled = 0
+    while filled < len(view) and (n := fh.readinto(view[filled:])):
+        filled += n
+    return filled
 
 
 def _parse_chunk(
-    raw: np.ndarray, words: np.ndarray, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (2, rows) int64 and (3, rows) float64 fields of the rows in ``raw[start:stop]``.
+    raw: np.ndarray, words: np.ndarray, start: int, stop: int, xyz: np.ndarray
+) -> np.ndarray | None:
+    """The (2, rows) int64 fields of the rows in ``raw[start:stop]``, their
+    coordinates written to ``xyz[:rows]``; None if the rows are outside the
+    grammar or ``xyz`` has fewer.
 
     An integer of at most 8 digits is one masked word. A coordinate with at
     most 7 whole digits and 1 to 9 fraction digits, as the writer prints
@@ -330,6 +367,8 @@ def _parse_chunk(
     marks = np.flatnonzero((b < 45) | (b == 46))
     minus = np.count_nonzero(b == 45)
     rows = len(marks) // 8
+    if rows > len(xyz):
+        return None
     # marks, minus signs and digits must be all the bytes
     if len(marks) != 8 * rows or len(marks) + minus + np.count_nonzero((b - 48) < 10) != len(b):
         return None
@@ -379,7 +418,9 @@ def _parse_chunk(
         mantissa += _digit_runs(words, marks[2::2], marks[3::2])
     if (mantissa > _EXACT_INT_MAX).any():
         return None
-    return ints.view(np.int64), mantissa.astype(np.float64) / _SIGNED_POW10_F[frac_len + 17 * neg[2:]]
+    # numpy converts each N <= 2**53 to float64 exactly
+    np.divide(mantissa, _SIGNED_POW10_F[frac_len + 17 * neg[2:]], out=xyz[:rows].T)
+    return ints.view(np.int64)
 
 
 def _swar(w: np.ndarray) -> np.ndarray:
@@ -569,7 +610,7 @@ def read_profile(path: str | Path) -> CalibrationProfile:
         height = _require(entry, "height_y_m", float, context=f"beta_points[{i}]")
         beta = _require(entry, "beta_rad", float, context=f"beta_points[{i}]")
         try:
-            points.append(BetaPoint(JointIndex(joint), height, beta))
+            points.append(BetaPoint(joint, height, beta))
         except ValueError as exc:
             raise SchemaError(f"beta_points[{i}].beta_rad", str(exc)) from exc
 

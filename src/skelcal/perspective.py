@@ -58,6 +58,7 @@ class BetaPoint:
     beta_rad: float
 
     def __post_init__(self):
+        object.__setattr__(self, "joint", JointIndex(self.joint))  # a ValueError outside 0-24
         if not (math.isfinite(self.beta_rad) and abs(self.beta_rad) < math.pi / 2):
             raise ValueError(f"perspective angle out of range: {self.beta_rad}")
 
@@ -149,7 +150,8 @@ def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:
 
 def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
     """Raise BetaOutOfRangeError at the first angle that no correction accepts."""
-    steep = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)
+    # |beta| >= MAX_ABS_BETA_RAD without a float temporary the size of beta
+    steep = np.flatnonzero((beta >= MAX_ABS_BETA_RAD) | (beta <= -MAX_ABS_BETA_RAD))
     if steep.size:
         k = steep[0]
         raise BetaOutOfRangeError(
@@ -157,17 +159,24 @@ def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
         )
 
 
-def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
-    """perspective_correct_point applied to every joint of every frame."""
-    y, z = seq.xyz[..., 1], seq.xyz[..., 2]
+def perspective_correct_xyz(xyz: np.ndarray, model: BetaModel) -> np.ndarray:
+    """perspective_correct_point applied to every ``(x, y, z)`` of ``xyz``, in place; returns ``xyz``.
+
+    Raises before ``xyz`` is written if any angle is out of range.
+    """
+    y, z = xyz[..., 1], xyz[..., 2]
     beta = polyeval(model.poly, y)
     _check_angles(beta, y, z)
-    out = seq.xyz.copy()
     # y + z * tan(beta), with tan(beta) and its product with z computed in place
     shift = np.tan(beta, out=beta)
     shift *= z
-    out[..., 1] += shift
-    return seq.with_xyz(out)
+    y += shift
+    return xyz
+
+
+def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
+    """perspective_correct_point applied to every joint of every frame."""
+    return seq.with_xyz(perspective_correct_xyz(seq.xyz.copy(), model))
 
 
 # math.tan per element: np.tan may differ in the last bit, and generated captures are pinned by SHA-256

@@ -20,10 +20,17 @@ from .perspective import (
     DEFAULT_BETA_JOINTS,
     fit_beta_model,
     mean_perspective_degrees,
-    perspective_correct_sequence,
+    perspective_correct_xyz,
 )
 from .skeleton import CaptureSequence, JointIndex, validate_sequence
-from .tilt import GaitInclination, TiltParams, aggregate_inclination, gait_inclination, tilt_correct_sequence
+from .tilt import (
+    GaitInclination,
+    TiltParams,
+    aggregate_inclination,
+    gait_inclination,
+    tilt_correct_sequence,
+    tilt_correct_xyz,
+)
 
 #: Gait means all below this magnitude are treated as an untilted sensor.
 NEAR_ZERO_TILT_RAD = 1e-4
@@ -133,7 +140,9 @@ def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureS
     """Correct a capture with a profile: tilt first, then perspective.
 
     Not idempotent: the tilt stage re-adds the sensor height each time, so a
-    profile must be applied exactly once to a raw capture.
+    profile must be applied exactly once to a raw capture. Both stages write
+    into one fresh array; the result is bit-identical to
+    ``perspective_correct_sequence(tilt_correct_sequence(seq, tilt), beta)``.
     """
     validate_sequence(seq)
-    return perspective_correct_sequence(tilt_correct_sequence(seq, profile.tilt), profile.beta)
+    return seq.with_xyz(perspective_correct_xyz(tilt_correct_xyz(seq.xyz, profile.tilt), profile.beta))

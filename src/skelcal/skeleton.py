@@ -76,9 +76,9 @@ class CaptureSequence:
     Joint positions are one read-only float64 array ``xyz`` of shape
     (frames, 25, 3), next to a read-only int64 ``frame_index`` array. The
     constructor copies both of what it is given, so a caller's later writes
-    never reach the sequence. Stages transform ``xyz`` whole into a fresh
-    array and return a new sequence from ``with_xyz``, which adopts that
-    array without a copy.
+    never reach the sequence. Code that has just made its arrays hands them
+    over without a copy: ``adopt`` takes both, and ``with_xyz`` a stage's
+    fresh ``xyz`` beside the sequence's own frame indices.
     """
 
     xyz: np.ndarray
@@ -91,6 +91,18 @@ class CaptureSequence:
     ):
         xyz = np.array(xyz, dtype=np.float64)
         self._adopt(xyz, np.array(frame_index, dtype=np.int64), direction, label)
+
+    @classmethod
+    def adopt(
+        cls, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str = ""
+    ) -> CaptureSequence:
+        """A sequence over a float64 ``xyz`` and an int64 ``frame_index`` without copying them.
+
+        Both are marked read-only, so pass fresh arrays that nothing else writes to.
+        """
+        seq = object.__new__(cls)
+        seq._adopt(np.asarray(xyz, np.float64), np.asarray(frame_index, np.int64), direction, label)
+        return seq
 
     def _adopt(self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str):
         if xyz.shape[1:] != (JOINT_COUNT, 3) or frame_index.shape != xyz.shape[:1]:
@@ -105,12 +117,10 @@ class CaptureSequence:
     def with_xyz(self, xyz: np.ndarray) -> CaptureSequence:
         """The same frame indices and metadata with new joint positions.
 
-        Adopts a float64 ``xyz`` without copying it and marks it read-only, so
-        pass a fresh array that nothing else writes to.
+        Adopts a float64 ``xyz`` as ``adopt`` does, so pass a fresh array
+        that nothing else writes to.
         """
-        seq = object.__new__(CaptureSequence)
-        seq._adopt(np.asarray(xyz, dtype=np.float64), self.frame_index, self.direction, self.label)
-        return seq
+        return CaptureSequence.adopt(xyz, self.frame_index, self.direction, self.label)
 
     @property
     def frames(self) -> tuple[SkeletonFrame, ...]:
@@ -201,7 +211,8 @@ def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
         raise EmptySequenceError("capture has no frames")
     finite = np.isfinite(raw.xyz)
     nonfinite = _first_true(~finite.all(axis=(1, 2)))
-    unordered = _first_true(np.diff(raw.frame_index) <= 0) + 1
+    # compared, not subtracted: a difference of two int64 indices can wrap around
+    unordered = _first_true(raw.frame_index[1:] <= raw.frame_index[:-1]) + 1
     if nonfinite < frames and nonfinite <= unordered:
         j, axis = np.argwhere(~finite[nonfinite])[0].tolist()
         raise NonFiniteCoordinateError(int(raw.frame_index[nonfinite]), j, "xyz"[axis])

@@ -138,11 +138,11 @@ def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
     return Point3(x, y_c, z_c)
 
 
-def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSequence:
-    """tilt_correct_point applied to every joint of every frame; metadata preserved."""
+def tilt_correct_xyz(xyz: np.ndarray, params: TiltParams) -> np.ndarray:
+    """tilt_correct_point applied to every ``(x, y, z)`` of ``xyz``, in a fresh array."""
     s = math.sin(params.tilt_rad)
-    y, z = seq.xyz[..., 1], seq.xyz[..., 2]
-    out = seq.xyz.copy()
+    y, z = xyz[..., 1], xyz[..., 2]
+    out = xyz.copy()
     y_c, z_c = out[..., 1], out[..., 2]
     # the float operations of tilt_correct_point, in its order, written into out's columns
     np.multiply(y, s, out=z_c)
@@ -150,7 +150,12 @@ def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSe
     np.multiply(z_c, s, out=y_c)
     y_c += y
     y_c += params.sensor_height_m
-    return seq.with_xyz(out)
+    return out
+
+
+def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSequence:
+    """tilt_correct_point applied to every joint of every frame; metadata preserved."""
+    return seq.with_xyz(tilt_correct_xyz(seq.xyz, params))
 
 
 def distort_tilt(

@@ -1,7 +1,10 @@
+import io
 import json
 import math
+import os
 import stat
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -660,20 +663,26 @@ def _coordinate_texts():
     return (texts * 2)[: 3 * JOINT_COUNT]
 
 
+def _stream(data, stream_type=io.BytesIO):
+    """The kernel driver's parse of a file holding ``data``."""
+    return fileio._parse_stream(stream_type(data))
+
+
+def assert_kernel_equals_line_parser(data, stream_type=io.BytesIO):
+    got = _stream(data, stream_type)
+    expected = fileio._parse_lines(data.decode().splitlines())
+    assert got is not None
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tolist() == list(expected[1])
+
+
 class TestFastPathExactness:
     """What the writer writes, and the grammar's extremes, take the kernel with exact values."""
-
-    def assert_kernel_equals_line_parser(self, path):
-        got = fileio._parse_bytes(path.read_bytes())
-        expected = fileio._parse_lines(path.read_text().splitlines())
-        assert got is not None
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tolist() == list(expected[1])
 
     def test_pin_capture_as_written(self, template, tmp_path):
         path = tmp_path / "pin.csv"
         write_capture(_pin_capture(template), path)
-        self.assert_kernel_equals_line_parser(path)
+        assert_kernel_equals_line_parser(path.read_bytes())
 
     @pytest.mark.parametrize("index", [2**63 - 1, -(2**63)])
     def test_extreme_index_and_coordinate_digits(self, index, tmp_path):
@@ -681,8 +690,15 @@ class TestFastPathExactness:
         rows = [f"{index},{j},{next(coords)},{next(coords)},{next(coords)}" for j in range(JOINT_COUNT)]
         path = tmp_path / "one_frame.csv"
         path.write_text(_text(["frame,joint,x,y,z"] + rows))
-        self.assert_kernel_equals_line_parser(path)
+        assert_kernel_equals_line_parser(path.read_bytes())
         assert read_capture(path, GaitDirection.VERTICAL).frame_index.tolist() == [index]
+
+    @pytest.mark.parametrize("y", ["1.0", "1e0"])  # the kernel's layout, then the line parser's
+    def test_frame_indices_whose_difference_overflows(self, y, tmp_path):
+        rows = [f"{i},{j},0.1,{y},2.0" for i in (-1, 2**63 - 1) for j in range(JOINT_COUNT)]
+        path = tmp_path / "far_apart.csv"
+        path.write_text(_text(["frame,joint,x,y,z"] + rows))
+        assert read_capture(path, GaitDirection.VERTICAL).frame_index.tolist() == [-1, 2**63 - 1]
 
 
 def _one_frame_bytes(index="7", y="1.0"):
@@ -701,7 +717,7 @@ class TestKernelGrammar:
     ])
     def test_inside_the_grammar(self, index, y):
         data = _one_frame_bytes(index, y)
-        got = fileio._parse_bytes(data)
+        got = _stream(data)
         expected = fileio._parse_lines(data.decode().splitlines())
         assert got is not None
         assert got[0].tobytes() == expected[0].tobytes()
@@ -717,14 +733,14 @@ class TestKernelGrammar:
         ("7", "9007199.254740993"),
     ])
     def test_outside_the_grammar(self, index, y):
-        assert fileio._parse_bytes(_one_frame_bytes(index, y)) is None
+        assert _stream(_one_frame_bytes(index, y)) is None
 
     def test_line_ends_outside_the_grammar(self):
         data = _one_frame_bytes()
-        assert fileio._parse_bytes(data) is not None
-        assert fileio._parse_bytes(data[:-1]) is None
-        assert fileio._parse_bytes(data.replace(b"\n", b"\r\n")) is None
-        assert fileio._parse_bytes(data + b"\n") is None
+        assert _stream(data) is not None
+        assert _stream(data[:-1]) is None
+        assert _stream(data.replace(b"\n", b"\r\n")) is None
+        assert _stream(data + b"\n") is None
 
     def test_two_word_chunks_then_digit_runs(self, tmp_path):
         """Chunks in the writer's layout take two words per coordinate; a last chunk
@@ -739,11 +755,131 @@ class TestKernelGrammar:
         first_cut = len(b"frame,joint,x,y,z\n") + fileio._CHUNK_BYTES
         assert len(data) > 2 * fileio._CHUNK_BYTES and data[first_cut - 1] != ord("\n")
         with mock.patch.object(fileio, "_digit_runs", wraps=fileio._digit_runs) as runs:
-            got = fileio._parse_bytes(data)
+            got = _stream(data)
         expected = fileio._parse_lines(data.decode().splitlines())
         assert runs.call_count == 2  # the whole and fraction digits of the last chunk only
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tolist() == expected[1]
+
+
+def _rows_of_length(size, first_frame=0):
+    """Whole frames of rows in the kernel's grammar, ``size`` bytes in all.
+
+    Each coordinate is 0.5, 1.5 or 2.5 with up to 14 more zeros, as needed.
+    """
+    frames = size // (JOINT_COUNT * 30)
+    rows = [[f"{i},{j}", "0.5", "1.5", "2.5"] for i in range(first_frame, first_frame + frames)
+            for j in range(JOINT_COUNT)]
+    missing = size - sum(len(",".join(r)) + 1 for r in rows)
+    for r, k in ((r, k) for r in rows for k in (1, 2, 3)):
+        zeros = min(missing, 14)
+        r[k] += "0" * zeros
+        missing -= zeros
+    assert missing == 0
+    return "".join(",".join(r) + "\n" for r in rows).encode()
+
+
+class _ShortReads(io.BytesIO):
+    """A file that returns at most ``limit`` bytes per read."""
+
+    def __init__(self, data, limit):
+        super().__init__(data)
+        self.limit = limit
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[: self.limit])
+
+
+class _ChangedOnRewind(io.BytesIO):
+    """A file whose bytes become ``after`` when the reader seeks for its second pass."""
+
+    def __init__(self, before, after):
+        super().__init__(before)
+        self.after = after
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        if self.after is not None:
+            self.truncate(0)
+            super().seek(0)
+            self.write(self.after)
+            self.after = None
+        return super().seek(pos, whence)
+
+
+_HEADER = b"frame,joint,x,y,z\n"
+
+
+class TestStreamReader:
+    """The kernel driver reads the file through one buffer, in two passes."""
+
+    def test_row_split_across_two_fills(self):
+        data = _HEADER + _rows_of_length(3 * fileio._CHUNK_BYTES + 100)
+        assert data[len(_HEADER) + fileio._CHUNK_BYTES - 1] != ord("\n")
+        assert_kernel_equals_line_parser(data)
+
+    @pytest.mark.parametrize("fills", [1, 2])
+    def test_body_of_whole_buffers(self, fills):
+        """Each fill ends with a row, and the last one at the end of the file."""
+        frames = fileio._CHUNK_BYTES // (JOINT_COUNT * 30)
+        body = b"".join(_rows_of_length(fileio._CHUNK_BYTES, k * frames) for k in range(fills))
+        assert len(body) == fills * fileio._CHUNK_BYTES
+        assert_kernel_equals_line_parser(_HEADER + body)
+
+    def test_row_longer_than_the_buffer_is_read_by_the_line_parser(self, tmp_path):
+        rows = _rows_of_length(3000).decode().splitlines()
+        rows[30] = rows[30].replace(",0.5", ",0" + "0" * fileio._CHUNK_BYTES + ".5", 1)
+        path = tmp_path / "long_row.csv"
+        path.write_text(_text(["frame,joint,x,y,z"] + rows))
+        assert _stream(path.read_bytes()) is None
+        expected = fileio._parse_lines(path.read_text().splitlines())
+        got = read_capture(path, GaitDirection.VERTICAL)
+        assert got.xyz.tobytes() == expected[0].tobytes()
+        assert got.frame_index.tolist() == expected[1]
+
+    @pytest.mark.parametrize("change", ["grown", "shrunk"])
+    def test_file_changed_between_the_passes(self, change):
+        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES)
+        rows = data.splitlines(keepends=True)
+        frame = int(rows[-1].split(b",", 1)[0]) + 1
+        after = {
+            "grown": data + b"".join(b"%d,%d,0.5,1.5,2.5\n" % (frame, j) for j in range(JOINT_COUNT)),
+            "shrunk": b"".join(rows[:-JOINT_COUNT]),
+        }[change]
+        assert _stream(data) is not None and _stream(after) is not None
+        assert _stream(data, lambda d: _ChangedOnRewind(d, after)) is None
+
+    @pytest.mark.parametrize("limit", [7, 1000])
+    def test_short_reads_still_take_the_kernel(self, limit):
+        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES + 5000)
+        assert_kernel_equals_line_parser(data, lambda d: _ShortReads(d, limit))
+
+    def test_pipe_is_read_whole(self):
+        data = _HEADER + _rows_of_length(3000)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)  # within the pipe's buffer
+            os.close(write_end)
+            seq = read_capture(f"/dev/fd/{read_end}", GaitDirection.VERTICAL)
+        finally:
+            os.close(read_end)
+        expected = fileio._parse_lines(data.decode().splitlines())
+        assert seq.xyz.tobytes() == expected[0].tobytes()
+        assert seq.frame_index.tolist() == expected[1]
+
+    def test_peak_memory_below_the_file_size(self, tmp_path):
+        """Beside its result, a read holds the per-row integer fields and one buffer."""
+        frames = 9000
+        xyz = np.random.default_rng(14).uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
+        path = tmp_path / "long.csv"
+        write_capture(CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL), path)
+        tracemalloc.start()
+        try:
+            seq = read_capture(path, GaitDirection.VERTICAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == frames
+        assert peak < path.stat().st_size
 
 
 class TestUndecodableFiles:
@@ -894,9 +1030,9 @@ class TestBlockReaderFuzz:
         path = fuzz_dir / "capture.csv"
         path.write_text(text)
         if mutation == "none":
-            assert fileio._parse_bytes(path.read_bytes()) is not None
+            assert _stream(path.read_bytes()) is not None
         got = _outcome(path)
-        with mock.patch.object(fileio, "_parse_bytes", return_value=None):
+        with mock.patch.object(fileio, "_parse_stream", return_value=None):
             expected = _outcome(path)
         if isinstance(expected, CaptureSequence):
             assert isinstance(got, CaptureSequence)

@@ -229,6 +229,11 @@ class TestBetaTypes:
         with pytest.raises(ValueError):
             BetaPoint(JointIndex.HEAD, 1.6, math.pi / 2)
 
+    def test_beta_point_joint_is_a_joint_index(self):
+        assert BetaPoint(3, 1.6, 0.0).joint is JointIndex.HEAD
+        with pytest.raises(ValueError):
+            BetaPoint(JOINT_COUNT, 1.0, 0.01)
+
     def test_model_degree_must_match(self):
         with pytest.raises(ValueError):
             BetaModel(Polynomial((0.0, 1.0)), 2, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),) * 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from skelcal import (
     Polynomial,
     TiltParams,
     apply_distortion,
+    CaptureSequence,
+    JOINT_COUNT,
     apply_profile,
     calibrate,
     generate_truth_capture,
     max_y_diff,
+    perspective_correct_sequence,
+    tilt_correct_sequence,
 )
 from skelcal.errors import EmptyInputError, MixedSignAnglesError
 
@@ -159,6 +164,26 @@ class TestApplyProfile:
         profile = calibrate(gaits, 0.75)
         held_out = apply_distortion(truth_walk, shear_spec(noise_seed=999))
         assert max_y_diff(apply_profile(held_out, profile)) <= 0.05
+
+    def test_equals_the_two_stages_bit_for_bit(self, truth_walk):
+        profile = calibrate([apply_distortion(truth_walk, shear_spec(noise_seed=i)) for i in range(3)], 0.75)
+        raw = apply_distortion(truth_walk, shear_spec(noise_seed=7))
+        staged = perspective_correct_sequence(tilt_correct_sequence(raw, profile.tilt), profile.beta)
+        assert apply_profile(raw, profile).xyz.tobytes() == staged.xyz.tobytes()
+
+    def test_peak_memory_below_two_captures(self):
+        """Both stages write one fresh array; the perspective angles are the one temporary."""
+        xyz = np.random.default_rng(3).uniform(0.0, 3.0, (2000, JOINT_COUNT, 3))
+        seq = CaptureSequence(xyz, range(2000), GaitDirection.VERTICAL)
+        points = (BetaPoint(JointIndex.HEAD, 1.6, 0.0), BetaPoint(JointIndex.KNEE_LEFT, 0.5, 0.01))
+        profile = CalibrationProfile(TiltParams(0.1, 0.75), BetaModel(Polynomial((0.02, -0.01)), 1, points), 1)
+        tracemalloc.start()
+        try:
+            apply_profile(seq, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * seq.xyz.nbytes
 
     def test_profile_requires_at_least_one_gait(self):
         beta = BetaModel(Polynomial((0.0,)), 0, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),))

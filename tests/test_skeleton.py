@@ -102,6 +102,12 @@ class TestValidateSequence:
         with pytest.raises(NonMonotonicFrameIndexError):
             validate_sequence(seq)
 
+    def test_indices_whose_difference_overflows_accepted(self):
+        seq = CaptureSequence(make_xyz(3), [-2, -1, 2**63 - 1], GaitDirection.VERTICAL)
+        assert validate_sequence(seq) is seq
+        with pytest.raises(NonMonotonicFrameIndexError):
+            validate_sequence(CaptureSequence(make_xyz(2), [2**63 - 1, -1], GaitDirection.VERTICAL))
+
 
 class TestJointTrack:
     def test_one_point_per_frame_in_order(self):
@@ -174,6 +180,15 @@ class TestCaptureSequenceValue:
         assert seq.xyz[0, 0, 0] == 0.0
         assert seq.frame_index.tolist() == [0, 1]
         assert not np.shares_memory(seq.xyz, xyz)
+
+    def test_adopt_takes_its_arguments(self):
+        xyz, index = make_xyz(2), np.array([4, 9])
+        seq = CaptureSequence.adopt(xyz, index, GaitDirection.HORIZONTAL, "walk")
+        assert seq.xyz is xyz and seq.frame_index is index
+        assert not (xyz.flags.writeable or index.flags.writeable)
+        assert seq == CaptureSequence(xyz, index, GaitDirection.HORIZONTAL, "walk")
+        with pytest.raises(ValueError):
+            CaptureSequence.adopt(make_xyz(2), np.array([4]), GaitDirection.VERTICAL)
 
     def test_with_xyz_adopts_its_argument(self):
         seq = make_seq(2)
