@@ -105,12 +105,11 @@ _ROW_MARKS = np.frombuffer(b",,.,.,.\n", "<u8")[0]
 _DOT_STEP = np.array([0, 0, 1, 0, 1, 0, 1, 0])[:, None]
 #: ``_KEEP[n]`` keeps the last ``n`` bytes of a little-endian 8-byte word.
 _KEEP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * n) - 1) for n in range(9)], np.uint64)
-_POW10 = 10 ** np.arange(17, dtype=np.uint64)
-#: 10**k, then -(10**k), for k < 17: a field with k fraction digits, and a
-#: minus sign if ``negative``, is float64(N) / _SIGNED_POW10_F[k + 17 * negative].
+_POW10 = 10 ** np.arange(10, dtype=np.uint64)
+#: 10**k, then -(10**k), for k < 10: a field with k fraction digits, and a
+#: minus sign if ``negative``, is float64(N) / _SIGNED_POW10_F[k + 10 * negative].
 _SIGNED_POW10_F = np.concatenate([_POW10, -_POW10.astype(np.int64)]).astype(np.float64)
 _EXACT_INT_MAX = np.uint64(2**53)
-_INT64_MAX_U = np.uint64(_INT64_MAX)
 #: Eight ASCII digits in a little-endian word to their value, in three steps.
 #: Each merges neighbouring lanes of 8, 16 and then 32 bits into one lane of
 #: twice the width that holds 10, 100 or 10000 times the earlier lane plus the
@@ -228,9 +227,10 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
 
     Files as ``write_capture`` writes them are parsed by ``_parse_stream``
     through one small buffer, and so are such files with CRLF line ends, once
-    each CRLF is made an LF; any other file is read whole, decoded as
-    ``Path.read_text`` would, and goes through the line-by-line parser, which
-    accepts the other valid layouts and names the first bad line.
+    each CRLF is made an LF. Any other file, such as one with 9 or more digits
+    in a frame index, is read whole, decoded as ``Path.read_text`` would, and
+    goes through the slower line-by-line parser, which accepts the other valid
+    layouts and names the first bad line.
     """
     path = Path(path)
     try:
@@ -280,8 +280,9 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
 
     The file must be the header line, then rows ``I,J,X,Y,Z``, each ending in
     ``\n``, the last one too. The integer fields ``I`` and ``J`` are
-    ``-?[0-9]{1,19}`` within int64. The coordinates are ``-?[0-9]*\.[0-9]*``
-    with 1 to 16 digits, whose digits read as one integer N <= 2**53. The rows
+    ``-?[0-9]{1,8}``. The coordinates are ``-?[0-9]{0,7}\.[0-9]{1,9}``, whose
+    digits read as one integer N <= 2**53: the layout ``write_capture``
+    prints, with short frame indices and values below 2**22. The rows
     must be in the canonical layout: joints 0-24 of each frame in order, one
     index per frame, strictly increasing frames. Such a file is ASCII, which
     decodes alike in every locale encoding; every field is valid for
@@ -356,11 +357,11 @@ def _parse_chunk(
     coordinates written to ``xyz[:rows]``; None if the rows are outside the
     grammar or ``xyz`` has fewer.
 
-    An integer of at most 8 digits is one masked word. A coordinate with at
-    most 7 whole digits and 1 to 9 fraction digits, as the writer prints
+    An integer field has 1 to 8 digits and is one masked word. A coordinate
+    has 0 to 7 whole digits and 1 to 9 fraction digits, as the writer prints
     every value below 2**22 (from its kernel below _FAST_MAX, or from
-    ``"{:.9f}".format``), is two: its whole digits and first fraction digit,
-    then its other fraction digits. Longer fields are ``_digit_runs``.
+    ``"{:.9f}".format``), and is two words: its whole digits and first
+    fraction digit, then its other fraction digits.
     """
     b = raw[start:stop]
     # every byte below "-" (which must be a "," or a "\n"), and the dots
@@ -386,40 +387,27 @@ def _parse_chunk(
     if np.count_nonzero(neg) != minus:  # a minus sign that does not start its field
         return None
     first += neg
-    int_len = marks[:2] - first[:2]
-    if int_len.min() < 1 or int_len.max() > 19:
-        return None
     frac_len = marks[3::2] - marks[2::2]
-    # the digits of each coordinate's two words: whole digits + 1, then fraction digits - 1
-    word_lens = np.empty((6, rows), np.int64)
-    head_len = np.subtract(marks[2::2], first[2:], out=word_lens[::2])
-    tail_len = np.subtract(frac_len, 1, out=word_lens[1::2])
+    # the digits in each field's words: I, J, then per coordinate whole + 1 and fraction - 1
+    lens = np.empty((8, rows), np.int64)
+    np.subtract(marks[:2], first[:2], out=lens[:2])
+    np.subtract(marks[2::2], first[2:], out=lens[2::2])
+    tail_len = np.subtract(frac_len, 1, out=lens[3::2])
+    if lens.max() > 8 or lens[:2].min() < 1 or tail_len.min() < 0:
+        return None
 
     # the word that ends before each mark, with the digit after each dot over the dot
     w = words[marks - 8]
     w.view(np.uint8).reshape(8, rows, 8)[2::2, :, 7] = raw[marks[2::2]]
-    if int_len.max() <= 8:
-        ints = _swar(w[:2] & _KEEP[int_len])
-    else:
-        ints = _digit_runs(words, first[:2], marks[:2])
-        if (ints > _INT64_MAX_U + neg[:2]).any():
-            return None
+    w &= _KEEP[lens]
+    ints = _swar(w)[:2]
     np.negative(ints, out=ints, where=neg[:2])
-
-    if word_lens.max() <= 8 and tail_len.min() >= 0:  # 0-7 whole and 1-9 fraction digits
-        head_tail = _swar(w[2:] & _KEEP[word_lens])
-        mantissa = head_tail[::2] * _POW10[tail_len]
-        mantissa += head_tail[1::2]
-    else:
-        coord_len = head_len + tail_len
-        if coord_len.min() < 1 or coord_len.max() > 16:
-            return None
-        mantissa = _digit_runs(words, first[2:], marks[2::2] - 1) * _POW10[frac_len]
-        mantissa += _digit_runs(words, marks[2::2], marks[3::2])
+    mantissa = w[2::2] * _POW10[tail_len]
+    mantissa += w[3::2]
     if (mantissa > _EXACT_INT_MAX).any():
         return None
     # numpy converts each N <= 2**53 to float64 exactly
-    np.divide(mantissa, _SIGNED_POW10_F[frac_len + 17 * neg[2:]], out=xyz[:rows].T)
+    np.divide(mantissa, _SIGNED_POW10_F[frac_len + 10 * neg[2:]], out=xyz[:rows].T)
     return ints.view(np.int64)
 
 
@@ -430,23 +418,6 @@ def _swar(w: np.ndarray) -> np.ndarray:
         w *= multiplier
         w >>= shift
     return w
-
-
-def _digit_runs(words: np.ndarray, run_start: np.ndarray, run_stop: np.ndarray) -> np.ndarray:
-    """The value of each run of 0 to 19 decimal digits ``data[run_start:run_stop]``, as uint64.
-
-    Eight digits at a time, from the right: the word that ends at a group's
-    last digit, with the bytes before the run cleared (so they read as
-    leading zeros), is converted by ``_swar``.
-    """
-    length = run_stop - run_start
-    value = np.zeros(length.shape, np.uint64)
-    for k in range(-(-int(length.max()) // 8)):
-        # a group that is empty contributes 0 wherever its word starts
-        w = words[np.maximum(run_stop - 8 * (k + 1), 0)]
-        w &= _KEEP[np.minimum(np.maximum(length - 8 * k, 0), 8)]
-        value += _swar(w) * _POW10[8 * k]
-    return value
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:

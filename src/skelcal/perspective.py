@@ -59,6 +59,8 @@ class BetaPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "joint", JointIndex(self.joint))  # a ValueError outside 0-24
+        if not math.isfinite(self.height_y_m):
+            raise ValueError(f"height must be finite: {self.height_y_m}")
         if not (math.isfinite(self.beta_rad) and abs(self.beta_rad) < math.pi / 2):
             raise ValueError(f"perspective angle out of range: {self.beta_rad}")
 

@@ -4,7 +4,9 @@ The harness traces the functions named in ``spans.SPANS`` by name, and a name
 that no longer resolves is skipped and reports 0 instead of failing. Its
 workloads build inputs and expected outputs in-process, reading a sequence's
 per-frame ``frames`` view, its ``frame_index`` and ``BodyTemplate.joint_offsets``.
-These tests import the harness modules unchanged and run each workload small.
+These tests import the harness modules unchanged and run each workload small,
+with the capture reader's line parser made to fail: every capture a workload
+reads must take the reader's numpy kernel.
 """
 
 import dataclasses
@@ -12,11 +14,12 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import skelcal.cli
-from skelcal import JOINT_COUNT
+from skelcal import JOINT_COUNT, fileio
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 spans = importlib.import_module("spans")
@@ -35,13 +38,16 @@ def test_workload_runs_and_checks_small(name, tmp_path):
     workload = dataclasses.replace(
         workloads.WORKLOADS[name], frames=60, gaits=min(workloads.WORKLOADS[name].gaits, 3)
     )
-    case = workloads.prepare(workload, workloads.DEFAULT_SEED, tmp_path)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        assert skelcal.cli.main(case.argv) == 0
-    finally:
-        tracer.uninstall()
+    # every capture that a workload reads, in prepare or in the CLI, takes the reader's kernel
+    off_the_kernel = AssertionError("a benchmark input was read by the line parser")
+    with mock.patch.object(fileio, "_parse_lines", side_effect=off_the_kernel):
+        case = workloads.prepare(workload, workloads.DEFAULT_SEED, tmp_path)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert skelcal.cli.main(case.argv) == 0
+        finally:
+            tracer.uninstall()
     assert workloads.check_output(case) is None
     # the tracer counts rows through the per-frame view
     assert tracer.metrics()["fileio.read_capture.rows"] == workload.input_frames * JOINT_COUNT

@@ -648,7 +648,7 @@ def _pin_capture(template):
 
 
 def _coordinate_texts():
-    """75 coordinate fields with 0 to 16 fraction digits, at the kernel's limits."""
+    """75 coordinate fields with 0 to 16 fraction digits, whose digits read as integers up to 2**53."""
     rng = np.random.default_rng(5)
     texts = []
     for frac in range(17):
@@ -676,22 +676,47 @@ def assert_kernel_equals_line_parser(data, stream_type=io.BytesIO):
     assert got[1].tolist() == list(expected[1])
 
 
+def assert_read_by_the_line_parser(data, path):
+    """``data`` is outside the kernel's grammar, and ``read_capture`` of it gives the line parser's arrays."""
+    assert _stream(data) is None
+    path.write_bytes(data)
+    got = read_capture(path, GaitDirection.VERTICAL)
+    expected = fileio._parse_lines(data.decode().splitlines())
+    assert got.xyz.tobytes() == expected[0].tobytes()
+    assert got.frame_index.tolist() == expected[1]
+    return got
+
+
 class TestFastPathExactness:
-    """What the writer writes, and the grammar's extremes, take the kernel with exact values."""
+    """What the writer writes takes the kernel, and a valid file beyond it the line parser, with exact values."""
 
     def test_pin_capture_as_written(self, template, tmp_path):
         path = tmp_path / "pin.csv"
         write_capture(_pin_capture(template), path)
         assert_kernel_equals_line_parser(path.read_bytes())
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sets(st.integers(-(10**8) + 1, 10**8 - 1), min_size=1, max_size=3),
+        st.sampled_from((_ONE_DIGIT_COORDINATES, _KERNEL_COORDINATES)).flatmap(
+            lambda pool: st.lists(pool, min_size=1, max_size=3 * JOINT_COUNT)
+        ),
+    )
+    def test_any_capture_the_writer_writes(self, fuzz_dir, index, values):
+        """Frame indices of at most 8 digits and finite values below 2**22, from
+        either of the writer's paths, are in the kernel's grammar."""
+        xyz = np.resize(np.array(values), (len(index), JOINT_COUNT, 3))  # the values repeated in turn
+        path = fuzz_dir / "written.csv"
+        write_capture(CaptureSequence(xyz, sorted(index), GaitDirection.VERTICAL), path)
+        assert_kernel_equals_line_parser(path.read_bytes())
+
     @pytest.mark.parametrize("index", [2**63 - 1, -(2**63)])
     def test_extreme_index_and_coordinate_digits(self, index, tmp_path):
         coords = iter(_coordinate_texts())
         rows = [f"{index},{j},{next(coords)},{next(coords)},{next(coords)}" for j in range(JOINT_COUNT)]
-        path = tmp_path / "one_frame.csv"
-        path.write_text(_text(["frame,joint,x,y,z"] + rows))
-        assert_kernel_equals_line_parser(path.read_bytes())
-        assert read_capture(path, GaitDirection.VERTICAL).frame_index.tolist() == [index]
+        data = _text(["frame,joint,x,y,z"] + rows).encode()
+        got = assert_read_by_the_line_parser(data, tmp_path / "one_frame.csv")
+        assert got.frame_index.tolist() == [index]
 
     @pytest.mark.parametrize("y", ["1.0", "1e0"])  # the kernel's layout, then the line parser's
     def test_frame_indices_whose_difference_overflows(self, y, tmp_path):
@@ -710,10 +735,9 @@ class TestKernelGrammar:
     """Fields at the edges of the kernel's grammar are parsed exactly or left to the line parser."""
 
     @pytest.mark.parametrize("index, y", [
-        ("-9223372036854775808", "1.0"), ("0000000000000000007", "1.0"), ("-0", "1.0"),
-        ("7", "-.5"), ("7", "5."), ("7", "-0."), ("7", "007.5"), ("7", ".0000000000000001"),
-        ("7", "9007199254740992."), ("7", "-.9007199254740992"),
-        ("7", "9007199.254740992"), ("7", "-9007199.254740992"), ("7", "1234567.1"), ("7", ".123456789"),
+        ("-0", "1.0"), ("99999999", "1.0"), ("-99999999", "1.0"), ("00000007", "1.0"),
+        ("7", "-.5"), ("7", "007.5"), ("7", "9007199.254740992"), ("7", "-9007199.254740992"),
+        ("7", "1234567.1"), ("7", ".123456789"), ("7", "-0.000000001"),
     ])
     def test_inside_the_grammar(self, index, y):
         data = _one_frame_bytes(index, y)
@@ -722,6 +746,18 @@ class TestKernelGrammar:
         assert got is not None
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tolist() == expected[1] == [int(index)]
+
+    @pytest.mark.parametrize("index, y", [
+        ("-9223372036854775808", "1.0"), ("0000000000000000007", "1.0"), ("100000000", "1.0"),
+        ("-000000007", "1.0"), ("7", "5."), ("7", "-0."), ("7", ".0000000000000001"),
+        ("7", "9007199254740992."), ("7", "-.9007199254740992"), ("7", "12345678.5"),
+        ("7", "1.1234567891"),
+    ])
+    def test_valid_outside_the_grammar(self, index, y, tmp_path):
+        """Indices of 9 or more digits, coordinates of 8 or more whole digits or with
+        0 or 10 or more fraction digits: the line parser reads them."""
+        got = assert_read_by_the_line_parser(_one_frame_bytes(index, y), tmp_path / "one_frame.csv")
+        assert got.frame_index.tolist() == [int(index)]
 
     @pytest.mark.parametrize("index, y", [
         ("9223372036854775808", "1.0"), ("-9223372036854775809", "1.0"),
@@ -742,37 +778,32 @@ class TestKernelGrammar:
         assert _stream(data.replace(b"\n", b"\r\n")) is None
         assert _stream(data + b"\n") is None
 
-    def test_two_word_chunks_then_digit_runs(self, tmp_path):
-        """Chunks in the writer's layout take two words per coordinate; a last chunk
-        holding a 10-digit fraction takes digit runs, and a row spans the first cut."""
+    def test_ten_fraction_digits_in_the_last_chunk(self, tmp_path):
+        """Chunks in the writer's layout, then a last chunk holding a 10-digit
+        fraction: the whole file goes to the line parser."""
         rng = np.random.default_rng(10)
         frames = 3 * fileio._CHUNK_BYTES // (JOINT_COUNT * 30)
         xyz = rng.uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
         path = tmp_path / "chunks.csv"
         write_capture(CaptureSequence(xyz, np.arange(frames) * 7, GaitDirection.VERTICAL), path)
-        data = path.read_bytes()
-        data = data[: data.rindex(b",")] + b",0.1234567891\n"
-        first_cut = len(b"frame,joint,x,y,z\n") + fileio._CHUNK_BYTES
-        assert len(data) > 2 * fileio._CHUNK_BYTES and data[first_cut - 1] != ord("\n")
-        with mock.patch.object(fileio, "_digit_runs", wraps=fileio._digit_runs) as runs:
-            got = _stream(data)
-        expected = fileio._parse_lines(data.decode().splitlines())
-        assert runs.call_count == 2  # the whole and fraction digits of the last chunk only
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tolist() == expected[1]
+        written = path.read_bytes()
+        data = written[: written.rindex(b",")] + b",0.1234567891\n"
+        assert len(data) > 2 * fileio._CHUNK_BYTES
+        assert _stream(written) is not None
+        assert_read_by_the_line_parser(data, path)
 
 
 def _rows_of_length(size, first_frame=0):
     """Whole frames of rows in the kernel's grammar, ``size`` bytes in all.
 
-    Each coordinate is 0.5, 1.5 or 2.5 with up to 14 more zeros, as needed.
+    Each coordinate is 0.5, 1.5 or 2.5 with up to 8 more zeros, as needed.
     """
     frames = size // (JOINT_COUNT * 30)
     rows = [[f"{i},{j}", "0.5", "1.5", "2.5"] for i in range(first_frame, first_frame + frames)
             for j in range(JOINT_COUNT)]
     missing = size - sum(len(",".join(r)) + 1 for r in rows)
     for r, k in ((r, k) for r in rows for k in (1, 2, 3)):
-        zeros = min(missing, 14)
+        zeros = min(missing, 8)
         r[k] += "0" * zeros
         missing -= zeros
     assert missing == 0
@@ -828,13 +859,7 @@ class TestStreamReader:
     def test_row_longer_than_the_buffer_is_read_by_the_line_parser(self, tmp_path):
         rows = _rows_of_length(3000).decode().splitlines()
         rows[30] = rows[30].replace(",0.5", ",0" + "0" * fileio._CHUNK_BYTES + ".5", 1)
-        path = tmp_path / "long_row.csv"
-        path.write_text(_text(["frame,joint,x,y,z"] + rows))
-        assert _stream(path.read_bytes()) is None
-        expected = fileio._parse_lines(path.read_text().splitlines())
-        got = read_capture(path, GaitDirection.VERTICAL)
-        assert got.xyz.tobytes() == expected[0].tobytes()
-        assert got.frame_index.tolist() == expected[1]
+        assert_read_by_the_line_parser(_text(["frame,joint,x,y,z"] + rows).encode(), tmp_path / "long_row.csv")
 
     @pytest.mark.parametrize("change", ["grown", "shrunk"])
     def test_file_changed_between_the_passes(self, change):
@@ -904,7 +929,7 @@ MUTATIONS = (
     "none", "blank_line", "permute_joints", "field_variant", "nan", "drop_row",
     "duplicate_row", "swap_frames", "repeat_index", "extra_comma", "non_numeric", "index_2_63",
     "control_char", "crlf", "no_final_newline", "number_form", "leading_zeros", "digit_count",
-    "misplaced_mark",
+    "misplaced_mark", "long_index",
 )
 
 
@@ -913,10 +938,9 @@ def capture_texts(draw):
     """A valid capture's text and a mutation of it; returns (text, mutation)."""
     frames = draw(st.sampled_from((1, 99, 100, 101, 250)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(2**40), 2**40))
+    # indices of at most 8 digits, as the kernel reads them; "long_index" makes them longer
+    index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(10**8) + 1, 10**8 - 1 - 3 * frames))
     index = index.tolist()
-    if draw(st.booleans()):
-        index[-1] = 2**63 - 1
     # the parsers treat every coordinate alike, so rows draw theirs from a pool
     pool = [f"{x:.9f},{y:.9f},{z:.9f}" for x, y, z in rng.normal(0.0, 2.0, (64, 3)).tolist()]
     picks = iter(rng.integers(0, len(pool), frames * JOINT_COUNT).tolist())
@@ -985,6 +1009,12 @@ def capture_texts(draw):
                  "1234567890123456")
         fields[draw(st.integers(2, 4))] = draw(st.sampled_from(forms))
         lines[row] = ",".join(fields)
+    elif mutation == "long_index":  # up to 19 digits: shifted by up to 2**40, the last perhaps 2**63 - 1
+        shift = draw(st.integers(-(2**40), 2**40))
+        index = [i + shift for i in index]
+        if draw(st.booleans()):
+            index[-1] = 2**63 - 1
+        lines[1:] = [f"{index[r // JOINT_COUNT]},{line.split(',', 1)[1]}" for r, line in enumerate(lines[1:])]
     elif mutation == "misplaced_mark":
         kind = draw(st.sampled_from(("minus_inside", "dot_in_integer", "two_dots")))
         if kind == "minus_inside":

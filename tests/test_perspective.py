@@ -234,6 +234,12 @@ class TestBetaTypes:
         with pytest.raises(ValueError):
             BetaPoint(JOINT_COUNT, 1.0, 0.01)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_beta_point_rejects_non_finite_height(self, height):
+        """write_profile would print it as a bare NaN or Infinity, which is not JSON."""
+        with pytest.raises(ValueError):
+            BetaPoint(JointIndex.HEAD, height, 0.01)
+
     def test_model_degree_must_match(self):
         with pytest.raises(ValueError):
             BetaModel(Polynomial((0.0, 1.0)), 2, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),) * 3)
