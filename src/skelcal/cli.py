@@ -190,25 +190,19 @@ def cmd_diagnose(args) -> int:
     if args.profile is not None:
         seq = apply_profile(seq, fileio.read_profile(args.profile))
 
-    def write_ydiff(path: Path):
-        series = y_diff_to_last(seq, args.joints)
+    # every report is built before any is written, so a failure leaves no partial output
+    series = None if args.report == "bones" else y_diff_to_last(seq, args.joints)
+    bones = None if args.report == "ydiff" else bone_length_stability(seq)
+    stem = args.out.with_suffix("")
+    if series is not None:
+        path = Path(f"{stem}_ydiff.csv") if bones is not None else args.out
         fileio.write_ydiff_report(seq, series, path)
         worst = max(s.max_abs for s in series)
         print(f"ydiff report -> {path} (max |y - y_last| = {worst:.4f} m)", file=sys.stderr)
-
-    def write_bones(path: Path):
-        report = bone_length_stability(seq)
-        fileio.write_bone_report(report, path)
-        print(f"bone report -> {path} (max std = {report.max_std_m:.6f} m)", file=sys.stderr)
-
-    if args.report == "ydiff":
-        write_ydiff(args.out)
-    elif args.report == "bones":
-        write_bones(args.out)
-    else:
-        stem = args.out.with_suffix("")
-        write_ydiff(Path(f"{stem}_ydiff.csv"))
-        write_bones(Path(f"{stem}_bones.csv"))
+    if bones is not None:
+        path = Path(f"{stem}_bones.csv") if series is not None else args.out
+        fileio.write_bone_report(bones, path)
+        print(f"bone report -> {path} (max std = {bones.max_std_m:.6f} m)", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySequenceError
+from .errors import TooFewFramesError
 from .perspective import DEFAULT_BETA_JOINTS
 from .skeleton import SKELETON_EDGES, CaptureSequence, JointIndex, SkeletonEdge
 
@@ -63,8 +63,6 @@ def y_diff_to_last(
 
     The series are the rows of one (joints, frames) array.
     """
-    if len(seq) == 0:
-        raise EmptySequenceError("capture has no frames")
     idx = [JointIndex(j) for j in joints]
     diffs = seq.xyz[:, :, 1].T[idx]
     diffs -= diffs[:, -1:]
@@ -85,7 +83,7 @@ def bone_lengths(joints: Sequence[Sequence[float]]) -> list[tuple[SkeletonEdge, 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
     """Per-edge mean, standard deviation, and max deviation of bone lengths."""
     if len(seq) < 2:
-        raise ValueError("bone-length stability needs at least 2 frames")
+        raise TooFewFramesError("bone-length stability needs at least 2 frames")
     parents = [int(e.parent) for e in SKELETON_EDGES]
     children = [int(e.child) for e in SKELETON_EDGES]
     # (edges, frames) arrays: each edge's lengths are contiguous, so numpy sums them pairwise

@@ -7,14 +7,18 @@ class CalibrationError(Exception):
     """Base class for all skelcal errors.
 
     ``stage`` is set by the pipeline when an error propagates out of a named
-    calibration stage, so callers see where a multi-stage run failed without
-    losing the concrete exception type.
+    calibration stage, and ``path`` by the file readers when an error comes
+    from a file's contents, so callers see where a run failed without losing
+    the concrete exception type.
     """
 
     stage: str | None = None
+    path: str | None = None
 
     def __str__(self) -> str:
         base = super().__str__()
+        if self.path is not None:
+            base = f"{self.path}: {base}"
         if self.stage:
             return f"[stage: {self.stage}] {base}"
         return base
@@ -38,6 +42,10 @@ class NonFiniteCoordinateError(CalibrationError):
 
 class NonMonotonicFrameIndexError(CalibrationError):
     pass
+
+
+class TooFewFramesError(CalibrationError, ValueError):
+    """A capture too short for a measure; a ValueError too, for callers that catch that."""
 
 
 # -- numerics ----------------------------------------------------------------

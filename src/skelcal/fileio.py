@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    EmptySequenceError,
+    CalibrationError,
     IoFailureError,
     MissingJointError,
     ParseError,
@@ -33,12 +33,7 @@ from .errors import (
 from .numerics import Polynomial
 from .perspective import BetaModel, BetaPoint
 from .pipeline import CalibrationProfile
-from .skeleton import (
-    JOINT_COUNT,
-    CaptureSequence,
-    GaitDirection,
-    validate_sequence,
-)
+from .skeleton import JOINT_COUNT, CaptureSequence, GaitDirection
 from .tilt import TiltParams
 
 if TYPE_CHECKING:  # annotations only: the other subcommands never load diagnostics
@@ -207,9 +202,7 @@ def _digits8(n: np.ndarray) -> np.ndarray:
 
 
 def write_capture(seq: CaptureSequence, path: str | Path) -> None:
-    """Write a capture CSV; a capture of no frames, which ``read_capture`` rejects, is an error."""
-    if len(seq) == 0:
-        raise EmptySequenceError(f"cannot write {path}: capture has no frames")
+    """Write a capture CSV, which ``read_capture`` reads back: every ``CaptureSequence`` is valid."""
     _atomic_write(path, _capture_chunks(seq))
 
 
@@ -223,7 +216,7 @@ def _capture_chunks(seq: CaptureSequence) -> Iterator[bytes]:
 
 def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     """Parse a capture CSV, labelled with the file's stem; malformed rows are
-    reported with their line number.
+    reported with their line number, and every error names the file.
 
     Files as ``write_capture`` writes them are parsed by ``_parse_stream``
     through one small buffer, and so are such files with CRLF line ends, once
@@ -244,18 +237,23 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
-    if parsed is None and b"\r\n" in data:
-        parsed = _parse_stream(io.BytesIO(data.replace(b"\r\n", b"\n")))
-    if parsed is None:
-        lines = _decode_text(data).splitlines()
-        if not lines or lines[0].strip() != CAPTURE_HEADER:
-            raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
-        parsed = _parse_lines(lines)
-    xyz, frame_indices = parsed
+    try:
+        if parsed is None and b"\r\n" in data:
+            parsed = _parse_stream(io.BytesIO(data.replace(b"\r\n", b"\n")))
+        if parsed is None:
+            lines = _decode_text(data).splitlines()
+            if not lines or lines[0].strip() != CAPTURE_HEADER:
+                raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
+            parsed = _parse_lines(lines)
+        xyz, frame_indices = parsed
+        return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
+    except CalibrationError as exc:
+        raise _in_file(exc, path)
 
-    if not len(frame_indices):
-        raise EmptySequenceError(f"{path} contains no data rows")
-    return validate_sequence(CaptureSequence.adopt(xyz, frame_indices, direction, path.stem))
+
+def _in_file(exc: CalibrationError, path: Path) -> CalibrationError:
+    exc.path = str(path)
+    return exc
 
 
 def _decode_text(data: bytes) -> str:
@@ -532,14 +530,22 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_profile(path: str | Path) -> CalibrationProfile:
-    """Parse and schema-validate a profile document (strict: unknown fields rejected)."""
+    """Parse and schema-validate a profile document (strict: unknown fields
+    rejected); every error names the file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise SchemaError("<document>", f"not valid text: {exc}") from exc
+        raise _in_file(SchemaError("<document>", f"not valid text: {exc}"), path) from exc
+    try:
+        return _parse_profile(text)
+    except CalibrationError as exc:
+        raise _in_file(exc, path)
+
+
+def _parse_profile(text: str) -> CalibrationProfile:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_fields)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep

@@ -22,7 +22,7 @@ from .perspective import (
     mean_perspective_degrees,
     perspective_correct_xyz,
 )
-from .skeleton import CaptureSequence, JointIndex, validate_sequence
+from .skeleton import CaptureSequence, JointIndex
 from .tilt import (
     GaitInclination,
     TiltParams,
@@ -102,15 +102,17 @@ def calibrate(
     means disagree in sign but none can be told from zero (see
     ``_near_zero``): tracking noise alone scatters a level sensor's means
     about 0. Means of one sign are always aggregated, however small.
+
+    The gaits need no check of their own, since every ``CaptureSequence`` is
+    valid. A negative or non-finite ``sensor_height_m`` is a ValueError,
+    raised by ``TiltParams`` before any estimation runs.
     """
     if len(vertical_gaits) == 0:
         raise EmptyInputError("no calibration gaits given")
-    if sensor_height_m < 0:
-        raise ValueError("sensor height must be >= 0")
-    gaits = [validate_sequence(g) for g in vertical_gaits]
+    TiltParams(0.0, sensor_height_m)  # rejects a negative or non-finite height before estimation
 
     try:
-        estimates = [gait_inclination(g) for g in gaits]
+        estimates = [gait_inclination(g) for g in vertical_gaits]
         means = [e.mean_rad for e in estimates]
         if all(abs(m) < NEAR_ZERO_TILT_RAD for m in means):
             tilt_rad = 0.0
@@ -125,7 +127,7 @@ def calibrate(
         raise _staged(exc, "tilt-estimation")
 
     tilt = TiltParams(tilt_rad, sensor_height_m)
-    corrected = [tilt_correct_sequence(g, tilt) for g in gaits]
+    corrected = [tilt_correct_sequence(g, tilt) for g in vertical_gaits]
 
     try:
         points = mean_perspective_degrees(corrected, config.beta_joints)
@@ -133,7 +135,7 @@ def calibrate(
     except CalibrationError as exc:
         raise _staged(exc, "perspective-estimation")
 
-    return CalibrationProfile(tilt, beta, len(gaits), created_label)
+    return CalibrationProfile(tilt, beta, len(vertical_gaits), created_label)
 
 
 def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureSequence:
@@ -143,6 +145,7 @@ def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureS
     profile must be applied exactly once to a raw capture. Both stages write
     into one fresh array; the result is bit-identical to
     ``perspective_correct_sequence(tilt_correct_sequence(seq, tilt), beta)``.
+    Like any ``CaptureSequence``, the result is validated as it is built, so
+    a correction that overflows raises ``NonFiniteCoordinateError``.
     """
-    validate_sequence(seq)
     return seq.with_xyz(perspective_correct_xyz(tilt_correct_xyz(seq.xyz, profile.tilt), profile.beta))

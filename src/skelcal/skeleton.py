@@ -79,6 +79,11 @@ class CaptureSequence:
     never reach the sequence. Code that has just made its arrays hands them
     over without a copy: ``adopt`` takes both, and ``with_xyz`` a stage's
     fresh ``xyz`` beside the sequence's own frame indices.
+
+    Every sequence is valid: the constructor, ``adopt`` and ``with_xyz`` all
+    run ``validate_sequence``, so a capture with no frames, a non-finite
+    coordinate or a frame index that does not increase raises its
+    ``CalibrationError`` instead of being built.
     """
 
     xyz: np.ndarray
@@ -110,9 +115,10 @@ class CaptureSequence:
                 f"expected xyz of shape (frames, {JOINT_COUNT}, 3) and one frame index per "
                 f"frame, got {xyz.shape} and {frame_index.shape}"
             )
+        self.__dict__.update(xyz=xyz, frame_index=frame_index, direction=direction, label=label)
+        validate_sequence(self)
         xyz.flags.writeable = False
         frame_index.flags.writeable = False
-        self.__dict__.update(xyz=xyz, frame_index=frame_index, direction=direction, label=label)
 
     def with_xyz(self, xyz: np.ndarray) -> CaptureSequence:
         """The same frame indices and metadata with new joint positions.
@@ -199,7 +205,7 @@ def _first_true(mask: np.ndarray) -> int:
 
 
 def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
-    """Return ``raw`` unchanged iff every invariant holds.
+    """Return ``raw`` unchanged iff every invariant holds; ``CaptureSequence`` runs it on itself.
 
     Checks, in order: non-empty, finite coordinates, strictly increasing frame
     indices (25 joints per frame holds by construction). The first violation

@@ -263,6 +263,33 @@ class TestCalibrateApplyDiagnose:
         assert "'25'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "ending, error",
+        [
+            (",nan", "NonFiniteCoordinateError: {path}: non-finite coordinate at frame 27, joint 24, field z"),
+            (",2.0,3.0", "ParseError: {path}: line 701: expected 5 comma-separated fields, got 6"),
+        ],
+    )
+    def test_capture_read_errors_name_the_file(self, tmp_path, captures, capsys, ending, error):
+        bad = tmp_path / "bad.csv"
+        lines = captures[2].read_text().splitlines()
+        lines[700] = lines[700].rsplit(",", 1)[0] + ending  # file line 701: frame 27, joint 24
+        bad.write_text("\n".join(lines) + "\n")
+        profile = tmp_path / "p.json"
+        code = run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, *captures[:2], bad, captures[3])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error.format(path=bad)}\n"
+        assert not profile.exists()
+
+    def test_diagnose_both_leaves_no_file_on_failure(self, tmp_path, captures, capsys):
+        one = tmp_path / "one.csv"
+        seq = read_capture(captures[0], GaitDirection.VERTICAL)
+        write_capture(CaptureSequence(seq.xyz[:1], seq.frame_index[:1], seq.direction), one)
+        before = set(tmp_path.iterdir())
+        assert run("diagnose", "--in", one, "--report", "both", "--out", tmp_path / "report.csv") == 1
+        assert "TooFewFramesError: bone-length stability needs at least 2 frames" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_missing_capture_exits_nonzero(self, tmp_path, capsys):
         code = run("calibrate", "--sensor-height", 0.75,
                    "--out-profile", tmp_path / "p.json", tmp_path / "missing.csv")
@@ -274,7 +301,7 @@ class TestCalibrateApplyDiagnose:
         bad.write_text('{"schema_version": 99}')
         code = run("apply", "--profile", bad, "--in", captures[0], "--out", tmp_path / "o.csv")
         assert code != 0
-        assert "SchemaError" in capsys.readouterr().err
+        assert f"SchemaError: {bad}: field " in capsys.readouterr().err
 
 
 class TestMedianFootY:

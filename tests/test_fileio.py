@@ -37,6 +37,7 @@ from skelcal.errors import (
     EmptySequenceError,
     IoFailureError,
     MissingJointError,
+    NonFiniteCoordinateError,
     ParseError,
     SchemaError,
 )
@@ -105,12 +106,21 @@ class TestCaptureErrors:
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("frame,joint,x,y,z\n")
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(EmptySequenceError, match=f"^{path}: capture has no frames$"):
             read_capture(path, GaitDirection.VERTICAL)
 
+    def test_errors_name_the_file_and_keep_their_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [f"3,{j},0.1,{'inf' if j == 7 else 1.0},2.0\n" for j in range(JOINT_COUNT)]
+        path.write_text("frame,joint,x,y,z\n" + "".join(rows))
+        with pytest.raises(NonFiniteCoordinateError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert (err.value.frame_index, err.value.joint, err.value.field) == (3, 7, "y")
+        assert str(err.value) == f"{path}: non-finite coordinate at frame 3, joint 7, field y"
+
     def test_empty_capture_not_written(self, tmp_path):
-        empty = CaptureSequence(np.zeros((0, JOINT_COUNT, 3)), [], GaitDirection.VERTICAL)
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(EmptySequenceError):  # no capture of no frames can be built
+            empty = CaptureSequence(np.zeros((0, JOINT_COUNT, 3)), [], GaitDirection.VERTICAL)
             write_capture(empty, tmp_path / "empty.csv")
         assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
 
@@ -339,6 +349,18 @@ def _per_value_capture_bytes(seq):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _per_value_rows(frame_index, labels, values):
+    """The bytes of ``fileio._csv_rows`` as the original per-value writers printed them, for any values."""
+    return "".join(
+        f"{index}{label}" + "".join(f",{v:.9f}" for v in row) + "\n"
+        for index, rows in zip(frame_index.tolist(), values.tolist())
+        for label, row in zip(labels, rows)
+    ).encode()
+
+
+_JOINT_LABELS = [f",{j}" for j in range(JOINT_COUNT)]
+
+
 class TestBlockCodec:
     def test_writer_matches_per_value_format(self, template, tmp_path):
         walk = generate_truth_capture(template, GaitDirection.VERTICAL, 250, 4.5, 1.5)
@@ -403,13 +425,14 @@ _COORDINATES = st.one_of(
 
 
 @st.composite
-def odd_captures(draw):
+def odd_blocks(draw):
+    """Frame indices and coordinates of one block of 1-3 frames, NaN and infinities among them."""
     frames = draw(st.integers(1, 3))
     pool = draw(st.sampled_from((_KERNEL_COORDINATES, _COORDINATES)))
     values = draw(st.lists(pool, min_size=1, max_size=3 * JOINT_COUNT))
     index = sorted(draw(st.sets(st.integers(-(2**63), 2**63 - 1), min_size=frames, max_size=frames)))
     xyz = np.resize(np.array(values), (frames, JOINT_COUNT, 3))  # the values repeated in turn
-    return CaptureSequence(xyz, np.array(index, np.int64), GaitDirection.VERTICAL)
+    return np.array(index, np.int64), xyz
 
 
 #: Values at the edges of the writer's kernel: exact binary ties, decimal
@@ -420,9 +443,11 @@ _KERNEL_VALUES = [
     1.5e-9, 4194303.9999999995, np.nextafter(2.0**22, 0), 2.0**-1074, 0.0, 1e-12, 5e-10,
 ]
 _KERNEL_VALUES += [-v for v in _KERNEL_VALUES]
-#: Values outside the kernel: the bound and above, and values that are not finite.
-_OUTSIDE_VALUES = [2.0**22, np.nextafter(2.0**22, 2.0**23), 9999999.9999999995, 2.0**52 + 1, 1e300, math.nan, math.inf]
+#: Finite values outside the kernel: the bound and above.
+_OUTSIDE_VALUES = [2.0**22, np.nextafter(2.0**22, 2.0**23), 9999999.9999999995, 2.0**52 + 1, 1e300]
 _OUTSIDE_VALUES += [-v for v in _OUTSIDE_VALUES]
+#: Values that are not finite, which no capture holds: the writers' rows take them value by value.
+_NON_FINITE_VALUES = [math.nan, math.inf, -math.nan, -math.inf]
 
 
 def _per_value_ydiff_bytes(seq, series):
@@ -449,11 +474,15 @@ class TestWriterKernel:
     """Every CSV the writers print has the bytes of ``format(v, ".9f")`` per value."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(odd_captures())
-    def test_any_float64_bit_pattern(self, fuzz_dir, seq):
-        path = fuzz_dir / "odd.csv"
-        write_capture(seq, path)
-        assert path.read_bytes() == _per_value_capture_bytes(seq)
+    @given(odd_blocks())
+    def test_any_float64_bit_pattern(self, fuzz_dir, block):
+        index, xyz = block
+        assert fileio._csv_rows(index, fileio._JOINT_FIELDS, xyz) == _per_value_rows(index, _JOINT_LABELS, xyz)
+        if np.isfinite(xyz).all():  # the values a capture can hold
+            seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
+            path = fuzz_dir / "odd.csv"
+            write_capture(seq, path)
+            assert path.read_bytes() == _per_value_capture_bytes(seq)
 
     @pytest.mark.parametrize("outside", [False, True])
     @pytest.mark.parametrize("frames", [1, fileio._BLOCK_FRAMES, 2 * fileio._BLOCK_FRAMES + 1])
@@ -474,6 +503,12 @@ class TestWriterKernel:
         path = tmp_path / "edges.csv"
         write_capture(seq, path)
         assert path.read_bytes() == _per_value_capture_bytes(seq)
+        if outside:  # the last block with values that are not finite, given to the rows writer directly
+            block = slice((frames - 1) // fileio._BLOCK_FRAMES * fileio._BLOCK_FRAMES, None)
+            rows = xyz[block].copy()
+            rows.reshape(-1)[: len(_NON_FINITE_VALUES)] = _NON_FINITE_VALUES
+            text = fileio._csv_rows(index[block], fileio._JOINT_FIELDS, rows)
+            assert text == _per_value_rows(index[block], _JOINT_LABELS, rows)
 
     @pytest.mark.parametrize("values", [_KERNEL_VALUES, _KERNEL_VALUES + _OUTSIDE_VALUES])
     def test_reports_match_per_value_format(self, template, values, tmp_path):
@@ -486,6 +521,11 @@ class TestWriterKernel:
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
         write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
+        # the report's rows with values that are not finite, given to the rows writer directly
+        diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
+        diffs[: len(_NON_FINITE_VALUES), 0, 0] = _NON_FINITE_VALUES
+        text = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)
+        assert text == _per_value_rows(seq.frame_index, [""], diffs)
         report = bone_length_stability(apply_distortion(walk, spec))
         write_bone_report(report, tmp_path / "bones.csv")
         assert (tmp_path / "bones.csv").read_bytes() == _per_value_bone_bytes(report)
@@ -608,10 +648,15 @@ class TestOneDigitKernel:
     def test_block_at_the_bound_is_formatted_per_value(self, value, digits8_spy, tmp_path):
         xyz = _small_values(2 * fileio._BLOCK_FRAMES, 5)
         xyz[-1, -1, -1] = value  # in the second block only
-        seq = CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL)
-        write_capture(seq, tmp_path / "bound.csv")
+        index = np.arange(len(xyz))
+        if math.isnan(value):  # no capture holds a NaN: its blocks go to the rows writer directly
+            blocks = (slice(0, fileio._BLOCK_FRAMES), slice(fileio._BLOCK_FRAMES, None))
+            text = b"".join(fileio._csv_rows(index[b], fileio._JOINT_FIELDS, xyz[b]) for b in blocks)
+        else:
+            write_capture(CaptureSequence(xyz, index, GaitDirection.VERTICAL), tmp_path / "bound.csv")
+            text = (tmp_path / "bound.csv").read_bytes().removeprefix(fileio._HEADER_BYTES)
         assert digits8_spy.call_count == 1  # the first block
-        assert (tmp_path / "bound.csv").read_bytes() == _per_value_capture_bytes(seq)
+        assert text == _per_value_rows(index, _JOINT_LABELS, xyz)
 
 
 class TestCrlfCaptures:

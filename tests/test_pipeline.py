@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from skelcal import (
     perspective_correct_sequence,
     tilt_correct_sequence,
 )
-from skelcal.errors import EmptyInputError, MixedSignAnglesError
+from skelcal.errors import EmptyInputError, MixedSignAnglesError, NonFiniteCoordinateError
 
 
 def identity_profile():
@@ -61,6 +62,12 @@ class TestCalibrate:
     def test_negative_sensor_height_rejected(self, truth_walk):
         with pytest.raises(ValueError):
             calibrate([truth_walk], -0.1)
+
+    @pytest.mark.parametrize("height", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_sensor_height_rejected_before_estimation(self, truth_walk, height):
+        with mock.patch("skelcal.pipeline.gait_inclination", side_effect=AssertionError("estimation ran")):
+            with pytest.raises(ValueError, match="sensor height"):
+                calibrate([truth_walk], height)
 
     def test_deterministic(self, truth_walk):
         gaits = [apply_distortion(truth_walk, shear_spec(noise_seed=5)) for _ in range(3)]
@@ -184,6 +191,15 @@ class TestApplyProfile:
         finally:
             tracemalloc.stop()
         assert peak < 2 * seq.xyz.nbytes
+
+    def test_overflowing_correction_raises_typed_error(self):
+        xyz = np.ones((2, JOINT_COUNT, 3))
+        xyz[1, 0] = (1.0, 1.7e308, 1.7e308)  # the tilt stage's z overflows
+        seq = CaptureSequence(xyz, [0, 1], GaitDirection.VERTICAL)
+        profile = CalibrationProfile(TiltParams(0.1, 0.75), identity_profile().beta, 1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteCoordinateError) as err:
+            apply_profile(seq, profile)
+        assert (err.value.frame_index, err.value.joint, err.value.field) == (1, 0, "y")
 
     def test_profile_requires_at_least_one_gait(self):
         beta = BetaModel(Polynomial((0.0,)), 0, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),))

@@ -1,8 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import skelcal
 from skelcal import (
     BetaModel,
     BetaPoint,
@@ -19,6 +23,7 @@ from skelcal import (
     validate_sequence,
 )
 from skelcal.errors import (
+    CalibrationError,
     EmptySequenceError,
     NonFiniteCoordinateError,
     NonMonotonicFrameIndexError,
@@ -93,20 +98,86 @@ class TestValidateSequence:
     def test_infinity_rejected(self):
         xyz = make_xyz(1)
         xyz[0, 0] = (math.inf, 1.0, 2.0)
-        seq = CaptureSequence(xyz, [0], GaitDirection.VERTICAL)
         with pytest.raises(NonFiniteCoordinateError):
-            validate_sequence(seq)
+            CaptureSequence(xyz, [0], GaitDirection.VERTICAL)
 
     def test_repeated_frame_index_rejected(self):
-        seq = CaptureSequence(make_xyz(2), [0, 0], GaitDirection.VERTICAL)
         with pytest.raises(NonMonotonicFrameIndexError):
-            validate_sequence(seq)
+            CaptureSequence(make_xyz(2), [0, 0], GaitDirection.VERTICAL)
 
     def test_indices_whose_difference_overflows_accepted(self):
         seq = CaptureSequence(make_xyz(3), [-2, -1, 2**63 - 1], GaitDirection.VERTICAL)
         assert validate_sequence(seq) is seq
         with pytest.raises(NonMonotonicFrameIndexError):
             validate_sequence(CaptureSequence(make_xyz(2), [2**63 - 1, -1], GaitDirection.VERTICAL))
+
+
+class _Arrays:
+    """What ``validate_sequence`` reads of a capture, over arrays that no ``CaptureSequence`` holds."""
+
+    def __init__(self, xyz, frame_index):
+        self.xyz, self.frame_index = xyz, frame_index
+
+    def __len__(self):
+        return len(self.xyz)
+
+
+@st.composite
+def capture_arrays(draw):
+    """Coordinates and frame indices with at most one value that is not finite
+    and at most one pair of indices that does not increase, some of no frames."""
+    frames = draw(st.integers(0, 4))
+    xyz = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(frames, JOINT_COUNT, 3))
+    index = sorted(draw(st.sets(st.integers(-(2**63), 2**63 - 1), min_size=frames, max_size=frames)))
+    if frames and draw(st.booleans()):
+        at = (draw(st.integers(0, frames - 1)), draw(st.integers(0, JOINT_COUNT - 1)), draw(st.integers(0, 2)))
+        xyz[at] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if frames > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, frames - 1))
+        index[k] = max(index[k - 1] - draw(st.integers(0, 2)), -(2**63))
+    return xyz, np.array(index, np.int64)
+
+
+def _outcome(build):
+    """None if ``build()`` returns, else the type, attributes and message of the CalibrationError it raises."""
+    try:
+        build()
+    except CalibrationError as exc:
+        return type(exc), *(getattr(exc, name, None) for name in ("frame_index", "joint", "field")), str(exc)
+    return None
+
+
+class TestValidByConstruction:
+    """A capture that ``validate_sequence`` rejects cannot be built, and raises what it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(capture_arrays())
+    def test_every_way_in_validates(self, arrays):
+        xyz, index = arrays
+        expected = _outcome(lambda: validate_sequence(_Arrays(xyz, index)))
+        assert _outcome(lambda: CaptureSequence(xyz, index, GaitDirection.VERTICAL)) == expected
+        assert _outcome(lambda: CaptureSequence.adopt(xyz.copy(), index.copy(), GaitDirection.VERTICAL)) == expected
+        if len(index) and _outcome(lambda: validate_sequence(_Arrays(np.zeros_like(xyz), index))) is None:
+            base = CaptureSequence(np.zeros_like(xyz), index, GaitDirection.VERTICAL)
+            assert _outcome(lambda: base.with_xyz(xyz.copy())) == expected
+
+    def test_rejected_arrays_stay_writable(self):
+        xyz, index = make_xyz(2), np.array([0, 0])
+        with pytest.raises(NonMonotonicFrameIndexError):
+            CaptureSequence.adopt(xyz, index, GaitDirection.VERTICAL)
+        assert xyz.flags.writeable and index.flags.writeable
+
+    def test_only_skeleton_calls_validate_sequence(self):
+        """Every other module relies on the type: no stage checks a capture again."""
+        package = Path(skelcal.__file__).parent
+        users = {
+            path.name
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if "validate_sequence"
+            in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        }
+        assert users == {"skeleton.py"}
 
 
 class TestJointTrack:
