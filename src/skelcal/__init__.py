@@ -30,6 +30,7 @@ _EXPORTS = {
     "TiltParams": "tilt",
     "aggregate_inclination": "tilt",
     "distort_tilt": "tilt",
+    "estimate_tilt": "tilt",
     "frame_inclination": "tilt",
     "gait_inclination": "tilt",
     "tilt_correct_point": "tilt",

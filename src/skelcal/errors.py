@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class CalibrationError(Exception):
     """Base class for all skelcal errors.
 
-    ``stage`` is set by the pipeline when an error propagates out of a named
-    calibration stage, and ``path`` by the file readers when an error comes
-    from a file's contents, so callers see where a run failed without losing
-    the concrete exception type.
+    ``stage`` names the calibration stage an error propagated out of, and
+    ``path`` the file whose contents it came from; ``tagged`` sets both, so
+    callers see where a run failed without losing the concrete exception type.
     """
 
     stage: str | None = None
@@ -22,6 +24,19 @@ class CalibrationError(Exception):
         if self.stage:
             return f"[stage: {self.stage}] {base}"
         return base
+
+
+@contextmanager
+def tagged(*, stage: str | None = None, path: str | None = None) -> Iterator[None]:
+    """Set the given ``stage`` or ``path`` on any CalibrationError raised in the block, and re-raise it."""
+    try:
+        yield
+    except CalibrationError as exc:
+        if stage is not None:
+            exc.stage = stage
+        if path is not None:
+            exc.path = path
+        raise
 
 
 # -- sequence validation ----------------------------------------------------

@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    IoFailureError,
-    MissingJointError,
-    ParseError,
-    SchemaError,
-)
+from .errors import IoFailureError, MissingJointError, ParseError, SchemaError, tagged
 from .numerics import Polynomial
 from .perspective import BetaModel, BetaPoint
 from .pipeline import CalibrationProfile
@@ -237,7 +231,7 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
-    try:
+    with tagged(path=str(path)):
         if parsed is None and b"\r\n" in data:
             parsed = _parse_stream(io.BytesIO(data.replace(b"\r\n", b"\n")))
         if parsed is None:
@@ -247,13 +241,6 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
             parsed = _parse_lines(lines)
         xyz, frame_indices = parsed
         return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
-    except CalibrationError as exc:
-        raise _in_file(exc, path)
-
-
-def _in_file(exc: CalibrationError, path: Path) -> CalibrationError:
-    exc.path = str(path)
-    return exc
 
 
 def _decode_text(data: bytes) -> str:
@@ -538,11 +525,10 @@ def read_profile(path: str | Path) -> CalibrationProfile:
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _in_file(SchemaError("<document>", f"not valid text: {exc}"), path) from exc
-    try:
+        with tagged(path=str(path)):
+            raise SchemaError("<document>", f"not valid text: {exc}") from exc
+    with tagged(path=str(path)):
         return _parse_profile(text)
-    except CalibrationError as exc:
-        raise _in_file(exc, path)
 
 
 def _parse_profile(text: str) -> CalibrationProfile:

@@ -8,13 +8,12 @@ identical inputs yield an identical profile and identical corrected output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, EmptyInputError, MixedSignAnglesError
+from .errors import EmptyInputError, tagged
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
@@ -23,24 +22,7 @@ from .perspective import (
     perspective_correct_xyz,
 )
 from .skeleton import CaptureSequence, JointIndex
-from .tilt import (
-    GaitInclination,
-    TiltParams,
-    aggregate_inclination,
-    gait_inclination,
-    tilt_correct_sequence,
-    tilt_correct_xyz,
-)
-
-#: Gait means all below this magnitude are treated as an untilted sensor.
-NEAR_ZERO_TILT_RAD = 1e-4
-#: Gait means of both signs, each within this many standard errors of its
-#: per-frame estimates from zero, are treated as an untilted sensor too. On
-#: level 90-frame gaits with 5 mm noise, |mean| / standard error had an RMS of
-#: 1.00 and a maximum of 2.97 over 300 seeds, so the standard error is the
-#: noise scale of the mean, and a level gait passes 5 of them about once in
-#: 1.7 million gaits.
-NEAR_ZERO_STANDARD_ERRORS = 5.0
+from .tilt import TiltParams, estimate_tilt, gait_inclination, tilt_correct_sequence, tilt_correct_xyz
 
 
 @dataclass(frozen=True)
@@ -69,22 +51,6 @@ class CalibrationProfile:
             raise ValueError("profile must come from at least one gait")
 
 
-def _near_zero(gait: GaitInclination) -> bool:
-    """Whether a gait's mean inclination cannot be told from zero.
-
-    That is below NEAR_ZERO_TILT_RAD, or within NEAR_ZERO_STANDARD_ERRORS
-    standard errors of the gait's per-frame estimates.
-    """
-    n = len(gait.per_frame_rad)
-    standard_error = float(np.std(gait.per_frame_rad, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return abs(gait.mean_rad) < max(NEAR_ZERO_TILT_RAD, NEAR_ZERO_STANDARD_ERRORS * standard_error)
-
-
-def _staged(exc: CalibrationError, stage: str) -> CalibrationError:
-    exc.stage = stage
-    return exc
-
-
 def calibrate(
     vertical_gaits: Sequence[CaptureSequence],
     sensor_height_m: float,
@@ -93,15 +59,11 @@ def calibrate(
 ) -> CalibrationProfile:
     """Run both calibration stages over the vertical calibration gaits.
 
-    Estimates the per-gait inclination means, aggregates them, tilt-corrects
-    every gait with the aggregate and the measured sensor height, estimates
-    per-joint perspective angles from the corrected gaits, and fits the
-    height polynomial. When every gait mean is below the near-zero threshold
-    the sensor is treated as untilted and the aggregation step is skipped
-    (its geometric mean is meaningless at the noise floor). So it is when the
-    means disagree in sign but none can be told from zero (see
-    ``_near_zero``): tracking noise alone scatters a level sensor's means
-    about 0. Means of one sign are always aggregated, however small.
+    Estimates the sensor tilt from the per-gait inclinations (see
+    ``estimate_tilt``), tilt-corrects every gait with it and the measured
+    sensor height, estimates per-joint perspective angles from the corrected
+    gaits, and fits the height polynomial. An error raised in a stage names
+    it: "tilt-estimation", "tilt-correction" or "perspective-estimation".
 
     The gaits need no check of their own, since every ``CaptureSequence`` is
     valid. A negative or non-finite ``sensor_height_m`` is a ValueError,
@@ -111,30 +73,13 @@ def calibrate(
         raise EmptyInputError("no calibration gaits given")
     TiltParams(0.0, sensor_height_m)  # rejects a negative or non-finite height before estimation
 
-    try:
-        estimates = [gait_inclination(g) for g in vertical_gaits]
-        means = [e.mean_rad for e in estimates]
-        if all(abs(m) < NEAR_ZERO_TILT_RAD for m in means):
-            tilt_rad = 0.0
-        else:
-            try:
-                tilt_rad = aggregate_inclination(means)
-            except MixedSignAnglesError:
-                if not all(map(_near_zero, estimates)):
-                    raise
-                tilt_rad = 0.0
-    except CalibrationError as exc:
-        raise _staged(exc, "tilt-estimation")
-
-    tilt = TiltParams(tilt_rad, sensor_height_m)
-    corrected = [tilt_correct_sequence(g, tilt) for g in vertical_gaits]
-
-    try:
-        points = mean_perspective_degrees(corrected, config.beta_joints)
-        beta = fit_beta_model(points, config.beta_degree)
-    except CalibrationError as exc:
-        raise _staged(exc, "perspective-estimation")
-
+    with tagged(stage="tilt-estimation"):
+        tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in vertical_gaits]), sensor_height_m)
+    # an overflow is reported as the NonFiniteCoordinateError of the corrected gait, not as a warning
+    with tagged(stage="tilt-correction"), np.errstate(over="ignore", invalid="ignore"):
+        corrected = [tilt_correct_sequence(g, tilt) for g in vertical_gaits]
+    with tagged(stage="perspective-estimation"):
+        beta = fit_beta_model(mean_perspective_degrees(corrected, config.beta_joints), config.beta_degree)
     return CalibrationProfile(tilt, beta, len(vertical_gaits), created_label)
 
 
@@ -146,6 +91,8 @@ def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureS
     into one fresh array; the result is bit-identical to
     ``perspective_correct_sequence(tilt_correct_sequence(seq, tilt), beta)``.
     Like any ``CaptureSequence``, the result is validated as it is built, so
-    a correction that overflows raises ``NonFiniteCoordinateError``.
+    a correction that overflows raises ``NonFiniteCoordinateError``, tagged
+    with the stage "correction", and no numpy warning.
     """
-    return seq.with_xyz(perspective_correct_xyz(tilt_correct_xyz(seq.xyz, profile.tilt), profile.beta))
+    with tagged(stage="correction"), np.errstate(over="ignore", invalid="ignore"):
+        return seq.with_xyz(perspective_correct_xyz(tilt_correct_xyz(seq.xyz, profile.tilt), profile.beta))

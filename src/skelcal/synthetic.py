@@ -23,6 +23,10 @@ _J = JointIndex
 
 #: Frame rate of generated captures, Hz: it sets how many gait cycles a walk holds.
 FRAME_RATE_HZ = 30.0
+#: Stride length of every generated walk, meters: it sets the leg swing amplitude.
+STRIDE_LENGTH_M = 0.3
+#: Step frequency of every generated walk, Hz.
+STEP_FREQUENCY_HZ = 3.3
 #: Label of every generated ground-truth capture.
 TRUTH_LABEL = "synthetic-truth"
 
@@ -68,11 +72,9 @@ _ARM_CHAINS = (
 
 @dataclass(frozen=True)
 class BodyTemplate:
-    """Rigid rest pose (25 offsets from the base of the spine) plus gait cadence."""
+    """Rigid rest pose: 25 offsets from the base of the spine."""
 
     joint_offsets: tuple[Point3, ...]
-    stride_length_m: float = 0.3
-    step_frequency_hz: float = 3.3
 
     def __post_init__(self):
         if len(self.joint_offsets) != JOINT_COUNT:
@@ -87,8 +89,6 @@ class BodyTemplate:
         for edge in SKELETON_EDGES:
             if math.dist(off[edge.parent], off[edge.child]) <= 0.0:
                 raise ValueError(f"zero-length bone {edge.parent.name}->{edge.child.name}")
-        if self.stride_length_m < 0 or self.step_frequency_hz <= 0:
-            raise ValueError("stride length must be >= 0 and step frequency > 0")
 
     @property
     def pelvis_height_m(self) -> float:
@@ -156,10 +156,10 @@ def generate_truth_capture(
     pelvis_y = template.pelvis_height_m
     duration_s = (frames - 1) / FRAME_RATE_HZ
     if path_length > 0:
-        cycles = max(1, round(duration_s * template.step_frequency_hz / 2))
+        cycles = max(1, round(duration_s * STEP_FREQUENCY_HZ / 2))
         off = template.joint_offsets
         leg_len = abs(off[_J.ANKLE_LEFT].y - off[_J.HIP_LEFT].y)
-        leg_amp = math.asin(min(1.0, template.stride_length_m / 2 / leg_len))
+        leg_amp = math.asin(min(1.0, STRIDE_LENGTH_M / 2 / leg_len))
     else:
         cycles, leg_amp = 0, 0.0
     arm_amp = leg_amp / 2

@@ -28,6 +28,15 @@ from .skeleton import CaptureSequence, JointIndex, Point3
 
 #: Minimum spine height difference for a usable inclination estimate.
 MIN_SPINE_RISE_M = 1e-6
+#: Gait means all below this magnitude are treated as an untilted sensor.
+NEAR_ZERO_TILT_RAD = 1e-4
+#: Gait means of both signs, each within this many standard errors of its
+#: per-frame estimates from zero, are treated as an untilted sensor too. On
+#: level 90-frame gaits with 5 mm noise, |mean| / standard error had an RMS of
+#: 1.00 and a maximum of 2.97 over 300 seeds, so the standard error is the
+#: noise scale of the mean, and a level gait passes 5 of them about once in
+#: 1.7 million gaits.
+NEAR_ZERO_STANDARD_ERRORS = 5.0
 
 
 class TiltModel(Enum):
@@ -121,6 +130,40 @@ def aggregate_inclination(gait_means: Sequence[float]) -> float:
     if len(signs) > 1:
         raise MixedSignAnglesError(f"gait means disagree in sign: {list(gait_means)}")
     return math.copysign(geometric_mean([abs(m) for m in gait_means]), gait_means[0])
+
+
+def _near_zero(gait: GaitInclination) -> bool:
+    """Whether a gait's mean inclination cannot be told from zero.
+
+    That is below NEAR_ZERO_TILT_RAD, or within NEAR_ZERO_STANDARD_ERRORS
+    standard errors of the gait's per-frame estimates.
+    """
+    n = len(gait.per_frame_rad)
+    standard_error = float(np.std(gait.per_frame_rad, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return abs(gait.mean_rad) < max(NEAR_ZERO_TILT_RAD, NEAR_ZERO_STANDARD_ERRORS * standard_error)
+
+
+def estimate_tilt(estimates: Sequence[GaitInclination]) -> float:
+    """The sensor tilt from per-gait inclinations: ``aggregate_inclination`` of
+    their means, or 0 for a level sensor.
+
+    When every gait mean is below NEAR_ZERO_TILT_RAD the sensor is treated as
+    untilted and aggregation is skipped (its geometric mean is meaningless at
+    the noise floor). So it is when the means disagree in sign but none can be
+    told from zero (see ``_near_zero``): tracking noise alone scatters a level
+    sensor's means about 0. Means of one sign are always aggregated, however
+    small; means of both signs of which one can be told from zero raise
+    MixedSignAnglesError.
+    """
+    means = [e.mean_rad for e in estimates]
+    if means and all(abs(m) < NEAR_ZERO_TILT_RAD for m in means):
+        return 0.0
+    try:
+        return aggregate_inclination(means)
+    except MixedSignAnglesError:
+        if not all(map(_near_zero, estimates)):
+            raise
+        return 0.0
 
 
 def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:

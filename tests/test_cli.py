@@ -5,6 +5,9 @@ import pytest
 
 from skelcal import (
     JOINT_COUNT,
+    BetaModel,
+    BetaPoint,
+    CalibrationProfile,
     CaptureSequence,
     DistortionSpec,
     GaitDirection,
@@ -12,6 +15,7 @@ from skelcal import (
     PipelineConfig,
     Polynomial,
     TiltModel,
+    TiltParams,
     apply_distortion,
     calibrate,
     default_template,
@@ -19,6 +23,7 @@ from skelcal import (
     read_capture,
     read_profile,
     write_capture,
+    write_profile,
 )
 from skelcal.cli import _median_foot_y, main
 
@@ -302,6 +307,33 @@ class TestCalibrateApplyDiagnose:
         code = run("apply", "--profile", bad, "--in", captures[0], "--out", tmp_path / "o.csv")
         assert code != 0
         assert f"SchemaError: {bad}: field " in capsys.readouterr().err
+
+    # an overflow in a correction is one error line naming the stage; a numpy warning would raise here
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["apply", "diagnose"])
+    def test_correction_overflow_is_one_tagged_error(self, tmp_path, command, capsys):
+        capture, profile = tmp_path / "huge.csv", tmp_path / "tilt.json"
+        # finite, but tilting it by 0.1 rad overflows its y and z
+        write_capture(CaptureSequence(np.tile((1.0, 1.7e308, 1.7e308), (2, JOINT_COUNT, 1)), [0, 1],
+                                      GaitDirection.VERTICAL), capture)
+        beta = BetaModel(Polynomial((0.0,)), 0, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),))
+        write_profile(CalibrationProfile(TiltParams(0.1, 0.0), beta, 1), profile)
+        assert run(command, "--profile", profile, "--in", capture, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteCoordinateError: [stage: correction] non-finite coordinate at frame 0, joint 0, field y\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_tilt_correction_overflow_is_one_tagged_error(self, tmp_path, captures, capsys):
+        seq = read_capture(captures[0], GaitDirection.VERTICAL)
+        xyz = seq.xyz.copy()
+        xyz[5, JointIndex.HEAD] = (1.0, 1.7e308, 1.7e308)  # the 7 degree tilt correction overflows it
+        huge = tmp_path / "huge.csv"
+        write_capture(CaptureSequence(xyz, seq.frame_index, seq.direction), huge)
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", huge, *captures[1:3]) == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteCoordinateError: [stage: tilt-correction] non-finite coordinate at frame 5, joint 3, field y\n"
+        )
 
 
 class TestMedianFootY:

@@ -167,17 +167,30 @@ class TestValidByConstruction:
             CaptureSequence.adopt(xyz, index, GaitDirection.VERTICAL)
         assert xyz.flags.writeable and index.flags.writeable
 
-    def test_only_skeleton_calls_validate_sequence(self):
-        """Every other module relies on the type: no stage checks a capture again."""
+    @pytest.mark.parametrize(
+        "name, owner",
+        [
+            # every other module relies on the type: no stage checks a capture again
+            ("validate_sequence", "skeleton.py"),
+            # the level-sensor rule and the aggregate it guards
+            ("NEAR_ZERO_TILT_RAD", "tilt.py"),
+            ("NEAR_ZERO_STANDARD_ERRORS", "tilt.py"),
+            ("_near_zero", "tilt.py"),
+            ("aggregate_inclination", "tilt.py"),
+            # only errors.tagged sets where an error happened
+            ("stage", "errors.py"),
+        ],
+    )
+    def test_only_the_owner_names(self, name, owner):
+        """One module owns each rule: no other module names it."""
         package = Path(skelcal.__file__).parent
         users = {
             path.name
             for path in package.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
-            if "validate_sequence"
-            in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         }
-        assert users == {"skeleton.py"}
+        assert users == {owner}
 
 
 class TestJointTrack:

@@ -8,11 +8,13 @@ from hypothesis.extra.numpy import arrays
 from skelcal import (
     CaptureSequence,
     GaitDirection,
+    GaitInclination,
     JOINT_COUNT,
     Point3,
     TiltModel,
     TiltParams,
     aggregate_inclination,
+    estimate_tilt,
     frame_inclination,
     gait_inclination,
     tilt_correct_point,
@@ -119,6 +121,39 @@ class TestAggregateInclination:
     @given(st.floats(min_value=1e-4, max_value=0.4), st.integers(min_value=1, max_value=10))
     def test_n_copies_of_same_angle(self, angle, n):
         assert aggregate_inclination([angle] * n) == pytest.approx(angle, abs=1e-12)
+
+
+def gait(*per_frame_rad):
+    """A GaitInclination of these per-frame estimates; two frames (0, 2m) have mean m and standard error |m|."""
+    return GaitInclination(per_frame_rad, sum(per_frame_rad) / len(per_frame_rad))
+
+
+class TestEstimateTilt:
+    """One case per branch of the level-sensor rule, on hand-built gait inclinations."""
+
+    @pytest.mark.parametrize(
+        "gaits, expected",
+        [
+            # mixed signs, every mean below 1e-4: level
+            ([gait(5e-5), gait(-5e-5)], 0.0),
+            # one sign, each mean above 1e-4 and within 5 standard errors: aggregated all the same
+            ([gait(0.0, -0.004), gait(0.0, -0.016)], pytest.approx(-0.004, rel=1e-12)),
+            # mixed signs, each mean within 5 standard errors: level
+            ([gait(0.0, 0.004), gait(0.0, -0.004)], 0.0),
+            # mixed signs, and 0.002 rad in every frame lies beyond any multiple of its zero standard error
+            ([gait(0.002, 0.002), gait(0.0, -0.004)], MixedSignAnglesError),
+            ([gait(0.0), gait(0.1)], ZeroAngleError),
+            # a single frame has no standard error, so only the 1e-4 bound counts
+            ([gait(-5e-4), gait(5e-5)], MixedSignAnglesError),
+            ([], EmptyInputError),
+        ],
+    )
+    def test_branches(self, gaits, expected):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                estimate_tilt(gaits)
+        else:
+            assert estimate_tilt(gaits) == expected
 
 
 class TestTiltCorrectPoint:
