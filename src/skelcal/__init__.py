@@ -37,6 +37,7 @@ _EXPORTS = {
     "tilt_correct_sequence": "tilt",
     "BetaModel": "perspective",
     "BetaPoint": "perspective",
+    "beta_points": "perspective",
     "DEFAULT_BETA_JOINTS": "perspective",
     "distort_perspective": "perspective",
     "fit_beta_model": "perspective",

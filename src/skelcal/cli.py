@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import CalibrationError
+from .errors import CalibrationError, tagged
 from .perspective import DEFAULT_BETA_JOINTS
 from .pipeline import PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
@@ -141,8 +141,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    gaits = [fileio.read_capture(path, GaitDirection.VERTICAL) for path in args.captures]
     config = PipelineConfig(beta_degree=args.degree, beta_joints=args.joints)
+    # calibrate reads each gait as it gets to it and keeps only what it estimates from
+    gaits = (fileio.read_capture(path, GaitDirection.VERTICAL) for path in args.captures)
     profile = calibrate(gaits, args.sensor_height, config, created_label=args.label)
     fileio.write_profile(profile, args.out_profile)
     print(
@@ -191,8 +192,9 @@ def cmd_diagnose(args) -> int:
         seq = apply_profile(seq, fileio.read_profile(args.profile))
 
     # every report is built before any is written, so a failure leaves no partial output
-    series = None if args.report == "bones" else y_diff_to_last(seq, args.joints)
-    bones = None if args.report == "ydiff" else bone_length_stability(seq)
+    with tagged(stage="diagnostics"):
+        series = None if args.report == "bones" else y_diff_to_last(seq, args.joints)
+        bones = None if args.report == "ydiff" else bone_length_stability(seq)
     stem = args.out.with_suffix("")
     if series is not None:
         path = Path(f"{stem}_ydiff.csv") if bones is not None else args.out

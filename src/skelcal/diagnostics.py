@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TooFewFramesError
+from .errors import MeasureOverflowError, TooFewFramesError
 from .perspective import DEFAULT_BETA_JOINTS
 from .skeleton import SKELETON_EDGES, CaptureSequence, JointIndex, SkeletonEdge
 
@@ -61,11 +61,19 @@ def y_diff_to_last(
 ) -> list[DiffSeries]:
     """For each joint, the series y(frame k) - y(last frame); last entry is 0.
 
-    The series are the rows of one (joints, frames) array.
+    The series are the rows of one (joints, frames) array. A difference
+    beyond float64's range raises MeasureOverflowError at its first frame.
     """
     idx = [JointIndex(j) for j in joints]
     diffs = seq.xyz[:, :, 1].T[idx]
-    diffs -= diffs[:, -1:]
+    with np.errstate(over="ignore"):
+        diffs -= diffs[:, -1:]
+    bad = np.argwhere(~np.isfinite(diffs.T))
+    if bad.size:
+        frame, k = bad[0].tolist()
+        raise MeasureOverflowError(
+            f"y - y_last of joint {int(idx[k])} overflows at frame {int(seq.frame_index[frame])}"
+        )
     diffs.flags.writeable = False
     return [DiffSeries(j, d) for j, d in zip(idx, diffs)]
 
@@ -81,24 +89,36 @@ def bone_lengths(joints: Sequence[Sequence[float]]) -> list[tuple[SkeletonEdge, 
 
 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
-    """Per-edge mean, standard deviation, and max deviation of bone lengths."""
+    """Per-edge mean, standard deviation, and max deviation of bone lengths.
+
+    A statistic beyond float64's range raises MeasureOverflowError naming the
+    edge and the frame that deviates most (or first overflows) on it.
+    """
     if len(seq) < 2:
         raise TooFewFramesError("bone-length stability needs at least 2 frames")
     parents = [int(e.parent) for e in SKELETON_EDGES]
     children = [int(e.child) for e in SKELETON_EDGES]
     # (edges, frames) arrays: each edge's lengths are contiguous, so numpy sums them pairwise
     lengths = np.zeros((len(SKELETON_EDGES), len(seq)))
-    for coordinate in seq.xyz.T:
-        step = coordinate[parents] - coordinate[children]
-        step *= step
-        lengths += step
-    np.sqrt(lengths, out=lengths)
-    mean = lengths.mean(axis=1)
-    # numpy's std, from the deviations that also give the largest one
-    dev = np.subtract(lengths, mean[:, None], out=lengths)
-    max_dev = np.abs(dev).max(axis=1)
-    dev *= dev
-    std = np.sqrt(dev.sum(axis=1) / len(seq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coordinate in seq.xyz.T:
+            step = coordinate[parents] - coordinate[children]
+            step *= step
+            lengths += step
+        np.sqrt(lengths, out=lengths)
+        mean = lengths.mean(axis=1)
+        # numpy's std, from the deviations that also give the largest one
+        dev = np.subtract(lengths, mean[:, None], out=lengths)
+        max_dev = np.abs(dev).max(axis=1)
+        dev *= dev
+        std = np.sqrt(dev.sum(axis=1) / len(seq))
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        edge = SKELETON_EDGES[bad[0]]
+        frame = int(seq.frame_index[np.argmax(dev[bad[0]])])  # a NaN, where there is one, comes first
+        raise MeasureOverflowError(
+            f"length of bone {int(edge.parent)}-{int(edge.child)} overflows at frame {frame}"
+        )
     return StabilityReport(
         tuple(
             EdgeStability(edge, m, s, d)

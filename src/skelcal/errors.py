@@ -119,6 +119,12 @@ class NoUsableGaitsError(CalibrationError):
         self.joint = joint
 
 
+# -- diagnostics -------------------------------------------------------------
+
+class MeasureOverflowError(CalibrationError):
+    """A diagnostic measure of finite coordinates that is beyond float64's range."""
+
+
 # -- synthetic generation ----------------------------------------------------
 
 class InvalidScenarioError(CalibrationError):

@@ -109,27 +109,34 @@ def mean_perspective_degrees(
     seqs: Sequence[CaptureSequence],
     joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS,
 ) -> list[BetaPoint]:
-    """Per-joint mean perspective angles across the vertical calibration gaits.
-
-    Each joint's angle is averaged over the gaits where it was computable; its
-    representative height is the joint's mean Y over all frames of all vertical
-    gaits. Points come back ordered top to bottom by height.
-    """
+    """Per-joint mean perspective angles across the vertical calibration gaits:
+    ``beta_points`` of the vertical gaits' ``xyz[:, joints]``."""
     joints = [JointIndex(j) for j in joints]
-    vertical = [s for s in seqs if s.direction is GaitDirection.VERTICAL]
-    if not vertical:
+    return beta_points([s.xyz[:, joints] for s in seqs if s.direction is GaitDirection.VERTICAL], joints)
+
+
+def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> list[BetaPoint]:
+    """Per-joint mean perspective angles from tilt-corrected vertical gaits' slices ``xyz[:, joints]``.
+
+    A joint's angle is ``joint_perspective_degree``'s, averaged over the gaits
+    where it was computable; its height is its mean Y over all frames of all
+    slices. Points come back ordered top to bottom by height. No slice at all
+    raises WrongDirectionError: no gait is vertical.
+    """
+    if not slices:
         raise WrongDirectionError("no vertical gait among the calibration sequences")
+    ends = [s[[0, -1]].tolist() for s in slices]
     points = []
-    for idx in joints:
+    for k, idx in enumerate(joints):
         betas = []
-        for seq in vertical:
-            try:
-                betas.append(joint_perspective_degree(seq, idx))
-            except InsufficientDepthTravelError:
-                continue
+        for first, last in ends:
+            (_, y_first, z_first), (_, y_last, z_last) = first[k], last[k]
+            depth_travel = z_first - z_last
+            if abs(depth_travel) > MIN_DEPTH_TRAVEL_M:
+                betas.append(math.atan((y_last - y_first) / depth_travel))
         if not betas:
             raise NoUsableGaitsError(idx)
-        heights = np.concatenate([seq.xyz[:, idx, 1] for seq in vertical]).tolist()
+        heights = np.concatenate([s[:, k, 1] for s in slices]).tolist()
         points.append(BetaPoint(idx, arithmetic_mean(heights), arithmetic_mean(betas)))
     points.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
     return points

@@ -9,20 +9,20 @@ identical inputs yield an identical profile and identical corrected output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInputError, tagged
+from .errors import EmptyInputError, NonFiniteCoordinateError, tagged
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
+    beta_points,
     fit_beta_model,
-    mean_perspective_degrees,
     perspective_correct_xyz,
 )
-from .skeleton import CaptureSequence, JointIndex
-from .tilt import TiltParams, estimate_tilt, gait_inclination, tilt_correct_sequence, tilt_correct_xyz
+from .skeleton import CaptureSequence, GaitDirection, JointIndex
+from .tilt import TiltParams, estimate_tilt, gait_inclination, tilt_correct_xyz
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,11 @@ class PipelineConfig:
     def __post_init__(self):
         if not 1 <= self.beta_degree <= 6:
             raise ValueError(f"beta_degree must be in [1, 6], got {self.beta_degree}")
-        object.__setattr__(self, "beta_joints", tuple(JointIndex(j) for j in self.beta_joints))
+        joints = tuple(JointIndex(j) for j in self.beta_joints)
+        for i, j in enumerate(joints):
+            if j in joints[:i]:
+                raise ValueError(f"joint {int(j)} is listed twice in beta_joints")
+        object.__setattr__(self, "beta_joints", joints)
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class CalibrationProfile:
 
 
 def calibrate(
-    vertical_gaits: Sequence[CaptureSequence],
+    vertical_gaits: Iterable[CaptureSequence],
     sensor_height_m: float,
     config: PipelineConfig = PipelineConfig(),
     created_label: str = "",
@@ -60,27 +64,46 @@ def calibrate(
     """Run both calibration stages over the vertical calibration gaits.
 
     Estimates the sensor tilt from the per-gait inclinations (see
-    ``estimate_tilt``), tilt-corrects every gait with it and the measured
+    ``estimate_tilt``), tilt-corrects the gaits with it and the measured
     sensor height, estimates per-joint perspective angles from the corrected
     gaits, and fits the height polynomial. An error raised in a stage names
     it: "tilt-estimation", "tilt-correction" or "perspective-estimation".
 
-    The gaits need no check of their own, since every ``CaptureSequence`` is
-    valid. A negative or non-finite ``sensor_height_m`` is a ValueError,
-    raised by ``TiltParams`` before any estimation runs.
+    ``vertical_gaits`` may be any iterable; it is read once, keeping of each
+    gait its inclinations and the slice ``xyz[:, config.beta_joints]``, which
+    alone is corrected. A negative or non-finite ``sensor_height_m`` is a
+    ValueError, raised by ``TiltParams`` before the first gait is read.
     """
-    if len(vertical_gaits) == 0:
-        raise EmptyInputError("no calibration gaits given")
     TiltParams(0.0, sensor_height_m)  # rejects a negative or non-finite height before estimation
-
+    joints = list(config.beta_joints)
+    inclinations, kept = [], []
+    for gait in vertical_gaits:  # read outside the stage tags: a file's own error names no stage
+        with tagged(stage="tilt-estimation"):
+            inclinations.append(gait_inclination(gait))
+        kept.append((gait.direction, gait.frame_index, gait.xyz[:, joints]))
+        del gait  # not held while the next one is read
+    if not kept:
+        raise EmptyInputError("no calibration gaits given")
     with tagged(stage="tilt-estimation"):
-        tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in vertical_gaits]), sensor_height_m)
-    # an overflow is reported as the NonFiniteCoordinateError of the corrected gait, not as a warning
+        tilt = TiltParams(estimate_tilt(inclinations), sensor_height_m)
+    # an overflow is reported as a NonFiniteCoordinateError, not as a warning
     with tagged(stage="tilt-correction"), np.errstate(over="ignore", invalid="ignore"):
-        corrected = [tilt_correct_sequence(g, tilt) for g in vertical_gaits]
+        for i, (direction, frame_index, xyz) in enumerate(kept):
+            kept[i] = direction, frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
+            _check_finite(kept[i][2], frame_index, joints)
     with tagged(stage="perspective-estimation"):
-        beta = fit_beta_model(mean_perspective_degrees(corrected, config.beta_joints), config.beta_degree)
-    return CalibrationProfile(tilt, beta, len(vertical_gaits), created_label)
+        vertical = [xyz for direction, _, xyz in kept if direction is GaitDirection.VERTICAL]
+        beta = fit_beta_model(beta_points(vertical, joints), config.beta_degree)
+    return CalibrationProfile(tilt, beta, len(kept), created_label)
+
+
+def _check_finite(xyz: np.ndarray, frame_index: np.ndarray, joints: list[JointIndex]) -> None:
+    """Raise NonFiniteCoordinateError in a gait's ``xyz[:, joints]`` as ``validate_sequence`` would."""
+    finite = np.isfinite(xyz)
+    bad = np.flatnonzero(~finite.all(axis=(1, 2)))
+    if bad.size:
+        joint, axis = min((int(joints[j]), axis) for j, axis in np.argwhere(~finite[bad[0]]).tolist())
+        raise NonFiniteCoordinateError(int(frame_index[bad[0]]), joint, "xyz"[axis])
 
 
 def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureSequence:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from skelcal import (
     write_capture,
     write_profile,
 )
+from skelcal import fileio
 from skelcal.cli import _median_foot_y, main
 
 
@@ -292,7 +295,9 @@ class TestCalibrateApplyDiagnose:
         write_capture(CaptureSequence(seq.xyz[:1], seq.frame_index[:1], seq.direction), one)
         before = set(tmp_path.iterdir())
         assert run("diagnose", "--in", one, "--report", "both", "--out", tmp_path / "report.csv") == 1
-        assert "TooFewFramesError: bone-length stability needs at least 2 frames" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: TooFewFramesError: [stage: diagnostics] bone-length stability needs at least 2 frames\n"
+        )
         assert set(tmp_path.iterdir()) == before
 
     def test_missing_capture_exits_nonzero(self, tmp_path, capsys):
@@ -334,6 +339,74 @@ class TestCalibrateApplyDiagnose:
         assert capsys.readouterr().err == (
             "error: NonFiniteCoordinateError: [stage: tilt-correction] non-finite coordinate at frame 5, joint 3, field y\n"
         )
+
+
+    def test_repeated_calibrate_joint_rejected_before_reading(self, tmp_path, captures, capsys):
+        profile = tmp_path / "p.json"
+        with mock.patch.object(fileio, "read_capture", side_effect=AssertionError("a capture was read")):
+            code = run("calibrate", "--sensor-height", 0.75, "--joints", "3,2,3", "--out-profile", profile, *captures)
+        assert code == 1
+        assert capsys.readouterr().err == "error: joint 3 is listed twice in beta_joints\n"
+        assert not profile.exists()
+
+    def test_diagnose_repeats_a_joint_column(self, tmp_path, captures):
+        report = tmp_path / "report.csv"
+        assert run("diagnose", "--in", captures[0], "--joints", "3,3", "--out", report) == 0
+        assert report.read_text().splitlines()[0] == "frame,head,head"
+
+    def test_bad_sensor_height_reported_before_any_file_is_read(self, tmp_path, capsys):
+        profile = tmp_path / "p.json"
+        assert run("calibrate", "--sensor-height", -1, "--out-profile", profile, tmp_path / "missing.csv") == 1
+        assert capsys.readouterr().err == "error: sensor height must be finite and >= 0, got -1.0\n"
+        assert not profile.exists()
+
+    def test_estimation_error_comes_before_a_later_read_error(self, tmp_path, captures, capsys):
+        seq = read_capture(captures[0], GaitDirection.VERTICAL)
+        xyz = seq.xyz.copy()
+        xyz[:, JointIndex.SPINE_MID, 1] = xyz[:, JointIndex.SPINE_BASE, 1]  # no frame has a usable spine
+        flat = tmp_path / "flat.csv"
+        write_capture(seq.with_xyz(xyz), flat)
+        profile = tmp_path / "p.json"
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, flat, tmp_path / "missing.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: NoUsableFramesError: [stage: tilt-estimation] no frame of 'flat' has a usable spine segment\n"
+        )
+        assert not profile.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ("ydiff", "y - y_last of joint 3 overflows at frame 0"),
+            ("bones", "length of bone 0-1 overflows at frame 1"),
+        ],
+    )
+    def test_diagnostics_overflow_is_one_tagged_error(self, tmp_path, report, message, capsys):
+        xyz = np.ones((2, JOINT_COUNT, 3))
+        xyz[0, :, 1], xyz[1, :, 1] = 1.7e308, -1.7e308  # y drift overflows
+        xyz[1, ::2, 1] = 1.7e308  # and so do bones between joints of opposite sign
+        capture, out = tmp_path / "huge.csv", tmp_path / "report.csv"
+        write_capture(CaptureSequence(xyz, [0, 1], GaitDirection.VERTICAL), capture)
+        assert run("diagnose", "--in", capture, "--report", report, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: MeasureOverflowError: [stage: diagnostics] {message}\n"
+        assert not out.exists()
+
+    def test_calibrate_memory_grows_by_less_than_a_gait_per_gait(self, tmp_path, capsys):
+        """The CLI hands calibrate one gait at a time: reading them all first holds each whole."""
+        gait, truth = tmp_path / "gait.csv", tmp_path / "truth.csv"
+        run("synth", "--frames", 300, "--tilt-deg", 7, "--sensor-height", 0.75, "--noise-std", 0.002,
+            "--out-truth", truth, "--out-raw", gait)
+        gait_bytes = read_capture(gait, GaitDirection.VERTICAL).xyz.nbytes
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", *[gait] * n) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(8) - peak(2)) / 6 < 0.75 * gait_bytes
 
 
 class TestMedianFootY:

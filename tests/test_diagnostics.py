@@ -21,7 +21,7 @@ from skelcal import (
     tilt_correct_sequence,
     y_diff_to_last,
 )
-from skelcal.errors import CalibrationError, EmptySequenceError, TooFewFramesError
+from skelcal.errors import CalibrationError, EmptySequenceError, MeasureOverflowError, TooFewFramesError
 from skelcal.perspective import distort_perspective
 
 
@@ -128,6 +128,35 @@ class TestBoneLengths:
         before = [l for _, l in bone_lengths(frame)]
         after = [l for _, l in bone_lengths(moved)]
         assert after == pytest.approx(before, abs=1e-12)
+
+
+def extreme_seq(frame_ys):
+    """Frames of finite coordinates whose differences overflow: frame k has every joint's y from ``frame_ys[k]``."""
+    xyz = np.ones((len(frame_ys), JOINT_COUNT, 3))
+    xyz[..., 1] = frame_ys
+    return CaptureSequence(xyz, [10 * k + 3 for k in range(len(frame_ys))], GaitDirection.VERTICAL)
+
+
+class TestOverflow:
+    """A measure beyond float64's range is a typed error naming where, never a numpy warning or an inf."""
+
+    def test_y_drift_names_the_joint_and_frame(self):
+        seq = extreme_seq([[1.0] * JOINT_COUNT, [1.7e308] * JOINT_COUNT, [-1.7e308] * JOINT_COUNT])
+        with pytest.raises(MeasureOverflowError, match="^y - y_last of joint 2 overflows at frame 13$"):
+            y_diff_to_last(seq, [JointIndex.NECK, JointIndex.HEAD])
+
+    def test_bone_length_names_the_edge_and_frame(self):
+        alternating = [1.7e308 if j % 2 else -1.7e308 for j in range(JOINT_COUNT)]
+        seq = extreme_seq([[1.0] * JOINT_COUNT, alternating])
+        with pytest.raises(MeasureOverflowError, match="^length of bone 0-1 overflows at frame 13$"):
+            bone_length_stability(seq)
+
+    def test_bone_length_spread_beyond_range(self):
+        """A representable length whose squared deviation is not: the edge and the deviating frame."""
+        ys = np.ones((3, JOINT_COUNT))
+        ys[1, JointIndex.HEAD] = 1e200
+        with pytest.raises(MeasureOverflowError, match="^length of bone 2-3 overflows at frame 13$"):
+            bone_length_stability(extreme_seq(ys))
 
 
 class TestBoneLengthStability:

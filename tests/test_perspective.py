@@ -14,6 +14,8 @@ from skelcal import (
     JOINT_COUNT,
     JointIndex,
     Polynomial,
+    arithmetic_mean,
+    beta_points,
     fit_beta_model,
     joint_perspective_degree,
     mean_perspective_degrees,
@@ -130,6 +132,45 @@ class TestMeanPerspectiveDegrees:
             mean_perspective_degrees([seq], [JointIndex.HEAD, joint])
         with pytest.raises(ValueError, match=f"^{joint} is not a valid JointIndex"):
             joint_perspective_degree(seq, joint)
+
+
+class TestBetaPoints:
+    """beta_points, over joint slices, against the scalar oracle joint_perspective_degree."""
+
+    @given(
+        st.lists(arrays(np.float64, st.tuples(st.integers(2, 4), st.just(JOINT_COUNT), st.just(3)),
+                        elements=st.floats(-5.0, 5.0)), min_size=1, max_size=4),
+        st.lists(st.sampled_from(JointIndex), min_size=1, max_size=6),
+    )
+    def test_matches_the_scalar_oracle(self, xyzs, joints):
+        seqs = [CaptureSequence(xyz, range(len(xyz)), GaitDirection.VERTICAL) for xyz in xyzs]
+        expected = []
+        for j in joints:
+            betas = []
+            for seq in seqs:
+                try:
+                    betas.append(joint_perspective_degree(seq, j))
+                except InsufficientDepthTravelError:
+                    pass
+            if not betas:
+                with pytest.raises(NoUsableGaitsError) as err:
+                    beta_points([s.xyz[:, joints] for s in seqs], joints)
+                assert err.value.joint == j
+                return
+            heights = np.concatenate([s.xyz[:, j, 1] for s in seqs]).tolist()
+            expected.append(BetaPoint(j, arithmetic_mean(heights), arithmetic_mean(betas)))
+        expected.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
+        assert beta_points([s.xyz[:, joints] for s in seqs], joints) == expected
+
+    def test_equals_mean_perspective_degrees_on_the_vertical_gaits(self, truth_walk):
+        raw = distort_perspective(truth_walk, Polynomial((0.02, -0.01)))
+        across = CaptureSequence(raw.xyz, raw.frame_index, GaitDirection.HORIZONTAL)
+        joints = [JointIndex.HEAD, JointIndex.ANKLE_LEFT, JointIndex.HEAD]
+        assert mean_perspective_degrees([raw, across, raw], joints) == beta_points([raw.xyz[:, joints]] * 2, joints)
+
+    def test_no_slices_is_no_vertical_gait(self):
+        with pytest.raises(WrongDirectionError):
+            beta_points([], [JointIndex.HEAD])
 
 
 class TestFitBetaModel:

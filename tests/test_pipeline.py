@@ -1,9 +1,11 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelcal import (
     BetaModel,
@@ -20,12 +22,23 @@ from skelcal import (
     JOINT_COUNT,
     apply_profile,
     calibrate,
+    default_template,
+    estimate_tilt,
+    fit_beta_model,
+    gait_inclination,
     generate_truth_capture,
     max_y_diff,
+    mean_perspective_degrees,
     perspective_correct_sequence,
     tilt_correct_sequence,
 )
-from skelcal.errors import EmptyInputError, MixedSignAnglesError, NonFiniteCoordinateError
+from skelcal.errors import (
+    EmptyInputError,
+    MixedSignAnglesError,
+    NonFiniteCoordinateError,
+    NoUsableGaitsError,
+    WrongDirectionError,
+)
 
 
 def identity_profile():
@@ -41,6 +54,31 @@ def shear_spec(noise_seed=None):
         noise_std_m=0.005 if noise_seed is not None else 0.0,
         seed=noise_seed or 0,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def shear_gait(direction, noise_seed):
+    """A 90-frame walk under shear_spec, cached: distortion is the slow part of a test."""
+    truth = generate_truth_capture(default_template(), direction, 90, 4.5, 1.5)
+    return apply_distortion(truth, shear_spec(noise_seed))
+
+
+def staged_calibration(gaits, height, config):
+    """The stages composed on whole sequences, as calibrate composed them before it kept joint slices."""
+    tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in gaits]), height)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corrected = [tilt_correct_sequence(g, tilt) for g in gaits]
+    beta = fit_beta_model(mean_perspective_degrees(corrected, config.beta_joints), config.beta_degree)
+    return CalibrationProfile(tilt, beta, len(gaits))
+
+
+def tracemalloc_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCalibrate:
@@ -136,6 +174,91 @@ class TestCalibrate:
         profile = calibrate(gaits, 0.75, PipelineConfig(beta_degree=1))
         assert profile.beta.fit_degree == 1
         assert len(profile.beta.poly.coefficients) == 2
+
+
+    @pytest.mark.parametrize("joints", [(3, 3, 3, 2, 20, 1, 0), (JointIndex.HEAD, 2, 3)])
+    def test_config_rejects_a_repeated_joint(self, joints):
+        with pytest.raises(ValueError, match="^joint 3 is listed twice in beta_joints$"):
+            PipelineConfig(beta_joints=joints)
+
+
+class TestCalibrateOnePass:
+    """calibrate reads its gaits once and keeps only the joints its estimators read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 15), min_size=1, max_size=4),
+        horizontal_seed=st.none() | st.integers(0, 3),
+        degree=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_equals_the_staged_composition_bit_for_bit(self, seeds, horizontal_seed, degree, data):
+        gaits = [shear_gait(GaitDirection.VERTICAL, seed) for seed in seeds]
+        if horizontal_seed is not None:
+            gaits.insert(data.draw(st.integers(0, len(gaits))), shear_gait(GaitDirection.HORIZONTAL, horizontal_seed))
+        joints = data.draw(st.lists(st.sampled_from(JointIndex), min_size=degree + 1, max_size=9, unique=True))
+        config = PipelineConfig(beta_degree=degree, beta_joints=joints)
+        staged = staged_calibration(gaits, 0.75, config)
+        for argument in (iter(gaits), gaits):
+            profile = calibrate(argument, 0.75, config)
+            assert repr((profile.tilt, profile.beta, profile.gait_count)) == repr(
+                (staged.tilt, staged.beta, staged.gait_count)
+            )
+
+    def test_no_gaits(self):
+        with pytest.raises(EmptyInputError):
+            calibrate(iter(()), 0.75)
+
+    def test_only_horizontal_gaits(self):
+        gaits = [shear_gait(GaitDirection.HORIZONTAL, seed) for seed in (0, 1)]
+        with pytest.raises(WrongDirectionError) as err:
+            calibrate(iter(gaits), 0.75)
+        assert err.value.stage == "perspective-estimation"
+
+    def test_a_joint_without_depth_travel_in_any_gait(self, truth_walk):
+        xyz = truth_walk.xyz.copy()
+        xyz[-1, JointIndex.KNEE_LEFT, 2] = xyz[0, JointIndex.KNEE_LEFT, 2]  # level sensor: z is not corrected
+        still_knee = truth_walk.with_xyz(xyz)
+        with pytest.raises(NoUsableGaitsError) as err:
+            calibrate(iter([still_knee, still_knee]), 0.0)
+        assert (err.value.joint, err.value.stage) == (JointIndex.KNEE_LEFT, "perspective-estimation")
+
+    @pytest.mark.parametrize(
+        "joints, expected",
+        [
+            ((JointIndex.HEAD,), (5, 3, "y")),
+            ((JointIndex.HEAD, JointIndex.NECK), (5, 2, "y")),  # validate_sequence's order, not the config's
+            ((JointIndex.HAND_LEFT, JointIndex.HEAD), (5, 3, "y")),
+        ],
+    )
+    def test_overflow_in_a_read_joint(self, joints, expected):
+        gaits = [shear_gait(GaitDirection.VERTICAL, seed) for seed in (0, 1, 2)]
+        xyz = gaits[1].xyz.copy()
+        xyz[5, list(joints)] = (1.0, 1.7e308, 1.7e308)  # the 7 degree tilt correction overflows them
+        gaits[1] = gaits[1].with_xyz(xyz)
+        tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in gaits]), 0.75)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteCoordinateError) as whole:
+            tilt_correct_sequence(gaits[1], tilt)
+        with pytest.raises(NonFiniteCoordinateError) as err:
+            calibrate(iter(gaits), 0.75)
+        assert err.value.stage == "tilt-correction"
+        assert (err.value.frame_index, err.value.joint, err.value.field) == expected
+        assert str(err.value) == f"[stage: tilt-correction] {whole.value}"
+
+    def test_overflow_only_in_an_unread_joint_is_ignored(self):
+        gaits = [shear_gait(GaitDirection.VERTICAL, seed) for seed in (0, 1, 2)]
+        xyz = gaits[1].xyz.copy()
+        xyz[5, JointIndex.HAND_LEFT] = (1.0, 1.7e308, 1.7e308)
+        overflowing = gaits[:1] + [gaits[1].with_xyz(xyz)] + gaits[2:]
+        assert calibrate(iter(overflowing), 0.75) == calibrate(gaits, 0.75)
+
+    def test_memory_grows_by_less_than_a_gait_per_gait(self, truth_walk):
+        """Of each gait only 9 of 25 joints and its inclinations are kept: 0.55 of its xyz, measured."""
+        def gaits(n):
+            return (CaptureSequence(truth_walk.xyz, truth_walk.frame_index, truth_walk.direction) for _ in range(n))
+
+        two, eight = (tracemalloc_peak(lambda: calibrate(gaits(n), 0.0)) for n in (2, 8))
+        assert (eight - two) / 6 < 0.75 * truth_walk.xyz.nbytes
 
 
 class TestApplyProfile:
