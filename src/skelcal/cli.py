@@ -142,9 +142,19 @@ def cmd_synth(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = PipelineConfig(beta_degree=args.degree, beta_joints=args.joints)
-    # calibrate reads each gait as it gets to it and keeps only what it estimates from
-    gaits = (fileio.read_capture(path, GaitDirection.VERTICAL) for path in args.captures)
-    profile = calibrate(gaits, args.sensor_height, config, created_label=args.label)
+    holding = [None]  # the file of the gait calibrate holds, until the last one is read
+
+    def gaits():  # calibrate reads each gait as it gets to it and keeps only what it estimates from
+        for path in args.captures:
+            holding[0] = str(path)
+            yield fileio.read_capture(path, GaitDirection.VERTICAL)
+        holding[0] = None
+
+    try:
+        profile = calibrate(gaits(), args.sensor_height, config, created_label=args.label)
+    except CalibrationError as exc:
+        exc.path = holding[0]  # a gait's own error names its file; later errors name none
+        raise
     fileio.write_profile(profile, args.out_profile)
     print(
         f"profile: tilt {math.degrees(profile.tilt.tilt_rad):.4f} deg, "

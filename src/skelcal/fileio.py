@@ -122,7 +122,7 @@ def _atomic_write(path: str | Path, chunks: bytes | Iterable[bytes]) -> None:
     path = Path(path)
     if isinstance(chunks, bytes):
         chunks = (chunks,)
-    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")  # fixed length: any name the target can have fits
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInputError, NonFiniteCoordinateError, tagged
+from .errors import EmptyInputError, tagged
 from .perspective import (
     BetaModel,
     DEFAULT_BETA_JOINTS,
@@ -21,7 +21,7 @@ from .perspective import (
     fit_beta_model,
     perspective_correct_xyz,
 )
-from .skeleton import CaptureSequence, GaitDirection, JointIndex
+from .skeleton import CaptureSequence, GaitDirection, JointIndex, check_finite
 from .tilt import TiltParams, estimate_tilt, gait_inclination, tilt_correct_xyz
 
 
@@ -69,10 +69,10 @@ def calibrate(
     gaits, and fits the height polynomial. An error raised in a stage names
     it: "tilt-estimation", "tilt-correction" or "perspective-estimation".
 
-    ``vertical_gaits`` may be any iterable; it is read once, keeping of each
-    gait its inclinations and the slice ``xyz[:, config.beta_joints]``, which
-    alone is corrected. A negative or non-finite ``sensor_height_m`` is a
-    ValueError, raised by ``TiltParams`` before the first gait is read.
+    ``vertical_gaits`` may be any iterable; it is read once, keeping of each gait its
+    inclinations and, if it is vertical, the slice ``xyz[:, config.beta_joints]``, which alone
+    is corrected and checked by ``validate_sequence``'s rule. A negative or non-finite
+    ``sensor_height_m`` is a ValueError, raised by ``TiltParams`` before the first gait is read.
     """
     TiltParams(0.0, sensor_height_m)  # rejects a negative or non-finite height before estimation
     joints = list(config.beta_joints)
@@ -80,30 +80,21 @@ def calibrate(
     for gait in vertical_gaits:  # read outside the stage tags: a file's own error names no stage
         with tagged(stage="tilt-estimation"):
             inclinations.append(gait_inclination(gait))
-        kept.append((gait.direction, gait.frame_index, gait.xyz[:, joints]))
+        if gait.direction is GaitDirection.VERTICAL:
+            kept.append((gait.frame_index, gait.xyz[:, joints]))
         del gait  # not held while the next one is read
-    if not kept:
+    if not inclinations:
         raise EmptyInputError("no calibration gaits given")
     with tagged(stage="tilt-estimation"):
         tilt = TiltParams(estimate_tilt(inclinations), sensor_height_m)
     # an overflow is reported as a NonFiniteCoordinateError, not as a warning
     with tagged(stage="tilt-correction"), np.errstate(over="ignore", invalid="ignore"):
-        for i, (direction, frame_index, xyz) in enumerate(kept):
-            kept[i] = direction, frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
-            _check_finite(kept[i][2], frame_index, joints)
+        for i, (frame_index, xyz) in enumerate(kept):
+            kept[i] = frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
+            check_finite(kept[i][1], frame_index, joints)
     with tagged(stage="perspective-estimation"):
-        vertical = [xyz for direction, _, xyz in kept if direction is GaitDirection.VERTICAL]
-        beta = fit_beta_model(beta_points(vertical, joints), config.beta_degree)
-    return CalibrationProfile(tilt, beta, len(kept), created_label)
-
-
-def _check_finite(xyz: np.ndarray, frame_index: np.ndarray, joints: list[JointIndex]) -> None:
-    """Raise NonFiniteCoordinateError in a gait's ``xyz[:, joints]`` as ``validate_sequence`` would."""
-    finite = np.isfinite(xyz)
-    bad = np.flatnonzero(~finite.all(axis=(1, 2)))
-    if bad.size:
-        joint, axis = min((int(joints[j]), axis) for j, axis in np.argwhere(~finite[bad[0]]).tolist())
-        raise NonFiniteCoordinateError(int(frame_index[bad[0]]), joint, "xyz"[axis])
+        beta = fit_beta_model(beta_points([xyz for _, xyz in kept], joints), config.beta_degree)
+    return CalibrationProfile(tilt, beta, len(inclinations), created_label)
 
 
 def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureSequence:

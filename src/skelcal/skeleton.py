@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,6 +204,18 @@ def _first_true(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else len(mask)
 
 
+def check_finite(
+    xyz: np.ndarray, frame_index: np.ndarray, joints: Sequence[int] = range(JOINT_COUNT)
+) -> None:
+    """Raise NonFiniteCoordinateError at the first frame of ``xyz`` with a non-finite value,
+    naming its lowest such joint and then field; ``xyz[:, k]`` holds joint ``joints[k]``."""
+    finite = np.isfinite(xyz)
+    bad = _first_true(~finite.all(axis=(1, 2)))
+    if bad < len(xyz):
+        joint, axis = min((int(joints[k]), axis) for k, axis in np.argwhere(~finite[bad]).tolist())
+        raise NonFiniteCoordinateError(int(frame_index[bad]), joint, "xyz"[axis])
+
+
 def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
     """Return ``raw`` unchanged iff every invariant holds; ``CaptureSequence`` runs it on itself.
 
@@ -215,13 +227,9 @@ def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
     frames = len(raw)
     if frames == 0:
         raise EmptySequenceError("capture has no frames")
-    finite = np.isfinite(raw.xyz)
-    nonfinite = _first_true(~finite.all(axis=(1, 2)))
     # compared, not subtracted: a difference of two int64 indices can wrap around
     unordered = _first_true(raw.frame_index[1:] <= raw.frame_index[:-1]) + 1
-    if nonfinite < frames and nonfinite <= unordered:
-        j, axis = np.argwhere(~finite[nonfinite])[0].tolist()
-        raise NonFiniteCoordinateError(int(raw.frame_index[nonfinite]), j, "xyz"[axis])
+    check_finite(raw.xyz[: unordered + 1], raw.frame_index)
     if unordered < frames:
         previous, current = raw.frame_index[unordered - 1 : unordered + 1].tolist()
         raise NonMonotonicFrameIndexError(

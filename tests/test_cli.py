@@ -369,9 +369,33 @@ class TestCalibrateApplyDiagnose:
         profile = tmp_path / "p.json"
         assert run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, flat, tmp_path / "missing.csv") == 1
         assert capsys.readouterr().err == (
-            "error: NoUsableFramesError: [stage: tilt-estimation] no frame of 'flat' has a usable spine segment\n"
+            f"error: NoUsableFramesError: [stage: tilt-estimation] {flat}: no frame of 'flat' has a usable spine segment\n"
         )
         assert not profile.exists()
+
+    def test_a_gait_error_names_its_file_among_files_of_one_stem(self, tmp_path, captures, capsys):
+        seq = read_capture(captures[0], GaitDirection.VERTICAL)
+        xyz = seq.xyz.copy()
+        xyz[:, JointIndex.SPINE_MID, 1] = xyz[:, JointIndex.SPINE_BASE, 1]  # no frame has a usable spine
+        good, flat = tmp_path / "s1" / "walk.csv", tmp_path / "s2" / "walk.csv"
+        good.parent.mkdir()
+        flat.parent.mkdir()
+        write_capture(seq, good)
+        write_capture(seq.with_xyz(xyz), flat)
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", good, flat) == 1
+        assert capsys.readouterr().err == (
+            f"error: NoUsableFramesError: [stage: tilt-estimation] {flat}: no frame of 'walk' has a usable spine segment\n"
+        )
+
+    def test_an_error_after_the_last_gait_names_no_file(self, tmp_path, captures, capsys):
+        mirrored = tmp_path / "mirrored.csv"
+        run("synth", "--frames", 60, "--tilt-deg", -7, "--sensor-height", 0.75, "--seed", 9,
+            "--out-truth", tmp_path / "truth.csv", "--out-raw", mirrored)
+        capsys.readouterr()
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", captures[0], mirrored) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MixedSignAnglesError: [stage: tilt-estimation] gait means disagree in sign: ")
+        assert str(tmp_path) not in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

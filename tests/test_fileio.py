@@ -133,6 +133,21 @@ class TestCaptureErrors:
             read_capture(path, GaitDirection.VERTICAL)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize(
+        "frames, extra, message",
+        [
+            ([0], "0,25,0.1,1.0,2.0", "joint index 25 out of range 0-24"),
+            ([1], "0,0,0.1,1.0,2.0", "frame 0 out of order after 1"),
+        ],
+    )
+    def test_line_parser_errors_name_the_line(self, tmp_path, frames, extra, message):
+        path = tmp_path / "bad.csv"
+        rows = ["frame,joint,x,y,z"] + [f"{f},{j},0.1,1.0,2.0" for f in frames for j in range(25)] + [extra]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=f"line 27: {message}$") as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 27
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,joint,x,y,z\n0,0,0.1,1.0\n")
@@ -259,6 +274,26 @@ class TestProfileSchema:
         with pytest.raises(SchemaError) as err:
             read_profile(path)
         assert err.value.field == "joint"
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("beta_coeffs", lambda doc: doc.update(beta_coeffs=[0.02, "-0.01"])),
+            ("beta_points[0]", lambda doc: doc["beta_points"].insert(0, 1)),
+            ("beta_points[0].joint", lambda doc: doc["beta_points"][0].update(joint=25)),
+            ("beta_points[0].beta_rad", lambda doc: doc["beta_points"][0].update(beta_rad=2.0)),
+        ],
+    )
+    def test_bad_value_names_its_field(self, tmp_path, field, edit):
+        doc = valid_profile_doc()
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            read_profile(self.write(tmp_path, doc))
+        assert err.value.field == field
+
+    def test_missing_profile(self, tmp_path):
+        with pytest.raises(IoFailureError, match="^cannot read .*nope.json: "):
+            read_profile(tmp_path / "nope.json")
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "profile.json"
@@ -397,6 +432,21 @@ class TestBlockCodec:
         assert stat.S_IMODE((tmp_path / "profile.json").stat().st_mode) == expected
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["profile.json", "reference.txt", "walk.csv"]  # no temp file left
+
+    def test_a_name_of_244_characters_is_written(self, short_walk, tmp_path):
+        path = tmp_path / f"{'w' * 240}.csv"
+        write_capture(short_walk, path)
+        back = read_capture(path, GaitDirection.VERTICAL)
+        assert back.label == "w" * 240
+        assert np.abs(back.xyz - short_walk.xyz).max() <= 1e-9
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+    def test_a_failed_rename_leaves_no_temp_file(self, short_walk, tmp_path):
+        target = tmp_path / "walk.csv"
+        target.mkdir()  # a file cannot replace a directory
+        with pytest.raises(IoFailureError, match=f"^cannot write {target}: "):
+            write_capture(short_walk, target)
+        assert list(tmp_path.iterdir()) == [target]
 
 
 def _float_from_bits(bits):

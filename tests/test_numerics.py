@@ -81,6 +81,10 @@ class TestPolyfit:
         with pytest.raises(InsufficientPointsError):
             polyfit_least_squares(xs, xs, 3)
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0$"):
+            polyfit_least_squares([0.0, 1.0], [0.0, 1.0], -1)
+
     def test_duplicate_x_counts_once(self):
         with pytest.raises(InsufficientPointsError):
             polyfit_least_squares([1.0, 1.0, 2.0], [2.0, 2.1, 3.0], 2)

@@ -11,6 +11,7 @@ from skelcal import (
     BetaModel,
     BetaPoint,
     CalibrationProfile,
+    DEFAULT_BETA_JOINTS,
     DistortionSpec,
     GaitDirection,
     JointIndex,
@@ -250,6 +251,13 @@ class TestCalibrateOnePass:
         xyz = gaits[1].xyz.copy()
         xyz[5, JointIndex.HAND_LEFT] = (1.0, 1.7e308, 1.7e308)
         overflowing = gaits[:1] + [gaits[1].with_xyz(xyz)] + gaits[2:]
+        assert calibrate(iter(overflowing), 0.75) == calibrate(gaits, 0.75)
+        # no estimator reads a horizontal gait's joints after its inclination
+        gaits.append(shear_gait(GaitDirection.HORIZONTAL, 0))
+        xyz = gaits[-1].xyz.copy()
+        spine = [JointIndex.SPINE_BASE, JointIndex.SPINE_MID]  # what its inclination reads
+        xyz[5, [j for j in DEFAULT_BETA_JOINTS if j not in spine]] = (1.0, 1.7e308, 1.7e308)
+        overflowing = gaits[:-1] + [gaits[-1].with_xyz(xyz)]
         assert calibrate(iter(overflowing), 0.75) == calibrate(gaits, 0.75)
 
     def test_memory_grows_by_less_than_a_gait_per_gait(self, truth_walk):

@@ -89,6 +89,14 @@ class TestGenerateTruthCapture:
         with pytest.raises(ValueError):
             BodyTemplate(tuple(offsets))
 
+    def test_template_needs_25_offsets_and_bones_of_some_length(self):
+        offsets = list(default_template().joint_offsets)
+        with pytest.raises(ValueError, match="^expected 25 joint offsets$"):
+            BodyTemplate(tuple(offsets[:24]))
+        offsets[JointIndex.THUMB_LEFT] = offsets[JointIndex.HAND_LEFT]
+        with pytest.raises(ValueError, match="^zero-length bone HAND_LEFT->THUMB_LEFT$"):
+            BodyTemplate(tuple(offsets))
+
 
 class TestDistortTilt:
     def test_zero_tilt_identity_in_both_modes(self, truth_walk):
