@@ -168,30 +168,47 @@ def cmd_calibrate(args) -> int:
 def cmd_apply(args) -> int:
     profile = fileio.read_profile(args.profile)
     seq = fileio.read_capture(args.input, GaitDirection(args.direction))
-    corrected = apply_profile(seq, profile)
+    raw_foot_y = _median_foot_y(seq)
+    corrected_feet = []  # of each corrected part, only its feet's heights are kept
+
+    def parts():  # one writer block at a time, so the corrected capture is never held whole
+        for start in range(0, len(seq), fileio.BLOCK_FRAMES):
+            part = apply_profile(seq[start : start + fileio.BLOCK_FRAMES], profile)
+            corrected_feet.append(part.xyz[:, _FEET, 1])
+            yield part
+
+    fileio.write_capture(parts(), args.out)
     # correction brings a raw capture's feet to y = 0 and a corrected one's to +h_k
-    if abs(_median_foot_y(seq)) < abs(_median_foot_y(corrected)):
+    if abs(raw_foot_y) < abs(_median(np.concatenate(corrected_feet))):
         print(
             f"warning: {args.input} looks already calibrated (its feet lie nearer "
             "y = 0 than after this correction); applying a profile twice re-adds "
             "the sensor height",
             file=sys.stderr,
         )
-    fileio.write_capture(corrected, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
-def _median_foot_y(seq: CaptureSequence) -> float:
-    """The median of both feet's heights: ``np.median``'s value on finite input.
+_FEET = [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT]
 
-    Two feet per frame make an even count: the mean of the two middle ranks.
-    ``np.median`` would also import ``numpy.ma`` for its NaN check.
+
+def _median_foot_y(seq: CaptureSequence) -> float:
+    """The median of both feet's heights: ``np.median``'s value on finite input."""
+    return _median(seq.xyz[:, _FEET, 1])
+
+
+def _median(y: np.ndarray) -> float:
+    """``np.median(y)`` for an even count of finite values: the mean of the two middle ranks.
+
+    ``np.median`` would also import ``numpy.ma`` for its NaN check. The mean
+    of two values near the float64 limit is inf, without a numpy warning.
     """
-    y = seq.xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1].ravel()
+    y = y.ravel()
     half = len(y) // 2
     low, high = np.partition(y, (half - 1, half))[half - 1 : half + 1]
-    return float((low + high) / 2)
+    with np.errstate(over="ignore"):
+        return float((low + high) / 2)
 
 
 def cmd_diagnose(args) -> int:

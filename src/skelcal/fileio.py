@@ -14,6 +14,7 @@ line endings.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -23,11 +24,11 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import IoFailureError, MissingJointError, ParseError, SchemaError, tagged
+from .errors import EmptySequenceError, IoFailureError, MissingJointError, ParseError, SchemaError, tagged
 from .numerics import Polynomial
 from .perspective import BetaModel, BetaPoint
 from .pipeline import CalibrationProfile
-from .skeleton import JOINT_COUNT, CaptureSequence, GaitDirection
+from .skeleton import JOINT_COUNT, CaptureSequence, GaitDirection, check_increasing
 from .tilt import TiltParams
 
 if TYPE_CHECKING:  # annotations only: the other subcommands never load diagnostics
@@ -52,11 +53,12 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-#: Frames formatted per bulk step of the writer. Writing the 9,000-frame
-#: capture of a fresh ``skelcal apply`` process took a median 67 ms with
-#: 64-frame blocks, 59 ms with 128, 56 ms with 256 and 55 ms with 512 (11 runs
-#: each, 2-CPU Xeon); 256 frames keep a block's record table near 300 KB.
-_BLOCK_FRAMES = 256
+#: Frames formatted per bulk step of the writer, and per part that ``skelcal
+#: apply`` corrects. Writing the 9,000-frame capture of a fresh ``skelcal apply``
+#: process took a median 67 ms with 64-frame blocks, 59 ms with 128, 56 ms with
+#: 256 and 55 ms with 512 (11 runs each, 2-CPU Xeon); 256 frames keep a block's
+#: record table near 300 KB.
+BLOCK_FRAMES = 256
 #: The smallest double that prints as 10.000000000 (the double nearest
 #: 9.9999999995 lies below the half and prints as 9.999999999): the writer's
 #: kernel formats a block whose values are all below it, so print one whole digit.
@@ -195,17 +197,38 @@ def _digits8(n: np.ndarray) -> np.ndarray:
     return _DIGITS4[high] | _DIGITS4[n - high * 10**4] << 32
 
 
-def write_capture(seq: CaptureSequence, path: str | Path) -> None:
-    """Write a capture CSV, which ``read_capture`` reads back: every ``CaptureSequence`` is valid."""
-    _atomic_write(path, _capture_chunks(seq))
+def write_capture(parts: CaptureSequence | Iterable[CaptureSequence], path: str | Path) -> None:
+    """Write a capture CSV, which ``read_capture`` reads back: every ``CaptureSequence`` is valid.
+
+    ``parts`` is one sequence or consecutive parts of one, such as its slices
+    ``seq[a:b]`` in order, which may come from a generator: each part is
+    written before the next is taken. Any split of a sequence writes the
+    bytes of the whole. No parts raise EmptySequenceError, and a part whose
+    first frame index does not pass the previous part's last raises
+    NonMonotonicFrameIndexError; either leaves no file, as does an error
+    raised by the generator.
+    """
+    _atomic_write(path, _capture_chunks([parts] if isinstance(parts, CaptureSequence) else parts))
 
 
-def _capture_chunks(seq: CaptureSequence) -> Iterator[bytes]:
-    """The capture CSV as the header and then the rows of each block of frames."""
+def _capture_chunks(parts: Iterable[CaptureSequence]) -> Iterator[bytes]:
+    """The capture CSV as the header and then the rows of each block of each part's frames."""
     yield _HEADER_BYTES
-    for start in range(0, len(seq), _BLOCK_FRAMES):
-        block = slice(start, start + _BLOCK_FRAMES)
-        yield _csv_rows(seq.frame_index[block], _JOINT_FIELDS, seq.xyz[block])
+    last = None
+    for part in parts:
+        if last is not None:
+            check_increasing(last, int(part.frame_index[0]))
+        last = int(part.frame_index[-1])
+        yield from _block_rows(part.frame_index, _JOINT_FIELDS, part.xyz)
+    if last is None:
+        raise EmptySequenceError("no parts to write")
+
+
+def _block_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
+    """``_csv_rows`` one BLOCK_FRAMES block at a time: the bytes of one call, one block's temporaries."""
+    for start in range(0, len(frame_index), BLOCK_FRAMES):
+        block = slice(start, start + BLOCK_FRAMES)
+        yield _csv_rows(frame_index[block], labels, values[block])
 
 
 def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
@@ -454,8 +477,8 @@ def write_ydiff_report(seq: CaptureSequence, series: Sequence[DiffSeries], path:
     """Plot-ready CSV: one row per frame, its index and each joint's y - y_last."""
     header = "frame," + ",".join(s.joint.name.lower() for s in series) + "\n"
     diffs = np.array([s.per_frame_diff for s in series]).T
-    body = _csv_rows(seq.frame_index, _NO_LABELS, diffs[:, None]) if series else b""
-    _atomic_write(path, (header.encode(), body))
+    body = _block_rows(seq.frame_index, _NO_LABELS, diffs[:, None]) if series else ()
+    _atomic_write(path, itertools.chain((header.encode(),), body))
 
 
 def write_bone_report(report: StabilityReport, path: str | Path) -> None:

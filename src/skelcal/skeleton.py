@@ -80,9 +80,9 @@ class CaptureSequence:
     over without a copy: ``adopt`` takes both, and ``with_xyz`` a stage's
     fresh ``xyz`` beside the sequence's own frame indices.
 
-    Every sequence is valid: the constructor, ``adopt`` and ``with_xyz`` all
-    run ``validate_sequence``, so a capture with no frames, a non-finite
-    coordinate or a frame index that does not increase raises its
+    Every sequence is valid: the constructor, ``adopt``, ``with_xyz`` and
+    slicing all run ``validate_sequence``, so a capture with no frames, a
+    non-finite coordinate or a frame index that does not increase raises its
     ``CalibrationError`` instead of being built.
     """
 
@@ -141,6 +141,13 @@ class CaptureSequence:
 
     def __len__(self) -> int:
         return len(self.xyz)
+
+    def __getitem__(self, frames: slice) -> CaptureSequence:
+        """The frames that ``frames`` selects, adopted over read-only views of this
+        sequence's arrays; a slice that selects none raises EmptySequenceError."""
+        if not isinstance(frames, slice):
+            raise TypeError(f"a capture is sliced by frames, not indexed by {type(frames).__name__}")
+        return CaptureSequence.adopt(self.xyz[frames], self.frame_index[frames], self.direction, self.label)
 
     def __eq__(self, other):
         if not isinstance(other, CaptureSequence):
@@ -231,9 +238,13 @@ def validate_sequence(raw: CaptureSequence) -> CaptureSequence:
     unordered = _first_true(raw.frame_index[1:] <= raw.frame_index[:-1]) + 1
     check_finite(raw.xyz[: unordered + 1], raw.frame_index)
     if unordered < frames:
-        previous, current = raw.frame_index[unordered - 1 : unordered + 1].tolist()
-        raise NonMonotonicFrameIndexError(
-            f"frame index {current} does not increase after {previous}"
-        )
+        check_increasing(*raw.frame_index[unordered - 1 : unordered + 1].tolist())
     return raw
+
+
+def check_increasing(previous: int, current: int) -> None:
+    """Raise NonMonotonicFrameIndexError unless frame index ``current`` is above ``previous``:
+    the ordering rule of a capture's consecutive frames."""
+    if not current > previous:
+        raise NonMonotonicFrameIndexError(f"frame index {current} does not increase after {previous}")
 

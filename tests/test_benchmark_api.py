@@ -38,6 +38,17 @@ def test_workload_runs_and_checks_small(name, tmp_path):
     workload = dataclasses.replace(
         workloads.WORKLOADS[name], frames=60, gaits=min(workloads.WORKLOADS[name].gaits, 3)
     )
+    _run_and_check(workload, tmp_path)
+
+
+def test_apply_workload_checks_across_blocks(tmp_path):
+    """The harness's byte check of the corrected capture, over parts that ``apply`` writes in turn."""
+    workload = dataclasses.replace(workloads.WORKLOADS["apply-9000"], frames=600)
+    assert workload.frames > 2 * fileio.BLOCK_FRAMES
+    _run_and_check(workload, tmp_path)
+
+
+def _run_and_check(workload, tmp_path):
     # every capture that a workload reads, in prepare or in the CLI, takes the reader's kernel
     off_the_kernel = AssertionError("a benchmark input was read by the line parser")
     with mock.patch.object(fileio, "_parse_lines", side_effect=off_the_kernel):

@@ -19,6 +19,7 @@ from skelcal import (
     TiltModel,
     TiltParams,
     apply_distortion,
+    apply_profile,
     calibrate,
     default_template,
     generate_truth_capture,
@@ -29,6 +30,7 @@ from skelcal import (
 )
 from skelcal import fileio
 from skelcal.cli import _median_foot_y, main
+from skelcal.errors import CalibrationError
 
 
 def run(*argv):
@@ -431,6 +433,146 @@ class TestCalibrateApplyDiagnose:
                 tracemalloc.stop()
 
         assert (peak(8) - peak(2)) / 6 < 0.75 * gait_bytes
+
+
+def _write_profile(path, tilt_rad, sensor_height_m, beta_coeffs):
+    """A profile file with the given tilt and perspective polynomial, fitted to no real points."""
+    points = tuple(BetaPoint(JointIndex.HEAD, 1.0 + k, 0.0) for k in range(len(beta_coeffs)))
+    beta = BetaModel(Polynomial(beta_coeffs), len(beta_coeffs) - 1, points)
+    write_profile(CalibrationProfile(TiltParams(tilt_rad, sensor_height_m), beta, 1), path)
+    return path
+
+
+#: A fault, placed at the head of one frame, that the correction of a
+#: profile with no tilt and angle 0.01 * y turns into an error: y + z * tan(1.0)
+#: overflows, or the angle 2.0 is beyond pi/2.
+_FAULTS = {"overflow": (0.0, 100.0, 1.7e308), "angle": (0.0, 200.0, 2.0)}
+
+
+class TestApplyInParts:
+    """``apply`` corrects and writes one writer block at a time: its file is that
+    of the whole correction, or no file is written."""
+
+    @pytest.fixture
+    def profile(self, tmp_path):
+        return _write_profile(tmp_path / "profile.json", math.radians(7), 0.75, (0.03, -0.01))
+
+    @pytest.fixture
+    def angle_profile(self, tmp_path):
+        return _write_profile(tmp_path / "angle.json", 0.0, 0.0, (0.0, 0.01))
+
+    @staticmethod
+    def raw_capture(tmp_path, frames, faults=None):
+        """A synthetic raw capture of ``frames`` frames, with ``_FAULTS[f]`` at the head of each frame k of ``faults``."""
+        path = tmp_path / "raw.csv"
+        run("synth", "--frames", max(frames, 2), "--tilt-deg", 7, "--sensor-height", 0.75, "--noise-std", 0.002,
+            "--out-truth", tmp_path / "truth.csv", "--out-raw", path)
+        seq = read_capture(path, GaitDirection.VERTICAL)[:frames]
+        xyz = seq.xyz.copy()
+        for frame, fault in (faults or {}).items():
+            xyz[frame, JointIndex.HEAD] = _FAULTS[fault]
+        write_capture(seq.with_xyz(xyz), path)
+        return path
+
+    @pytest.mark.parametrize("frames", [1, 255, 256, 257, 513])
+    def test_output_is_the_whole_correction(self, tmp_path, profile, frames):
+        raw, out, whole = self.raw_capture(tmp_path, frames), tmp_path / "out.csv", tmp_path / "whole.csv"
+        assert run("apply", "--profile", profile, "--in", raw, "--out", out) == 0
+        write_capture(apply_profile(read_capture(raw, GaitDirection.VERTICAL), read_profile(profile)), whole)
+        assert out.read_bytes() == whole.read_bytes()
+
+    def test_output_may_replace_the_input(self, tmp_path, profile):
+        raw = self.raw_capture(tmp_path, 300)
+        other = tmp_path / "other.csv"
+        assert run("apply", "--profile", profile, "--in", raw, "--out", other) == 0
+        assert run("apply", "--profile", profile, "--in", raw, "--out", raw) == 0
+        assert raw.read_bytes() == other.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_a_fault_in_a_late_part_writes_nothing(self, tmp_path, angle_profile, fault, capsys):
+        raw, out = self.raw_capture(tmp_path, 400, {300: fault}), tmp_path / "out.csv"
+        out.write_bytes(b"old\n")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("apply", "--profile", angle_profile, "--in", raw, "--out", out) == 1
+        with pytest.raises(CalibrationError) as whole:  # the error of the whole correction
+            apply_profile(read_capture(raw, GaitDirection.VERTICAL), read_profile(angle_profile))
+        assert capsys.readouterr().err == f"error: {type(whole.value).__name__}: {whole.value}\n"
+        if fault == "overflow":
+            assert str(whole.value) == "[stage: correction] non-finite coordinate at frame 300, joint 3, field y"
+        assert sorted(tmp_path.iterdir()) == before  # no temp file
+        assert out.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({100: "overflow", 300: "angle"}, "NonFiniteCoordinateError"),
+            ({100: "angle", 300: "overflow"}, "BetaOutOfRangeError"),
+        ],
+    )
+    def test_of_faults_in_two_parts_the_earlier_frame_is_reported(self, tmp_path, angle_profile, faults, error, capsys):
+        raw = self.raw_capture(tmp_path, 400, faults)
+        capsys.readouterr()
+        assert run("apply", "--profile", angle_profile, "--in", raw, "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}: [stage: correction] ")
+
+    def test_an_unwritable_output_is_reported_before_a_correction_error(self, tmp_path, angle_profile, capsys):
+        raw, out = self.raw_capture(tmp_path, 20, {5: "overflow"}), tmp_path / "missing" / "out.csv"
+        capsys.readouterr()
+        assert run("apply", "--profile", angle_profile, "--in", raw, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: IoFailureError: cannot write {out}: ")
+
+    def test_the_warning_follows_the_write(self, tmp_path, profile, capsys):
+        raw, once = self.raw_capture(tmp_path, 300), tmp_path / "once.csv"
+        assert run("apply", "--profile", profile, "--in", raw, "--out", once) == 0
+        capsys.readouterr()
+        twice = tmp_path / "twice.csv"
+        assert run("apply", "--profile", profile, "--in", once, "--out", twice) == 0
+        warning, wrote = capsys.readouterr().err.splitlines()
+        assert warning.startswith(f"warning: {once} looks already calibrated")
+        assert wrote == f"wrote {twice}"
+        # a write that fails prints no warning
+        assert run("apply", "--profile", profile, "--in", once, "--out", tmp_path / "missing" / "out.csv") == 1
+        assert capsys.readouterr().err.startswith("error: IoFailureError: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_feet_near_the_float64_limit_print_no_warning(self, tmp_path, capsys):
+        xyz = np.ones((4, JOINT_COUNT, 3))
+        xyz[:, [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT], 1] = 1e308  # the mean of two such heights overflows
+        capture, out = tmp_path / "high.csv", tmp_path / "out.csv"
+        write_capture(CaptureSequence(xyz, np.arange(4), GaitDirection.VERTICAL), capture)
+        profile = _write_profile(tmp_path / "zero.json", 0.0, 0.0, (0.0,))
+        assert run("apply", "--profile", profile, "--in", capture, "--out", out) == 0
+        assert capsys.readouterr().err == f"wrote {out}\n"
+        assert out.read_bytes() == capture.read_bytes()  # the zero profile changes nothing
+
+    def test_memory_grows_by_less_than_two_captures_per_capture(self, tmp_path, profile):
+        """After the read, apply holds the raw capture and one corrected part,
+        about 1.0x the raw capture's xyz.nbytes per frame; correcting it whole
+        first holds raw, corrected and temporaries, about 2.0x."""
+        small, large = tmp_path / "small", tmp_path / "large"
+        small.mkdir(), large.mkdir()
+        paths = self.raw_capture(small, 1000), self.raw_capture(large, 4000)
+        read = fileio.read_capture
+
+        def read_then_reset_peak(*args):  # the reader's own peak is not the apply path's
+            seq = read(*args)
+            tracemalloc.reset_peak()
+            return seq
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(fileio, "read_capture", read_then_reset_peak):
+                    assert run("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(paths[0])  # the first run's one-time allocations
+        frame_bytes = JOINT_COUNT * 3 * 8
+        assert (peak(paths[1]) - peak(paths[0])) / (3000 * frame_bytes) < 1.5
 
 
 class TestMedianFootY:

@@ -38,6 +38,7 @@ from skelcal.errors import (
     IoFailureError,
     MissingJointError,
     NonFiniteCoordinateError,
+    NonMonotonicFrameIndexError,
     ParseError,
     SchemaError,
 )
@@ -535,14 +536,14 @@ class TestWriterKernel:
             assert path.read_bytes() == _per_value_capture_bytes(seq)
 
     @pytest.mark.parametrize("outside", [False, True])
-    @pytest.mark.parametrize("frames", [1, fileio._BLOCK_FRAMES, 2 * fileio._BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1])
     def test_edge_values_across_blocks(self, frames, outside, tmp_path):
         xyz = np.random.default_rng(frames).normal(0.0, 2.0, (frames, JOINT_COUNT, 3))
         flat = xyz.reshape(-1)
         # a run of the kernel's edge values at the start of the file and
         # across every boundary between blocks
         n = len(_KERNEL_VALUES)
-        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio._BLOCK_FRAMES):
+        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio.BLOCK_FRAMES):
             start = min(max(at - n // 2, 0), len(flat) - n)
             flat[start : start + n] = _KERNEL_VALUES
         if outside:  # the last block is then formatted value by value
@@ -554,7 +555,7 @@ class TestWriterKernel:
         write_capture(seq, path)
         assert path.read_bytes() == _per_value_capture_bytes(seq)
         if outside:  # the last block with values that are not finite, given to the rows writer directly
-            block = slice((frames - 1) // fileio._BLOCK_FRAMES * fileio._BLOCK_FRAMES, None)
+            block = slice((frames - 1) // fileio.BLOCK_FRAMES * fileio.BLOCK_FRAMES, None)
             rows = xyz[block].copy()
             rows.reshape(-1)[: len(_NON_FINITE_VALUES)] = _NON_FINITE_VALUES
             text = fileio._csv_rows(index[block], fileio._JOINT_FIELDS, rows)
@@ -586,6 +587,73 @@ def _small_values(frames, seed):
     return np.random.default_rng(seed).uniform(-9.5, 9.5, (frames, JOINT_COUNT, 3))
 
 
+@st.composite
+def split_captures(draw):
+    """A capture across up to three writer blocks, perhaps with a value that
+    takes the per-value path, and the ends of its parts in order."""
+    frames = draw(st.integers(1, 3 * fileio.BLOCK_FRAMES + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.uniform(-9.5, 9.5, (frames, JOINT_COUNT, 3))
+    if draw(st.booleans()):
+        xyz.reshape(-1)[draw(st.integers(0, xyz.size - 1))] = draw(st.sampled_from([fileio._FAST_MAX, -12.5, 1e6]))
+    index = np.cumsum(rng.integers(1, 4, frames)) - draw(st.integers(0, 10**6))
+    ends = draw(st.lists(st.integers(1, frames - 1), unique=True, max_size=12)) if frames > 1 else []
+    return CaptureSequence(xyz, index, GaitDirection.VERTICAL), sorted(ends) + [frames]
+
+
+def _split_across_blocks():
+    """1-frame parts and parts across each block boundary, one of them with a two-digit value."""
+    xyz = _small_values(2 * fileio.BLOCK_FRAMES + 3, 9)
+    xyz[300, 4, 1] = 12.5  # its block takes the per-value path
+    return CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL), [1, 2, 255, 257, 300, 512, 513, 514, 515]
+
+
+def _parts(seq, ends):
+    return [seq[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+class TestCaptureParts:
+    """``write_capture`` of consecutive parts writes the bytes of the whole, or nothing."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_captures())
+    @example(_split_across_blocks())
+    def test_any_split_writes_the_whole(self, fuzz_dir, split):
+        seq, ends = split
+        whole, parts = fuzz_dir / "whole.csv", fuzz_dir / "parts.csv"
+        write_capture(seq, whole)
+        write_capture(iter(_parts(seq, ends)), parts)
+        assert parts.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("order", ["swapped", "overlapping", "repeated"])
+    def test_parts_out_of_order_leave_no_file(self, order, tmp_path):
+        seq = CaptureSequence(_small_values(6, 7), np.arange(6) * 2, GaitDirection.VERTICAL)
+        parts = {"swapped": [seq[3:], seq[:3]], "overlapping": [seq[:4], seq[3:]], "repeated": [seq, seq]}[order]
+        previous, current = parts[0].frame_index[-1], parts[1].frame_index[0]
+        with pytest.raises(NonMonotonicFrameIndexError, match=f"^frame index {current} does not increase after {previous}$"):
+            write_capture(parts, tmp_path / "walk.csv")
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
+    @pytest.mark.parametrize("parts", [[], iter(())], ids=["list", "generator"])
+    def test_no_parts_leave_no_file(self, parts, tmp_path):
+        with pytest.raises(EmptySequenceError):
+            write_capture(parts, tmp_path / "walk.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_error_in_a_late_part_keeps_the_old_file(self, short_walk, tmp_path):
+        path = tmp_path / "walk.csv"
+        path.write_bytes(b"old\n")
+
+        def parts():
+            yield short_walk[:2]
+            raise NonFiniteCoordinateError(2, 0, "x")
+
+        with pytest.raises(NonFiniteCoordinateError):
+            write_capture(parts(), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old\n"
+
+
 class TestRecordWidths:
     """Frame indices and whole parts narrower or wider than their block's others."""
 
@@ -593,8 +661,8 @@ class TestRecordWidths:
     @pytest.mark.parametrize("first_of_width", [10, 100, -9, 0])
     def test_frame_width_changes(self, first_of_width, at_edge, tmp_path):
         # the frame first_of_width starts the second block, or lies inside the first
-        row = fileio._BLOCK_FRAMES if at_edge else fileio._BLOCK_FRAMES // 2
-        index = np.arange(2 * fileio._BLOCK_FRAMES) + first_of_width - row
+        row = fileio.BLOCK_FRAMES if at_edge else fileio.BLOCK_FRAMES // 2
+        index = np.arange(2 * fileio.BLOCK_FRAMES) + first_of_width - row
         seq = CaptureSequence(_small_values(len(index), 1), index, GaitDirection.VERTICAL)
         write_capture(seq, tmp_path / "widths.csv")
         assert (tmp_path / "widths.csv").read_bytes() == _per_value_capture_bytes(seq)
@@ -602,7 +670,7 @@ class TestRecordWidths:
     @pytest.mark.parametrize("frame", [0, 1])
     @pytest.mark.parametrize("value", [9.9999999995, 9.99999999951, -99.9999999996])
     def test_value_rounds_into_a_wider_whole_part(self, value, frame, tmp_path):
-        xyz = _small_values(fileio._BLOCK_FRAMES, 2)
+        xyz = _small_values(fileio.BLOCK_FRAMES, 2)
         xyz[-frame, -frame, -frame] = value  # the block's first or its last value
         xyz[1, 7] = (9.4999999995, -9.9999999994, 0.9999999996)  # these stay one digit wide
         seq = CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL)
@@ -611,8 +679,8 @@ class TestRecordWidths:
 
     @pytest.mark.parametrize("wide_block", [0, 1])
     def test_one_digit_block_beside_the_widest(self, wide_block, tmp_path):
-        xyz = _small_values(2 * fileio._BLOCK_FRAMES, 3)
-        wide = xyz[wide_block * fileio._BLOCK_FRAMES : (wide_block + 1) * fileio._BLOCK_FRAMES]
+        xyz = _small_values(2 * fileio.BLOCK_FRAMES, 3)
+        wide = xyz[wide_block * fileio.BLOCK_FRAMES : (wide_block + 1) * fileio.BLOCK_FRAMES]
         wide[-1, -1, 1] = 4194303.9999999995
         wide[0, 0, 0] = -12.5
         seq = CaptureSequence(xyz, np.arange(len(xyz)) * 3 + 5, GaitDirection.VERTICAL)
@@ -668,19 +736,19 @@ class TestOneDigitKernel:
         assert spy.call_count == 1
         assert (fuzz_dir / "one_digit.csv").read_bytes() == _per_value_capture_bytes(seq)
 
-    @pytest.mark.parametrize("frames", [1, fileio._BLOCK_FRAMES, 2 * fileio._BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1])
     def test_edge_values_across_blocks(self, frames, digits8_spy, tmp_path):
         xyz = _small_values(frames, frames)
         flat = xyz.reshape(-1)
         n = len(_ONE_DIGIT_VALUES)
-        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio._BLOCK_FRAMES):
+        for at in range(0, len(flat), 3 * JOINT_COUNT * fileio.BLOCK_FRAMES):
             start = min(max(at - n // 2, 0), len(flat) - n)
             flat[start : start + n] = _ONE_DIGIT_VALUES
         index = np.arange(frames) * 7 - 2**62
         index[0], index[-1] = -(2**63), 2**63 - 1
         seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
         write_capture(seq, tmp_path / "edges.csv")
-        assert digits8_spy.call_count == -(-frames // fileio._BLOCK_FRAMES)  # every block
+        assert digits8_spy.call_count == -(-frames // fileio.BLOCK_FRAMES)  # every block
         assert (tmp_path / "edges.csv").read_bytes() == _per_value_capture_bytes(seq)
 
     def test_ydiff_report(self, template, digits8_spy, tmp_path):
@@ -694,13 +762,22 @@ class TestOneDigitKernel:
         assert digits8_spy.call_count == 1
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
+    def test_ydiff_report_in_blocks(self, digits8_spy, tmp_path):
+        xyz = _small_values(2 * fileio.BLOCK_FRAMES + 1, 6) / 2  # every y - y_last below 9.5
+        xyz[300, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
+        seq = CaptureSequence(xyz, np.arange(len(xyz)) - 300, GaitDirection.VERTICAL)
+        series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
+        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        assert digits8_spy.call_count == 2  # the first and the last block
+        assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
+
     @pytest.mark.parametrize("value", [fileio._FAST_MAX, -fileio._FAST_MAX, math.nan])
     def test_block_at_the_bound_is_formatted_per_value(self, value, digits8_spy, tmp_path):
-        xyz = _small_values(2 * fileio._BLOCK_FRAMES, 5)
+        xyz = _small_values(2 * fileio.BLOCK_FRAMES, 5)
         xyz[-1, -1, -1] = value  # in the second block only
         index = np.arange(len(xyz))
         if math.isnan(value):  # no capture holds a NaN: its blocks go to the rows writer directly
-            blocks = (slice(0, fileio._BLOCK_FRAMES), slice(fileio._BLOCK_FRAMES, None))
+            blocks = (slice(0, fileio.BLOCK_FRAMES), slice(fileio.BLOCK_FRAMES, None))
             text = b"".join(fileio._csv_rows(index[b], fileio._JOINT_FIELDS, xyz[b]) for b in blocks)
         else:
             write_capture(CaptureSequence(xyz, index, GaitDirection.VERTICAL), tmp_path / "bound.csv")

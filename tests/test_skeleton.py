@@ -174,6 +174,8 @@ class TestValidByConstruction:
             ("validate_sequence", "skeleton.py"),
             # one non-finite rule, for whole captures and for calibrate's joint slices
             ("NonFiniteCoordinateError", "errors.py skeleton.py"),
+            # one ordering rule, for a capture's frames and for the parts a capture is written in
+            ("NonMonotonicFrameIndexError", "errors.py skeleton.py"),
             # the level-sensor rule and the aggregate it guards
             ("NEAR_ZERO_TILT_RAD", "tilt.py"),
             ("NEAR_ZERO_STANDARD_ERRORS", "tilt.py"),
@@ -296,6 +298,30 @@ class TestCaptureSequenceValue:
         ):
             assert not out.xyz.flags.writeable
             assert not np.shares_memory(out.xyz, seq.xyz)
+
+    def test_slice_adopts_read_only_views(self):
+        seq = CaptureSequence(make_xyz(6) + np.arange(6)[:, None, None], np.arange(6) * 3, GaitDirection.HORIZONTAL, "walk")
+        part = seq[2:5]
+        assert part == CaptureSequence(seq.xyz[2:5], [6, 9, 12], GaitDirection.HORIZONTAL, "walk")
+        assert np.shares_memory(part.xyz, seq.xyz) and np.shares_memory(part.frame_index, seq.frame_index)
+        assert not (part.xyz.flags.writeable or part.frame_index.flags.writeable)
+        assert seq[::2] == CaptureSequence(seq.xyz[::2], [0, 6, 12], GaitDirection.HORIZONTAL, "walk")
+        assert seq[4:100] == seq[-2:]
+        assert seq[:] == seq
+
+    @pytest.mark.parametrize("frames", [slice(5, 5), slice(7, None), slice(3, 1)])
+    def test_empty_slice_rejected(self, frames):
+        with pytest.raises(EmptySequenceError, match="^capture has no frames$"):
+            make_seq(6)[frames]
+
+    def test_reversed_slice_rejected(self):
+        with pytest.raises(NonMonotonicFrameIndexError, match="^frame index 4 does not increase after 5$"):
+            make_seq(6)[::-1]
+
+    @pytest.mark.parametrize("key", [0, -1, (slice(None), 3), np.arange(2)])
+    def test_only_frame_slices(self, key):
+        with pytest.raises(TypeError, match="sliced by frames"):
+            make_seq(3)[key]
 
     def test_malformed_arrays_rejected(self):
         with pytest.raises(ValueError):
