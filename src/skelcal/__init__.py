@@ -31,9 +31,7 @@ _EXPORTS = {
     "aggregate_inclination": "tilt",
     "distort_tilt": "tilt",
     "estimate_tilt": "tilt",
-    "frame_inclination": "tilt",
     "gait_inclination": "tilt",
-    "tilt_correct_point": "tilt",
     "tilt_correct_sequence": "tilt",
     "BetaModel": "perspective",
     "BetaPoint": "perspective",
@@ -43,7 +41,6 @@ _EXPORTS = {
     "fit_beta_model": "perspective",
     "joint_perspective_degree": "perspective",
     "mean_perspective_degrees": "perspective",
-    "perspective_correct_point": "perspective",
     "perspective_correct_sequence": "perspective",
     "CalibrationProfile": "pipeline",
     "PipelineConfig": "pipeline",
@@ -59,8 +56,6 @@ _EXPORTS = {
     "EdgeStability": "diagnostics",
     "StabilityReport": "diagnostics",
     "bone_length_stability": "diagnostics",
-    "bone_lengths": "diagnostics",
-    "max_y_diff": "diagnostics",
     "y_diff_to_last": "diagnostics",
     "read_capture": "fileio",
     "read_profile": "fileio",

@@ -8,7 +8,6 @@ constant, since bone lengths belong to the person, not the viewing geometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,16 +75,6 @@ def y_diff_to_last(
         )
     diffs.flags.writeable = False
     return [DiffSeries(j, d) for j, d in zip(idx, diffs)]
-
-
-def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS) -> float:
-    """Largest |y - y_last| over the given joints and all frames."""
-    return max(series.max_abs for series in y_diff_to_last(seq, joints))
-
-
-def bone_lengths(joints: Sequence[Sequence[float]]) -> list[tuple[SkeletonEdge, float]]:
-    """Euclidean length of each of the 24 skeleton edges in one frame's (25, 3) ``joints``."""
-    return [(edge, math.dist(joints[edge.parent], joints[edge.child])) for edge in SKELETON_EDGES]
 
 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:

@@ -83,10 +83,6 @@ class DegenerateSystemError(CalibrationError):
 
 # -- tilt estimation ---------------------------------------------------------
 
-class DegenerateSpineError(CalibrationError):
-    pass
-
-
 class NoUsableFramesError(CalibrationError):
     pass
 

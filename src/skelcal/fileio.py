@@ -53,7 +53,7 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-#: Frames formatted per bulk step of the writer, and per part that ``skelcal
+#: Capture frames formatted per bulk step of the writer, and per part that ``skelcal
 #: apply`` corrects. Writing the 9,000-frame capture of a fresh ``skelcal apply``
 #: process took a median 67 ms with 64-frame blocks, 59 ms with 128, 56 ms with
 #: 256 and 55 ms with 512 (11 runs each, 2-CPU Xeon); 256 frames keep a block's
@@ -225,9 +225,10 @@ def _capture_chunks(parts: Iterable[CaptureSequence]) -> Iterator[bytes]:
 
 
 def _block_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
-    """``_csv_rows`` one BLOCK_FRAMES block at a time: the bytes of one call, one block's temporaries."""
-    for start in range(0, len(frame_index), BLOCK_FRAMES):
-        block = slice(start, start + BLOCK_FRAMES)
+    """``_csv_rows`` per block of as many values as BLOCK_FRAMES capture frames: one call's bytes."""
+    frames = BLOCK_FRAMES * JOINT_COUNT * 3 // values[0].size
+    for start in range(0, len(frame_index), frames):
+        block = slice(start, start + frames)
         yield _csv_rows(frame_index[block], labels, values[block])
 
 

@@ -24,7 +24,7 @@ from .errors import (
     WrongDirectionError,
 )
 from .numerics import Polynomial, arithmetic_mean, polyeval, polyfit_least_squares
-from .skeleton import CaptureSequence, GaitDirection, JointIndex, Point3
+from .skeleton import CaptureSequence, GaitDirection, JointIndex
 
 #: Minimum first-to-last depth travel for a usable estimate.
 MIN_DEPTH_TRAVEL_M = 0.05
@@ -148,15 +148,6 @@ def fit_beta_model(points: Sequence[BetaPoint], degree: int) -> BetaModel:
     return BetaModel(fit, degree, tuple(points))
 
 
-def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:
-    """Correct one ``(x, y, z)`` point's Y: y + z * tan(angle at the incoming y). X, Z unchanged."""
-    x, y, z = p
-    beta = polyeval(model.poly, y)
-    if abs(beta) >= MAX_ABS_BETA_RAD:
-        raise BetaOutOfRangeError(f"angle {beta} rad too close to pi/2 at y={y}")
-    return Point3(x, y + z * math.tan(beta), z)
-
-
 def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
     """Raise BetaOutOfRangeError at the first angle that no correction accepts."""
     # |beta| >= MAX_ABS_BETA_RAD without a float temporary the size of beta
@@ -169,7 +160,7 @@ def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
 
 
 def perspective_correct_xyz(xyz: np.ndarray, model: BetaModel) -> np.ndarray:
-    """perspective_correct_point applied to every ``(x, y, z)`` of ``xyz``, in place; returns ``xyz``.
+    """y += z * tan(the model's angle at y) for every ``(x, y, z)`` of ``xyz``, in place; returns ``xyz``.
 
     Raises before ``xyz`` is written if any angle is out of range.
     """
@@ -184,7 +175,7 @@ def perspective_correct_xyz(xyz: np.ndarray, model: BetaModel) -> np.ndarray:
 
 
 def perspective_correct_sequence(seq: CaptureSequence, model: BetaModel) -> CaptureSequence:
-    """perspective_correct_point applied to every joint of every frame."""
+    """perspective_correct_xyz applied to a copy of every joint of every frame."""
     return seq.with_xyz(perspective_correct_xyz(seq.xyz.copy(), model))
 
 

@@ -17,14 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateSpineError,
     EmptyInputError,
     MixedSignAnglesError,
     NoUsableFramesError,
     ZeroAngleError,
 )
 from .numerics import arithmetic_mean, geometric_mean
-from .skeleton import CaptureSequence, JointIndex, Point3
+from .skeleton import CaptureSequence, JointIndex
 
 #: Minimum spine height difference for a usable inclination estimate.
 MIN_SPINE_RISE_M = 1e-6
@@ -42,7 +41,7 @@ NEAR_ZERO_STANDARD_ERRORS = 5.0
 class TiltModel(Enum):
     """How distort_tilt simulates a sensor tilted by angle a at height h.
 
-    SHEAR_INVERSE is tilt_correct_point's exact inverse, y_raw = y - z*sin(a) - h
+    SHEAR_INVERSE is tilt_correct_xyz's exact inverse, y_raw = y - z*sin(a) - h
     then z_raw = z - y_raw*sin(a), so correcting with the injected parameters
     recovers ground truth to rounding error. ROTATION is the physically honest
     rigid rotation of (y, z) by -a about the sensor, less h in y. The
@@ -79,35 +78,21 @@ class GaitInclination:
     mean_rad: float
 
 
-def frame_inclination(joints: Sequence[Sequence[float]]) -> float:
-    """Inclination of one frame's (25, 3) ``joints`` from its spine segment, in radians.
-
-    Computed as atan2(z_base - z_mid, y_mid - y_base): the depth loss per unit
-    height gain along the spine. Zero when the spine is vertically aligned in
-    Z; positive when the upper spine joint reads closer to the sensor.
-    """
-    base, mid = joints[JointIndex.SPINE_BASE], joints[JointIndex.SPINE_MID]
-    rise = mid[1] - base[1]
-    if abs(rise) <= MIN_SPINE_RISE_M:
-        raise DegenerateSpineError(f"spine height difference {rise} too small")
-    return math.atan2(base[2] - mid[2], rise)
-
-
 def gait_inclination(seq: CaptureSequence) -> GaitInclination:
     """Per-frame inclinations of a gait plus their mean.
 
     Frames with a degenerate spine (tracking glitch collapsing the two spine
     joints in Y) are skipped; the mean is over usable frames only. Each value
-    equals frame_inclination of its frame.
+    is atan2(z_base - z_mid, y_mid - y_base) of its frame's spine segment.
     """
     base = seq.xyz[:, JointIndex.SPINE_BASE]
     mid = seq.xyz[:, JointIndex.SPINE_MID]
     rise = mid[:, 1] - base[:, 1]
-    usable = ~(np.abs(rise) <= MIN_SPINE_RISE_M)  # a NaN rise is usable, as in frame_inclination
+    usable = ~(np.abs(rise) <= MIN_SPINE_RISE_M)  # a NaN rise is usable
     if not usable.any():
         raise NoUsableFramesError(f"no frame of '{seq.label}' has a usable spine segment")
     # math.atan2 rather than np.arctan2, which differs from it in the last bit
-    # on some inputs: the estimate stays bit-identical to the scalar oracle
+    # on some inputs: each estimate stays bit-identical to a per-frame math.atan2
     per_frame = tuple(
         map(math.atan2, (base[usable, 2] - mid[usable, 2]).tolist(), rise[usable].tolist())
     )
@@ -166,28 +151,14 @@ def estimate_tilt(estimates: Sequence[GaitInclination]) -> float:
         return 0.0
 
 
-def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
-    """Correct one ``(x, y, z)`` point for sensor tilt and reference it to the ground plane.
-
-    Z is corrected first from the raw Y; the corrected Z is then fed back into
-    the Y correction together with the sensor height. X is untouched. Note the
-    Y step intentionally uses the already-corrected Z, so the map is a shear,
-    not a rigid rotation; it is exactly invertible (see distort_tilt).
-    """
-    x, y, z = p
-    s = math.sin(params.tilt_rad)
-    z_c = y * s + z
-    y_c = z_c * s + y + params.sensor_height_m
-    return Point3(x, y_c, z_c)
-
-
 def tilt_correct_xyz(xyz: np.ndarray, params: TiltParams) -> np.ndarray:
-    """tilt_correct_point applied to every ``(x, y, z)`` of ``xyz``, in a fresh array."""
+    """Correct every ``(x, y, z)`` of ``xyz`` for tilt a and sensor height h, in a fresh array:
+    z_c = y*sin(a) + z, then y_c = z_c*sin(a) + y + h, a shear that distort_tilt inverts."""
     s = math.sin(params.tilt_rad)
     y, z = xyz[..., 1], xyz[..., 2]
     out = xyz.copy()
     y_c, z_c = out[..., 1], out[..., 2]
-    # the float operations of tilt_correct_point, in its order, written into out's columns
+    # the float operations of the formula above, in its order, written into out's columns
     np.multiply(y, s, out=z_c)
     z_c += z
     np.multiply(z_c, s, out=y_c)
@@ -197,7 +168,7 @@ def tilt_correct_xyz(xyz: np.ndarray, params: TiltParams) -> np.ndarray:
 
 
 def tilt_correct_sequence(seq: CaptureSequence, params: TiltParams) -> CaptureSequence:
-    """tilt_correct_point applied to every joint of every frame; metadata preserved."""
+    """tilt_correct_xyz applied to every joint of every frame; metadata preserved."""
     return seq.with_xyz(tilt_correct_xyz(seq.xyz, params))
 
 

@@ -24,7 +24,6 @@ from skelcal import (
     default_template,
     generate_truth_capture,
     geometric_mean,
-    max_y_diff,
     perspective_correct_sequence,
     polyeval,
     polyfit_least_squares,
@@ -37,6 +36,7 @@ from skelcal import (
 from skelcal.perspective import BetaModel, BetaPoint, distort_perspective
 from skelcal.skeleton import JointIndex
 from skelcal.tilt import distort_tilt
+from oracles import max_y_diff
 
 TILT_7_DEG = math.radians(7)
 SENSOR_HEIGHT = 0.75

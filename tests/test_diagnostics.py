@@ -15,14 +15,13 @@ from skelcal import (
     apply_distortion,
     apply_profile,
     bone_length_stability,
-    bone_lengths,
     calibrate,
-    max_y_diff,
     tilt_correct_sequence,
     y_diff_to_last,
 )
 from skelcal.errors import CalibrationError, EmptySequenceError, MeasureOverflowError, TooFewFramesError
 from skelcal.perspective import distort_perspective
+from oracles import bone_lengths, max_y_diff
 
 
 def flat_seq(ys):

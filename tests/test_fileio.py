@@ -763,13 +763,24 @@ class TestOneDigitKernel:
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
     def test_ydiff_report_in_blocks(self, digits8_spy, tmp_path):
-        xyz = _small_values(2 * fileio.BLOCK_FRAMES + 1, 6) / 2  # every y - y_last below 9.5
-        xyz[300, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
+        block = fileio.BLOCK_FRAMES * JOINT_COUNT * 3 // 2  # a 2-joint report's block: a capture block's values
+        xyz = _small_values(2 * block + 1, 6) / 2  # every y - y_last below 9.5
+        xyz[block + 44, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
         seq = CaptureSequence(xyz, np.arange(len(xyz)) - 300, GaitDirection.VERTICAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
         write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
         assert digits8_spy.call_count == 2  # the first and the last block
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
+
+    def test_ydiff_report_blocks_hold_as_many_values_as_capture_blocks(self, tmp_path):
+        seq = CaptureSequence(_small_values(9000, 7) / 2, np.arange(9000), GaitDirection.VERTICAL)
+        series = y_diff_to_last(seq)  # 9 joints: 2,133 frames a block
+        with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as spy:
+            write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        assert spy.call_count == 5
+        diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
+        rows = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)
+        assert (tmp_path / "ydiff.csv").read_bytes().partition(b"\n")[2] == rows
 
     @pytest.mark.parametrize("value", [fileio._FAST_MAX, -fileio._FAST_MAX, math.nan])
     def test_block_at_the_bound_is_formatted_per_value(self, value, digits8_spy, tmp_path):

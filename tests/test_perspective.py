@@ -19,7 +19,6 @@ from skelcal import (
     fit_beta_model,
     joint_perspective_degree,
     mean_perspective_degrees,
-    perspective_correct_point,
     perspective_correct_sequence,
     polyeval,
 )
@@ -31,6 +30,7 @@ from skelcal.errors import (
     WrongDirectionError,
 )
 from skelcal.perspective import distort_perspective
+from oracles import perspective_correct_point
 
 
 def two_frame_seq(first, last, direction=GaitDirection.VERTICAL):

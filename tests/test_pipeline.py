@@ -28,7 +28,6 @@ from skelcal import (
     fit_beta_model,
     gait_inclination,
     generate_truth_capture,
-    max_y_diff,
     mean_perspective_degrees,
     perspective_correct_sequence,
     tilt_correct_sequence,
@@ -40,6 +39,7 @@ from skelcal.errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
+from oracles import max_y_diff
 
 
 def identity_profile():
@@ -145,6 +145,22 @@ class TestCalibrate:
         ]
         tilt_rad = calibrate(gaits, 0.75).tilt.tilt_rad
         assert tilt_rad == pytest.approx(math.radians(0.5), abs=math.radians(0.15))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 10: 0.3 degree gait means that straddle 0 each lie within 5 standard "
+        "errors of it, so estimate_tilt takes the sensor as level and returns 0.0",
+    )
+    def test_0_3_degree_tilt_with_tracking_noise(self, truth_walk):
+        gaits = [
+            apply_distortion(
+                truth_walk,
+                DistortionSpec(tilt_rad=math.radians(0.3), sensor_height_m=0.75, noise_std_m=0.005, seed=10 + i),
+            )
+            for i in range(10)
+        ]
+        tilt_rad = calibrate(gaits, 0.75).tilt.tilt_rad
+        assert tilt_rad == pytest.approx(math.radians(0.3), abs=math.radians(0.1))
 
     def test_noisy_opposed_tilts_still_raise(self, truth_walk):
         gaits = [

@@ -15,10 +15,8 @@ from skelcal import (
     Polynomial,
     TiltModel,
     add_noise,
-    bone_lengths,
     default_template,
     generate_truth_capture,
-    tilt_correct_point,
     validate_sequence,
 )
 from skelcal.errors import BetaOutOfRangeError, FixedPointDivergenceError, InvalidScenarioError
@@ -32,6 +30,7 @@ from skelcal.perspective import (
 )
 from skelcal.synthetic import apply_distortion
 from skelcal.tilt import TiltParams, distort_tilt
+from oracles import bone_lengths, tilt_correct_point
 
 
 def one_frame(point):

