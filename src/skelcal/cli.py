@@ -11,6 +11,10 @@ import-time heap again, during the run or at exit. A program that imports
 ``skelcal.cli`` in-process freezes its own heap too: what is alive then is
 never collected. Each subcommand imports only what it runs (``synthetic`` for
 ``synth``, ``diagnostics`` for ``diagnose``).
+
+``apply`` and ``diagnose`` correct a capture one writer block at a time and
+keep of each corrected part only what they write or measure, so neither holds
+the corrected capture whole; ``diagnose`` drops the raw one before its reports.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ import gc
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import fileio
 from .errors import CalibrationError, tagged
 from .perspective import DEFAULT_BETA_JOINTS
-from .pipeline import PipelineConfig, apply_profile, calibrate
+from .pipeline import CalibrationProfile, PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
 from .skeleton import CaptureSequence, GaitDirection, JointIndex
 from .tilt import TiltModel
@@ -171,9 +176,8 @@ def cmd_apply(args) -> int:
     raw_foot_y = _median_foot_y(seq)
     corrected_feet = []  # of each corrected part, only its feet's heights are kept
 
-    def parts():  # one writer block at a time, so the corrected capture is never held whole
-        for start in range(0, len(seq), fileio.BLOCK_FRAMES):
-            part = apply_profile(seq[start : start + fileio.BLOCK_FRAMES], profile)
+    def parts():
+        for part in _corrected_parts(seq, profile):
             corrected_feet.append(part.xyz[:, _FEET, 1])
             yield part
 
@@ -188,6 +192,14 @@ def cmd_apply(args) -> int:
         )
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
+
+
+def _corrected_parts(seq: CaptureSequence, profile: CalibrationProfile | None) -> Iterator[CaptureSequence]:
+    """``seq`` one writer block (``fileio.BLOCK_FRAMES`` frames) at a time, in order, each
+    corrected with ``profile``, or raw without one: the corrected capture is never held whole."""
+    for start in range(0, len(seq), fileio.BLOCK_FRAMES):
+        part = seq[start : start + fileio.BLOCK_FRAMES]
+        yield part if profile is None else apply_profile(part, profile)
 
 
 _FEET = [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT]
@@ -212,26 +224,35 @@ def _median(y: np.ndarray) -> float:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import bone_length_stability, y_diff_to_last
+    from .diagnostics import diff_to_last, edge_lengths, joint_heights, length_stability
 
     seq = fileio.read_capture(args.input, GaitDirection(args.direction))
-    if args.profile is not None:
-        seq = apply_profile(seq, fileio.read_profile(args.profile))
+    profile = None if args.profile is None else fileio.read_profile(args.profile)
+    ydiff, bones = args.report != "bones", args.report != "ydiff"
+    heights, lengths = [], []  # of each corrected part, only what the reports read is kept
+    for part in _corrected_parts(seq, profile):
+        if ydiff:
+            heights.append(joint_heights(part, args.joints))
+        if bones:
+            lengths.append(edge_lengths(part))
+    frame_index = seq.frame_index
+    del seq, part  # only the frame indices outlive the loop: a raw part, too, is a view of the raw capture
 
     # every report is built before any is written, so a failure leaves no partial output
     with tagged(stage="diagnostics"):
-        series = None if args.report == "bones" else y_diff_to_last(seq, args.joints)
-        bones = None if args.report == "ydiff" else bone_length_stability(seq)
+        series = diff_to_last(np.concatenate(heights), frame_index, args.joints) if ydiff else None
+        stability = length_stability(np.concatenate(lengths, axis=1), frame_index) if bones else None
+    del heights, lengths  # nor are the parts' lengths held while the reports are written
     stem = args.out.with_suffix("")
-    if series is not None:
-        path = Path(f"{stem}_ydiff.csv") if bones is not None else args.out
-        fileio.write_ydiff_report(seq, series, path)
+    if ydiff:
+        path = Path(f"{stem}_ydiff.csv") if bones else args.out
+        fileio.write_ydiff_report(frame_index, series, path)
         worst = max(s.max_abs for s in series)
         print(f"ydiff report -> {path} (max |y - y_last| = {worst:.4f} m)", file=sys.stderr)
-    if bones is not None:
-        path = Path(f"{stem}_bones.csv") if series is not None else args.out
-        fileio.write_bone_report(bones, path)
-        print(f"bone report -> {path} (max std = {bones.max_std_m:.6f} m)", file=sys.stderr)
+    if bones:
+        path = Path(f"{stem}_bones.csv") if ydiff else args.out
+        fileio.write_bone_report(stability, path)
+        print(f"bone report -> {path} (max std = {stability.max_std_m:.6f} m)", file=sys.stderr)
     return 0
 
 

@@ -4,6 +4,10 @@ bone-length stability across frames.
 A well-calibrated capture of a walking subject keeps each joint's Y nearly
 constant (residual wobble is gait, not distortion) and every bone length
 constant, since bone lengths belong to the person, not the viewing geometry.
+
+Each statistic is a per-part step, which keeps the small array it reads of
+some frames, and a final step over those arrays joined in frame order, so a
+capture can be measured one part at a time with the bits of the whole.
 """
 
 from __future__ import annotations
@@ -55,56 +59,75 @@ class StabilityReport:
         return max(e.std_length_m for e in self.per_edge)
 
 
+def joint_heights(part: CaptureSequence, joints: Sequence[JointIndex | int]) -> np.ndarray:
+    """The per-part step of ``y_diff_to_last``: the (frames, joints) array of each joint's Y in each frame."""
+    return part.xyz[:, [JointIndex(j) for j in joints], 1]
+
+
+def diff_to_last(
+    heights: np.ndarray, frame_index: np.ndarray, joints: Sequence[JointIndex | int]
+) -> list[DiffSeries]:
+    """The final step of ``y_diff_to_last``, from the ``joint_heights`` of every frame, whose
+    indices are ``frame_index``. The series are the columns of ``heights``, which it overwrites."""
+    idx = [JointIndex(j) for j in joints]
+    with np.errstate(over="ignore"):
+        heights -= heights[-1]
+    bad = np.argwhere(~np.isfinite(heights))
+    if bad.size:
+        frame, k = bad[0].tolist()
+        raise MeasureOverflowError(
+            f"y - y_last of joint {int(idx[k])} overflows at frame {int(frame_index[frame])}"
+        )
+    heights.flags.writeable = False
+    return [DiffSeries(j, d) for j, d in zip(idx, heights.T)]
+
+
 def y_diff_to_last(
     seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS
 ) -> list[DiffSeries]:
     """For each joint, the series y(frame k) - y(last frame); last entry is 0.
 
-    The series are the rows of one (joints, frames) array. A difference
+    The series are the columns of one (frames, joints) array. A difference
     beyond float64's range raises MeasureOverflowError at its first frame.
     """
-    idx = [JointIndex(j) for j in joints]
-    diffs = seq.xyz[:, :, 1].T[idx]
-    with np.errstate(over="ignore"):
-        diffs -= diffs[:, -1:]
-    bad = np.argwhere(~np.isfinite(diffs.T))
-    if bad.size:
-        frame, k = bad[0].tolist()
-        raise MeasureOverflowError(
-            f"y - y_last of joint {int(idx[k])} overflows at frame {int(seq.frame_index[frame])}"
-        )
-    diffs.flags.writeable = False
-    return [DiffSeries(j, d) for j, d in zip(idx, diffs)]
+    return diff_to_last(joint_heights(seq, joints), seq.frame_index, joints)
 
 
-def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
-    """Per-edge mean, standard deviation, and max deviation of bone lengths.
+_PARENTS = [int(e.parent) for e in SKELETON_EDGES]
+_CHILDREN = [int(e.child) for e in SKELETON_EDGES]
 
-    A statistic beyond float64's range raises MeasureOverflowError naming the
-    edge and the frame that deviates most (or first overflows) on it.
-    """
-    if len(seq) < 2:
-        raise TooFewFramesError("bone-length stability needs at least 2 frames")
-    parents = [int(e.parent) for e in SKELETON_EDGES]
-    children = [int(e.child) for e in SKELETON_EDGES]
+
+def edge_lengths(part: CaptureSequence) -> np.ndarray:
+    """The per-part step of ``bone_length_stability``: the (edges, frames) array of each
+    ``SKELETON_EDGES`` bone's length in each frame. A length beyond float64's range is inf."""
     # (edges, frames) arrays: each edge's lengths are contiguous, so numpy sums them pairwise
-    lengths = np.zeros((len(SKELETON_EDGES), len(seq)))
+    lengths = np.zeros((len(SKELETON_EDGES), len(part)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for coordinate in seq.xyz.T:
-            step = coordinate[parents] - coordinate[children]
+        for coordinate in part.xyz.T:
+            step = coordinate[_PARENTS] - coordinate[_CHILDREN]
             step *= step
             lengths += step
         np.sqrt(lengths, out=lengths)
+    return lengths
+
+
+def length_stability(lengths: np.ndarray, frame_index: np.ndarray) -> StabilityReport:
+    """The final step of ``bone_length_stability``, from the ``edge_lengths`` of every frame,
+    whose indices are ``frame_index``, as one C-ordered array, which it overwrites."""
+    frames = lengths.shape[1]
+    if frames < 2:
+        raise TooFewFramesError("bone-length stability needs at least 2 frames")
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = lengths.mean(axis=1)
         # numpy's std, from the deviations that also give the largest one
         dev = np.subtract(lengths, mean[:, None], out=lengths)
         max_dev = np.abs(dev).max(axis=1)
         dev *= dev
-        std = np.sqrt(dev.sum(axis=1) / len(seq))
+        std = np.sqrt(dev.sum(axis=1) / frames)
     bad = np.flatnonzero(~np.isfinite(std))
     if bad.size:
         edge = SKELETON_EDGES[bad[0]]
-        frame = int(seq.frame_index[np.argmax(dev[bad[0]])])  # a NaN, where there is one, comes first
+        frame = int(frame_index[np.argmax(dev[bad[0]])])  # a NaN, where there is one, comes first
         raise MeasureOverflowError(
             f"length of bone {int(edge.parent)}-{int(edge.child)} overflows at frame {frame}"
         )
@@ -114,3 +137,12 @@ def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
             for edge, m, s, d in zip(SKELETON_EDGES, mean.tolist(), std.tolist(), max_dev.tolist())
         )
     )
+
+
+def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
+    """Per-edge mean, standard deviation, and max deviation of bone lengths.
+
+    A statistic beyond float64's range raises MeasureOverflowError naming the
+    edge and the frame that deviates most (or first overflows) on it.
+    """
+    return length_stability(edge_lengths(seq), seq.frame_index)

@@ -474,11 +474,11 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
     return np.frombuffer(coords).reshape(-1, JOINT_COUNT, 3), frame_indices
 
 
-def write_ydiff_report(seq: CaptureSequence, series: Sequence[DiffSeries], path: str | Path) -> None:
+def write_ydiff_report(frame_index: np.ndarray, series: Sequence[DiffSeries], path: str | Path) -> None:
     """Plot-ready CSV: one row per frame, its index and each joint's y - y_last."""
     header = "frame," + ",".join(s.joint.name.lower() for s in series) + "\n"
     diffs = np.array([s.per_frame_diff for s in series]).T
-    body = _block_rows(seq.frame_index, _NO_LABELS, diffs[:, None]) if series else ()
+    body = _block_rows(frame_index, _NO_LABELS, diffs[:, None]) if series else ()
     _atomic_write(path, itertools.chain((header.encode(),), body))
 
 

@@ -80,10 +80,12 @@ class CaptureSequence:
     over without a copy: ``adopt`` takes both, and ``with_xyz`` a stage's
     fresh ``xyz`` beside the sequence's own frame indices.
 
-    Every sequence is valid: the constructor, ``adopt``, ``with_xyz`` and
-    slicing all run ``validate_sequence``, so a capture with no frames, a
-    non-finite coordinate or a frame index that does not increase raises its
-    ``CalibrationError`` instead of being built.
+    Every sequence is valid: the constructor, ``adopt`` and ``with_xyz`` run
+    ``validate_sequence``, so a capture with no frames, a non-finite
+    coordinate or a frame index that does not increase raises its
+    ``CalibrationError`` instead of being built. Slicing runs it only on the
+    slices it cannot vouch for: a non-empty slice with a positive step of a
+    valid sequence is valid.
     """
 
     xyz: np.ndarray
@@ -144,10 +146,16 @@ class CaptureSequence:
 
     def __getitem__(self, frames: slice) -> CaptureSequence:
         """The frames that ``frames`` selects, adopted over read-only views of this
-        sequence's arrays; a slice that selects none raises EmptySequenceError."""
+        sequence's arrays; only an empty or a reversed slice is validated again,
+        and one that selects no frame raises EmptySequenceError."""
         if not isinstance(frames, slice):
             raise TypeError(f"a capture is sliced by frames, not indexed by {type(frames).__name__}")
-        return CaptureSequence.adopt(self.xyz[frames], self.frame_index[frames], self.direction, self.label)
+        xyz, frame_index = self.xyz[frames], self.frame_index[frames]
+        if not len(xyz) or (frames.step or 1) < 0:
+            return CaptureSequence.adopt(xyz, frame_index, self.direction, self.label)
+        seq = object.__new__(CaptureSequence)  # views of read-only arrays are read-only
+        seq.__dict__.update(xyz=xyz, frame_index=frame_index, direction=self.direction, label=self.label)
+        return seq
 
     def __eq__(self, other):
         if not isinstance(other, CaptureSequence):

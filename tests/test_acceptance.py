@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from skelcal import (
     DistortionSpec,
@@ -21,11 +20,8 @@ from skelcal import (
     arithmetic_mean,
     bone_length_stability,
     calibrate,
-    default_template,
-    generate_truth_capture,
     geometric_mean,
     perspective_correct_sequence,
-    polyeval,
     polyfit_least_squares,
     read_capture,
     read_profile,

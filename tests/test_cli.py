@@ -20,6 +20,7 @@ from skelcal import (
     TiltParams,
     apply_distortion,
     apply_profile,
+    bone_length_stability,
     calibrate,
     default_template,
     generate_truth_capture,
@@ -27,6 +28,7 @@ from skelcal import (
     read_profile,
     write_capture,
     write_profile,
+    y_diff_to_last,
 )
 from skelcal import fileio
 from skelcal.cli import _median_foot_y, main
@@ -449,40 +451,61 @@ def _write_profile(path, tilt_rad, sensor_height_m, beta_coeffs):
 _FAULTS = {"overflow": (0.0, 100.0, 1.7e308), "angle": (0.0, 200.0, 2.0)}
 
 
+@pytest.fixture
+def profile(tmp_path):
+    return _write_profile(tmp_path / "profile.json", math.radians(7), 0.75, (0.03, -0.01))
+
+
+@pytest.fixture
+def angle_profile(tmp_path):
+    return _write_profile(tmp_path / "angle.json", 0.0, 0.0, (0.0, 0.01))
+
+
+def raw_capture(tmp_path, frames, faults=None):
+    """A synthetic raw capture of ``frames`` frames, with ``_FAULTS[f]`` at the head of each frame k of ``faults``."""
+    path = tmp_path / "raw.csv"
+    run("synth", "--frames", max(frames, 2), "--tilt-deg", 7, "--sensor-height", 0.75, "--noise-std", 0.002,
+        "--out-truth", tmp_path / "truth.csv", "--out-raw", path)
+    seq = read_capture(path, GaitDirection.VERTICAL)[:frames]
+    xyz = seq.xyz.copy()
+    for frame, fault in (faults or {}).items():
+        xyz[frame, JointIndex.HEAD] = _FAULTS[fault]
+    write_capture(seq.with_xyz(xyz), path)
+    return path
+
+
+def peak_after_read(*argv):
+    """The tracemalloc peak of the CLI run ``argv`` from the end of its read of the capture,
+    with the read capture in it: the reader's own peak is not the part loop's."""
+    read = fileio.read_capture
+
+    def read_then_reset_peak(*args):
+        seq = read(*args)
+        tracemalloc.reset_peak()
+        return seq
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(fileio, "read_capture", read_then_reset_peak):
+            assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestApplyInParts:
     """``apply`` corrects and writes one writer block at a time: its file is that
     of the whole correction, or no file is written."""
 
-    @pytest.fixture
-    def profile(self, tmp_path):
-        return _write_profile(tmp_path / "profile.json", math.radians(7), 0.75, (0.03, -0.01))
-
-    @pytest.fixture
-    def angle_profile(self, tmp_path):
-        return _write_profile(tmp_path / "angle.json", 0.0, 0.0, (0.0, 0.01))
-
-    @staticmethod
-    def raw_capture(tmp_path, frames, faults=None):
-        """A synthetic raw capture of ``frames`` frames, with ``_FAULTS[f]`` at the head of each frame k of ``faults``."""
-        path = tmp_path / "raw.csv"
-        run("synth", "--frames", max(frames, 2), "--tilt-deg", 7, "--sensor-height", 0.75, "--noise-std", 0.002,
-            "--out-truth", tmp_path / "truth.csv", "--out-raw", path)
-        seq = read_capture(path, GaitDirection.VERTICAL)[:frames]
-        xyz = seq.xyz.copy()
-        for frame, fault in (faults or {}).items():
-            xyz[frame, JointIndex.HEAD] = _FAULTS[fault]
-        write_capture(seq.with_xyz(xyz), path)
-        return path
-
     @pytest.mark.parametrize("frames", [1, 255, 256, 257, 513])
     def test_output_is_the_whole_correction(self, tmp_path, profile, frames):
-        raw, out, whole = self.raw_capture(tmp_path, frames), tmp_path / "out.csv", tmp_path / "whole.csv"
+        raw, out, whole = raw_capture(tmp_path, frames), tmp_path / "out.csv", tmp_path / "whole.csv"
         assert run("apply", "--profile", profile, "--in", raw, "--out", out) == 0
         write_capture(apply_profile(read_capture(raw, GaitDirection.VERTICAL), read_profile(profile)), whole)
         assert out.read_bytes() == whole.read_bytes()
 
     def test_output_may_replace_the_input(self, tmp_path, profile):
-        raw = self.raw_capture(tmp_path, 300)
+        raw = raw_capture(tmp_path, 300)
         other = tmp_path / "other.csv"
         assert run("apply", "--profile", profile, "--in", raw, "--out", other) == 0
         assert run("apply", "--profile", profile, "--in", raw, "--out", raw) == 0
@@ -491,7 +514,7 @@ class TestApplyInParts:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     def test_a_fault_in_a_late_part_writes_nothing(self, tmp_path, angle_profile, fault, capsys):
-        raw, out = self.raw_capture(tmp_path, 400, {300: fault}), tmp_path / "out.csv"
+        raw, out = raw_capture(tmp_path, 400, {300: fault}), tmp_path / "out.csv"
         out.write_bytes(b"old\n")
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
@@ -512,19 +535,19 @@ class TestApplyInParts:
         ],
     )
     def test_of_faults_in_two_parts_the_earlier_frame_is_reported(self, tmp_path, angle_profile, faults, error, capsys):
-        raw = self.raw_capture(tmp_path, 400, faults)
+        raw = raw_capture(tmp_path, 400, faults)
         capsys.readouterr()
         assert run("apply", "--profile", angle_profile, "--in", raw, "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith(f"error: {error}: [stage: correction] ")
 
     def test_an_unwritable_output_is_reported_before_a_correction_error(self, tmp_path, angle_profile, capsys):
-        raw, out = self.raw_capture(tmp_path, 20, {5: "overflow"}), tmp_path / "missing" / "out.csv"
+        raw, out = raw_capture(tmp_path, 20, {5: "overflow"}), tmp_path / "missing" / "out.csv"
         capsys.readouterr()
         assert run("apply", "--profile", angle_profile, "--in", raw, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"error: IoFailureError: cannot write {out}: ")
 
     def test_the_warning_follows_the_write(self, tmp_path, profile, capsys):
-        raw, once = self.raw_capture(tmp_path, 300), tmp_path / "once.csv"
+        raw, once = raw_capture(tmp_path, 300), tmp_path / "once.csv"
         assert run("apply", "--profile", profile, "--in", raw, "--out", once) == 0
         capsys.readouterr()
         twice = tmp_path / "twice.csv"
@@ -553,22 +576,116 @@ class TestApplyInParts:
         first holds raw, corrected and temporaries, about 2.0x."""
         small, large = tmp_path / "small", tmp_path / "large"
         small.mkdir(), large.mkdir()
-        paths = self.raw_capture(small, 1000), self.raw_capture(large, 4000)
-        read = fileio.read_capture
-
-        def read_then_reset_peak(*args):  # the reader's own peak is not the apply path's
-            seq = read(*args)
-            tracemalloc.reset_peak()
-            return seq
+        paths = raw_capture(small, 1000), raw_capture(large, 4000)
 
         def peak(path):
-            tracemalloc.start()
-            try:
-                with mock.patch.object(fileio, "read_capture", read_then_reset_peak):
-                    assert run("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv") == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak_after_read("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv")
+
+        peak(paths[0])  # the first run's one-time allocations
+        frame_bytes = JOINT_COUNT * 3 * 8
+        assert (peak(paths[1]) - peak(paths[0])) / (3000 * frame_bytes) < 1.5
+
+
+class TestDiagnoseInParts:
+    """``diagnose`` corrects and measures one writer block at a time: its reports
+    are those of the whole capture, or no report is written."""
+
+    @staticmethod
+    def whole_reports(tmp_path, raw, profile):
+        """The ydiff and bone report bytes written from the whole capture, corrected with ``profile`` if given."""
+        seq = read_capture(raw, GaitDirection.VERTICAL)
+        if profile is not None:
+            seq = apply_profile(seq, read_profile(profile))
+        ydiff, bones = tmp_path / "whole_ydiff.csv", tmp_path / "whole_bones.csv"
+        fileio.write_ydiff_report(seq.frame_index, y_diff_to_last(seq), ydiff)
+        fileio.write_bone_report(bone_length_stability(seq), bones)
+        return {"ydiff": ydiff.read_bytes(), "bones": bones.read_bytes()}
+
+    @pytest.mark.parametrize("report", ["ydiff", "bones", "both"])
+    @pytest.mark.parametrize("corrected", [False, True], ids=["raw", "profile"])
+    @pytest.mark.parametrize("frames", [2, 255, 256, 257, 513])
+    def test_reports_are_those_of_the_whole_capture(self, tmp_path, profile, frames, corrected, report):
+        raw, out = raw_capture(tmp_path, frames), tmp_path / "report.csv"
+        given = ["--profile", profile] if corrected else []
+        assert run("diagnose", "--in", raw, "--report", report, "--out", out, *given) == 0
+        whole = self.whole_reports(tmp_path, raw, profile if corrected else None)
+        if report == "both":
+            assert (tmp_path / "report_ydiff.csv").read_bytes() == whole["ydiff"]
+            assert (tmp_path / "report_bones.csv").read_bytes() == whole["bones"]
+        else:
+            assert out.read_bytes() == whole[report]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_a_fault_in_a_late_part_writes_no_report(self, tmp_path, angle_profile, fault, capsys):
+        raw, old = raw_capture(tmp_path, 400, {300: fault}), tmp_path / "report_ydiff.csv"
+        old.write_bytes(b"old\n")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("diagnose", "--profile", angle_profile, "--in", raw, "--report", "both",
+                   "--out", tmp_path / "report.csv") == 1
+        with pytest.raises(CalibrationError) as whole:  # the error of the whole correction
+            apply_profile(read_capture(raw, GaitDirection.VERTICAL), read_profile(angle_profile))
+        assert capsys.readouterr().err == f"error: {type(whole.value).__name__}: {whole.value}\n"
+        if fault == "overflow":
+            assert str(whole.value) == "[stage: correction] non-finite coordinate at frame 300, joint 3, field y"
+        assert sorted(tmp_path.iterdir()) == before  # no temp file
+        assert old.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({100: "overflow", 300: "angle"}, "NonFiniteCoordinateError"),
+            ({100: "angle", 300: "overflow"}, "BetaOutOfRangeError"),
+        ],
+    )
+    def test_of_faults_in_two_parts_the_earlier_frame_is_reported(self, tmp_path, angle_profile, faults, error, capsys):
+        raw = raw_capture(tmp_path, 400, faults)
+        capsys.readouterr()
+        assert run("diagnose", "--profile", angle_profile, "--in", raw, "--out", tmp_path / "report.csv") == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}: [stage: correction] ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "report, overflow",
+        [
+            ("ydiff", "y - y_last of joint 3 overflows at frame 0"),
+            ("bones", "length of bone 0-1 overflows at frame "),
+            ("both", "y - y_last of joint 3 overflows at frame 0"),
+        ],
+    )
+    def test_a_correction_error_comes_before_a_diagnostics_overflow(self, tmp_path, report, overflow, capsys):
+        xyz = np.ones((400, JOINT_COUNT, 3))
+        # the first and last frames, corrected, hold y near +-1.01e308: their y - y_last and bones overflow
+        xyz[[0, -1], :, 2] = 0.0
+        xyz[0, ::2, 1] = xyz[-1, 1::2, 1] = 1e308
+        xyz[0, 1::2, 1] = xyz[-1, ::2, 1] = -1e308
+        capture, out = tmp_path / "huge.csv", tmp_path / "report.csv"
+        profile = _write_profile(tmp_path / "tilt.json", 0.1, 0.0, (0.0,))
+        argv = ("diagnose", "--profile", profile, "--in", capture, "--report", report, "--out", out)
+        write_capture(CaptureSequence(xyz, np.arange(400), GaitDirection.VERTICAL), capture)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: MeasureOverflowError: [stage: diagnostics] {overflow}")
+        xyz[300, JointIndex.HEAD] = (1.0, 1.7e308, 1.7e308)  # tilting it overflows its z, and then its y
+        write_capture(CaptureSequence(xyz, np.arange(400), GaitDirection.VERTICAL), capture)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteCoordinateError: [stage: correction] non-finite coordinate at frame 300, joint 3, field y\n"
+        )
+        assert not set(tmp_path.glob("report*"))
+
+    def test_memory_grows_by_less_than_one_and_a_half_captures_per_capture(self, tmp_path, profile):
+        """After the read, diagnose holds the raw capture and, of each corrected
+        part, 9 joints' heights and 24 bone lengths: about 1.45x the raw
+        capture's xyz.nbytes per frame. Correcting it whole first holds raw,
+        corrected and temporaries, about 2x."""
+        small, large = tmp_path / "small", tmp_path / "large"
+        small.mkdir(), large.mkdir()
+        paths = raw_capture(small, 1000), raw_capture(large, 4000)
+
+        def peak(path):
+            return peak_after_read("diagnose", "--profile", profile, "--in", path, "--report", "both",
+                                   "--out", tmp_path / "report.csv")
 
         peak(paths[0])  # the first run's one-time allocations
         frame_bytes = JOINT_COUNT * 3 * 8

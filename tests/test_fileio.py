@@ -12,14 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skelcal import (
-    BetaModel,
-    BetaPoint,
     CalibrationProfile,
     DistortionSpec,
     GaitDirection,
     JointIndex,
     Polynomial,
-    TiltParams,
     apply_distortion,
     calibrate,
     generate_truth_capture,
@@ -372,7 +369,7 @@ class TestArrayBackedIo:
         xyz[..., 2] = 2.0
         seq = CaptureSequence(xyz, [3, 7, 9], GaitDirection.VERTICAL)
         path = tmp_path / "ydiff.csv"
-        write_ydiff_report(seq, y_diff_to_last(seq, [JointIndex.HEAD]), path)
+        write_ydiff_report(seq.frame_index, y_diff_to_last(seq, [JointIndex.HEAD]), path)
         assert path.read_text() == "frame,head\n3,-0.600000000\n7,-0.200000000\n9,0.000000000\n"
 
 
@@ -570,7 +567,7 @@ class TestWriterKernel:
         xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
         seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
         # the report's rows with values that are not finite, given to the rows writer directly
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
@@ -693,7 +690,7 @@ class TestRecordWidths:
     def test_ydiff_report_frame_width_changes(self, start, tmp_path):
         seq = CaptureSequence(_small_values(10, 4), np.arange(10) + start, GaitDirection.VERTICAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
 
@@ -758,7 +755,7 @@ class TestOneDigitKernel:
         xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
         seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
         assert digits8_spy.call_count == 1
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
@@ -768,7 +765,7 @@ class TestOneDigitKernel:
         xyz[block + 44, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
         seq = CaptureSequence(xyz, np.arange(len(xyz)) - 300, GaitDirection.VERTICAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
         assert digits8_spy.call_count == 2  # the first and the last block
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
@@ -776,7 +773,7 @@ class TestOneDigitKernel:
         seq = CaptureSequence(_small_values(9000, 7) / 2, np.arange(9000), GaitDirection.VERTICAL)
         series = y_diff_to_last(seq)  # 9 joints: 2,133 frames a block
         with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as spy:
-            write_ydiff_report(seq, series, tmp_path / "ydiff.csv")
+            write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
         assert spy.call_count == 5
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
         rows = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)

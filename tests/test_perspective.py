@@ -9,7 +9,6 @@ from skelcal import (
     BetaModel,
     BetaPoint,
     CaptureSequence,
-    DEFAULT_BETA_JOINTS,
     GaitDirection,
     JOINT_COUNT,
     JointIndex,

@@ -1,12 +1,14 @@
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelcal
+from skelcal import skeleton
 from skelcal import (
     BetaModel,
     BetaPoint,
@@ -334,6 +336,40 @@ class TestCaptureSequenceValue:
     def test_reversed_slice_rejected(self):
         with pytest.raises(NonMonotonicFrameIndexError, match="^frame index 4 does not increase after 5$"):
             make_seq(6)[::-1]
+
+    def test_slices_in_order_are_not_validated_again(self):
+        seq = make_seq(600)
+        with mock.patch.object(skeleton, "validate_sequence", wraps=validate_sequence) as spy:
+            parts = [seq[start : start + 256] for start in range(0, 600, 256)]
+            assert [len(p) for p in parts + [seq[::3], seq[-1:], seq[2:3:1], seq[:]]] == [256, 256, 88, 200, 1, 1, 600]
+            assert spy.call_count == 0
+            seq[3:2:-1]  # a reversed slice is checked, even of one frame
+            with pytest.raises(EmptySequenceError):
+                seq[7:7]
+            assert spy.call_count == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(-1, 3),
+        st.builds(
+            slice,
+            st.none() | st.integers(-10, 10),
+            st.none() | st.integers(-10, 10),
+            st.none() | st.integers(-4, 4).filter(bool),
+        ),
+    )
+    def test_a_slice_is_the_sequence_of_the_sliced_arrays(self, frames, first, frames_slice):
+        xyz = make_xyz(frames) + np.arange(frames)[:, None, None]
+        seq = CaptureSequence(xyz, np.arange(frames) * 3 + first, GaitDirection.HORIZONTAL, "walk")
+        try:
+            expected = CaptureSequence(xyz[frames_slice], seq.frame_index[frames_slice], seq.direction, seq.label)
+        except CalibrationError as exc:
+            with pytest.raises(type(exc)) as got:
+                seq[frames_slice]
+            assert str(got.value) == str(exc)
+        else:
+            assert seq[frames_slice] == expected
 
     @pytest.mark.parametrize("key", [0, -1, (slice(None), 3), np.arange(2)])
     def test_only_frame_slices(self, key):
