@@ -90,6 +90,10 @@ _CHUNK_BYTES = 1 << 16
 #: a row's first mark then starts within the buffer.
 _PAD = 8
 _HEADER_BYTES = (CAPTURE_HEADER + "\n").encode()
+#: Row k of a capture in the canonical layout is joint _ROW_LAYOUT[1, k] of
+#: frame _ROW_LAYOUT[0, k], for the rows of one fill of the reader's buffer (a
+#: row has at least its 8 marks) after up to 24 rows of a first frame.
+_ROW_LAYOUT = np.array(np.divmod(np.arange(_CHUNK_BYTES // 8 + JOINT_COUNT), JOINT_COUNT))
 #: The separators and dots of one row, in order, as a little-endian word.
 _ROW_MARKS = np.frombuffer(b",,.,.,.\n", "<u8")[0]
 #: Added to the byte offsets of a row's marks: each dot's becomes that of the digit after it.
@@ -158,7 +162,8 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
     label or of a shorter index) are then dropped.
     """
     magnitude = np.abs(values)
-    if not (magnitude < _FAST_MAX).all():  # also for NaN
+    mask = magnitude < _FAST_MAX
+    if not mask.all():  # also for NaN
         texts = [label[label != 0].tobytes() for label in labels]
         return b"".join(
             b"%d%s%s\n" % (index, text, "".join(map(",{:.9f}".format, row)).encode())
@@ -166,13 +171,22 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
             for text, row in zip(texts, rows)
         )
 
-    y = magnitude * 1e9
-    nanos = np.rint(y).astype(np.int64)
-    near_tie = np.abs(y - np.floor(y) - 0.5) <= y * 2.0**-51
+    # in place, so that a block allocates about 10 arrays of its size, not 25: one
+    # of a capture block (154 KB) is above glibc's 128 KiB mmap threshold, and each
+    # fresh one can cost new pages
+    y = np.multiply(magnitude, 1e9, out=magnitude)
+    nanos = np.rint(y, out=np.empty(y.shape, np.int64), casting="unsafe")
+    fraction = np.floor(y)
+    np.subtract(y, fraction, out=fraction)
+    fraction -= 0.5
+    np.abs(fraction, out=fraction)
+    y *= 2.0**-51
+    near_tie = np.less_equal(fraction, y, out=mask)
     if near_tie.any():
-        exact = map("{:.9f}".format, magnitude[near_tie].tolist())
+        exact = map("{:.9f}".format, np.abs(values[near_tie]).tolist())
         nanos[near_tie] = [int(text.replace(".", "")) for text in exact]
     lead = nanos // 10**8  # the whole digit, then the first fraction digit
+    nanos -= lead * 10**8  # the other 8 fraction digits
     frame_width = max(len(str(frame_index.min())), len(str(frame_index.max())))
     record = [
         ("frame", f"S{frame_width}"),
@@ -185,16 +199,22 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
     table["label"] = labels
     table["lf"] = ord("\n")
     coordinates = table["coordinates"]
-    coordinates["lead"] = _LEAD[lead + 100 * np.signbit(values)]
-    coordinates["tail"] = _digits8(nanos - lead * 10**8)
+    np.add(lead, 100, out=lead, where=np.signbit(values, out=mask))  # the negative half of _LEAD
+    coordinates["lead"] = _LEAD[lead]
+    coordinates["tail"] = _digits8(nanos)
     # bytes.replace finds the 0 bytes with memchr: 29% less time than text[text != 0] for 9,000 frames
     return table.tobytes().replace(b"\0", b"")
 
 
 def _digits8(n: np.ndarray) -> np.ndarray:
-    """The 8 ASCII digits of each n < 10**8, leading zeros included, as little-endian words."""
+    """The 8 ASCII digits of each n < 10**8, leading zeros included, as
+    little-endian words; ``n`` is overwritten."""
     high = n // 10**4  # numpy divides by a constant without a division instruction; % takes one
-    return _DIGITS4[high] | _DIGITS4[n - high * 10**4] << 32
+    n -= high * 10**4
+    words = _DIGITS4[n]
+    words <<= 32
+    words |= _DIGITS4[high]
+    return words
 
 
 def write_capture(parts: CaptureSequence | Iterable[CaptureSequence], path: str | Path) -> None:
@@ -236,12 +256,11 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     """Parse a capture CSV, labelled with the file's stem; malformed rows are
     reported with their line number, and every error names the file.
 
-    Files as ``write_capture`` writes them are parsed by ``_parse_stream``
-    through one small buffer, and so are such files with CRLF line ends, once
-    each CRLF is made an LF. Any other file, such as one with 9 or more digits
-    in a frame index, is read whole, decoded as ``Path.read_text`` would, and
-    goes through the slower line-by-line parser, which accepts the other valid
-    layouts and names the first bad line.
+    Files as ``write_capture`` writes them, with LF or CRLF line ends, are
+    parsed by ``_parse_stream`` through one small buffer. Any other file, such
+    as one with 9 or more digits in a frame index, is read whole, decoded as
+    ``Path.read_text`` would, and goes through the slower line-by-line parser,
+    which accepts the other valid layouts and names the first bad line.
     """
     path = Path(path)
     try:
@@ -256,8 +275,6 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
     with tagged(path=str(path)):
-        if parsed is None and b"\r\n" in data:
-            parsed = _parse_stream(io.BytesIO(data.replace(b"\r\n", b"\n")))
         if parsed is None:
             lines = _decode_text(data).splitlines()
             if not lines or lines[0].strip() != CAPTURE_HEADER:
@@ -288,7 +305,7 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     r"""Numpy parse of a capture file read from ``fh``, or None if it is outside the grammar.
 
     The file must be the header line, then rows ``I,J,X,Y,Z``, each ending in
-    ``\n``, the last one too. The integer fields ``I`` and ``J`` are
+    ``\n`` or ``\r\n``, the last one too. The integer fields ``I`` and ``J`` are
     ``-?[0-9]{1,8}``. The coordinates are ``-?[0-9]{0,7}\.[0-9]{1,9}``, whose
     digits read as one integer N <= 2**53: the layout ``write_capture``
     prints, with short frame indices and values below 2**22. The rows
@@ -300,17 +317,21 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     equals ``float()`` of the field: the values are those of ``_parse_lines``.
 
     ``fh`` is read twice through one _CHUNK_BYTES buffer: once to count the
-    rows, then to parse the whole rows in each fill of it into arrays of
-    exactly that many rows, the partial row at its end carried to its front.
-    Beside those arrays and the buffer it holds one fill's temporaries. A row
-    longer than the buffer, or a file that changed between the two passes,
-    also gives None.
+    rows, then to parse the whole rows in each fill of it, each CRLF first
+    made an LF in place, the partial row at its end (a CR that may pair with
+    the next fill's LF among it) carried to its front. Each fill's rows go to
+    an array of exactly that many rows of coordinates, and each frame's index,
+    once its rows are checked against it, to one of that many frames. Beside
+    those arrays and the buffer it holds one fill's temporaries. A row longer
+    than the buffer, or a file that changed between the two passes, also
+    gives None.
     """
     buf = bytearray(_PAD + _CHUNK_BYTES)
     raw = np.frombuffer(buf, np.uint8)
     data = memoryview(buf)[_PAD:]
     filled = _fill(fh, data)
-    if not buf.startswith(_HEADER_BYTES, _PAD, _PAD + filled):
+    header_end = buf.find(b"\n", _PAD, _PAD + filled) + 1
+    if buf[_PAD:header_end].replace(b"\r\n", b"\n") != _HEADER_BYTES:
         return None
     rows = -1  # the header's line end
     while filled:
@@ -320,35 +341,44 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     if rows <= 0 or rows % JOINT_COUNT:
         return None
 
-    fh.seek(len(_HEADER_BYTES))
+    fh.seek(header_end - _PAD)
     # the little-endian 8-byte word at every byte offset of the buffer
     words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
-    index_joint = np.empty((2, rows), np.int64)
+    frame_index = np.empty(rows // JOINT_COUNT, np.int64)
     xyz = np.empty((rows, 3))
     row = carry = 0
     while filled := carry + _fill(fh, data[carry:]):
-        end = _PAD + filled
+        # the carried bytes hold no LF: a CR that ends them may pair with one that starts the new ones
+        end = _crlf_to_lf(buf, _PAD, _PAD + filled)
         stop = buf.rfind(b"\n", _PAD, end) + 1
         if not stop:  # a row longer than the buffer, or no line end at the end of the file
             return None
         fields = _parse_chunk(raw, words, _PAD, stop, xyz[row:])
         if fields is None:
             return None
-        index_joint[:, row : row + fields.shape[1]] = fields
+        first = -(-row // JOINT_COUNT)  # the first frame that starts in this fill
+        starts = fields[0, first * JOINT_COUNT - row :: JOINT_COUNT]
+        frame_index[first : first + len(starts)] = starts
+        # each row's joint, and its frame counted from that of the fill's first row
+        frame, joint = _ROW_LAYOUT[:, row % JOINT_COUNT :][:, : fields.shape[1]]
+        frames = frame_index[row // JOINT_COUNT :]
+        if not ((fields[1] == joint).all() and (fields[0] == frames[frame]).all()):
+            return None
         row += fields.shape[1]
         carry = end - stop
         raw[_PAD : _PAD + carry] = raw[stop:end]
-    frames = index_joint.reshape(2, -1, JOINT_COUNT)
-    frame_index = frames[0, :, 0]
-    if not (
-        row == rows
-        and (frames[1] == np.arange(JOINT_COUNT)).all()
-        and (frames[0] == frame_index[:, None]).all()
-        and (frame_index[1:] > frame_index[:-1]).all()
-    ):
+    if not (row == rows and (frame_index[1:] > frame_index[:-1]).all()):
         return None
-    # a copy, so that the per-row index is freed
-    return xyz.reshape(-1, JOINT_COUNT, 3), frame_index.copy()
+    return xyz.reshape(-1, JOINT_COUNT, 3), frame_index
+
+
+def _crlf_to_lf(buf: bytearray, start: int, end: int) -> int:
+    """Turn each CRLF in ``buf[start:end]`` into an LF in place; the new end of the bytes."""
+    if buf.find(b"\r", start, end) < 0:
+        return end
+    lf = buf[start:end].replace(b"\r\n", b"\n")
+    buf[start : start + len(lf)] = lf
+    return start + len(lf)
 
 
 def _fill(fh: BinaryIO, view: memoryview) -> int:

@@ -493,6 +493,16 @@ def peak_after_read(*argv):
         tracemalloc.stop()
 
 
+def peak_of_run(*argv):
+    """The tracemalloc peak of the CLI run ``argv``, its read of the capture included."""
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestApplyInParts:
     """``apply`` corrects and writes one writer block at a time: its file is that
     of the whole correction, or no file is written."""
@@ -584,6 +594,24 @@ class TestApplyInParts:
         peak(paths[0])  # the first run's one-time allocations
         frame_bytes = JOINT_COUNT * 3 * 8
         assert (peak(paths[1]) - peak(paths[0])) / (3000 * frame_bytes) < 1.5
+
+    def test_whole_run_grows_by_less_than_a_capture_and_a_third(self, tmp_path, profile):
+        """With its read, apply holds at most the raw capture and one fill's or one
+        part's arrays beside it: its peak grows by about 1.05x the raw capture's
+        xyz.nbytes per frame. A reader that also held two integers per row grew
+        by about 1.65x: from 4,000 frames on, its read peaked above the write,
+        whose block arrays cost a fixed amount, and below that the two readers
+        would measure alike."""
+        small, large = tmp_path / "small", tmp_path / "large"
+        small.mkdir(), large.mkdir()
+        paths = raw_capture(small, 4000), raw_capture(large, 8000)
+
+        def peak(path):
+            return peak_of_run("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv")
+
+        peak(paths[0])  # the first run's one-time allocations
+        frame_bytes = JOINT_COUNT * 3 * 8
+        assert (peak(paths[1]) - peak(paths[0])) / (4000 * frame_bytes) < 1.3
 
 
 class TestDiagnoseInParts:

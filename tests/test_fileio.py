@@ -812,6 +812,28 @@ class TestCrlfCaptures:
         with mock.patch.object(fileio, "_parse_lines", side_effect=AssertionError("line parser used")):
             assert len(read_capture(crlf, GaitDirection.VERTICAL)) == 250
 
+    @pytest.mark.parametrize("cr_at", [-1, 0, 1])  # the CR's offset from the last byte of the first fill
+    def test_crlf_split_between_two_fills(self, cr_at):
+        """A CR that ends one fill of the reader's buffer pairs with the LF that starts the next."""
+        rows = fileio._CHUNK_BYTES // (JOINT_COUNT * 31) * JOINT_COUNT
+        # whole frames of rows that, with a CR before each LF, end at the first fill's last byte + 1 + cr_at
+        first = _rows_of_length(fileio._CHUNK_BYTES + 1 + cr_at - rows)
+        assert first.count(b"\n") == rows
+        lf = _HEADER + first + _rows_of_length(3000, first_frame=rows // JOINT_COUNT)
+        crlf = lf.replace(b"\n", b"\r\n")
+        fill_end = len(_HEADER) + 1 + fileio._CHUNK_BYTES
+        assert crlf[fill_end - 1 + cr_at : fill_end + 1 + cr_at] == b"\r\n"
+        got, expected = _stream(crlf), _stream(lf)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("cr_at", [2, 50_000, -2])
+    def test_lone_cr_is_read_by_the_line_parser(self, cr_at, tmp_path):
+        """A CR not followed by an LF in a CRLF file: before the header's line end, a middle row's or the last row's."""
+        crlf = (_HEADER + _rows_of_length(3000)).replace(b"\n", b"\r\n")
+        at = crlf.index(b"\n", cr_at % len(crlf))
+        assert_read_by_the_line_parser(crlf[:at] + b"\r" + crlf[at:], tmp_path / "lone_cr.csv")
+
 
 def _pin_capture(template):
     """The 250-frame noisy capture of the writer pin, with its special values."""
@@ -955,7 +977,9 @@ class TestKernelGrammar:
         data = _one_frame_bytes()
         assert _stream(data) is not None
         assert _stream(data[:-1]) is None
-        assert _stream(data.replace(b"\n", b"\r\n")) is None
+        assert _stream(data.replace(b"\n", b"\r")) is None
+        assert _stream(data.replace(b"\n", b"\r\r\n")) is None
+        assert _stream(data.replace(b"\n", b"\r\n")[:-1]) is None  # a lone CR at the end
         assert _stream(data + b"\n") is None
 
     def test_ten_fraction_digits_in_the_last_chunk(self, tmp_path):
@@ -1053,6 +1077,24 @@ class TestStreamReader:
         assert _stream(data) is not None and _stream(after) is not None
         assert _stream(data, lambda d: _ChangedOnRewind(d, after)) is None
 
+    @pytest.mark.parametrize("where", ["within_a_fill", "first_row_of_a_fill"])
+    def test_a_row_with_another_frame_index_than_its_frame(self, where):
+        """The kernel keeps one index per frame: a row whose index differs from
+        that of its frame's first row, in the same fill or in the next, is
+        left to the line parser."""
+        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES)
+        rows = data.splitlines(keepends=True)
+        if where == "within_a_fill":
+            r = 3
+        else:  # the first row parsed in the second fill, which does not start its frame
+            first_fill_end = len(_HEADER) + fileio._CHUNK_BYTES
+            r = next(r for r in range(len(rows)) if len(b"".join(rows[: r + 1])) > first_fill_end)
+        index, rest = rows[r].split(b",", 1)
+        assert not rest.startswith(b"0,")
+        rows[r] = b"%d,%s" % (int(index) + 1, rest)
+        assert _stream(data) is not None
+        assert _stream(b"".join(rows)) is None
+
     @pytest.mark.parametrize("limit", [7, 1000])
     def test_short_reads_still_take_the_kernel(self, limit):
         data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES + 5000)
@@ -1071,12 +1113,15 @@ class TestStreamReader:
         assert seq.xyz.tobytes() == expected[0].tobytes()
         assert seq.frame_index.tolist() == expected[1]
 
-    def test_peak_memory_below_the_file_size(self, tmp_path):
-        """Beside its result, a read holds the per-row integer fields and one buffer."""
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_peak_memory_below_the_file_size(self, line_end, tmp_path):
+        """Beside its result, a read holds one frame index per frame, one buffer
+        and one fill's temporaries, whatever its line ends."""
         frames = 9000
         xyz = np.random.default_rng(14).uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
         path = tmp_path / "long.csv"
         write_capture(CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end))
         tracemalloc.start()
         try:
             seq = read_capture(path, GaitDirection.VERTICAL)
@@ -1084,7 +1129,7 @@ class TestStreamReader:
         finally:
             tracemalloc.stop()
         assert len(seq) == frames
-        assert peak < path.stat().st_size
+        assert peak < 1.25 * seq.xyz.nbytes < path.stat().st_size
 
 
 class TestUndecodableFiles:
