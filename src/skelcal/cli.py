@@ -12,9 +12,10 @@ import-time heap again, during the run or at exit. A program that imports
 never collected. Each subcommand imports only what it runs (``synthetic`` for
 ``synth``, ``diagnostics`` for ``diagnose``).
 
-``apply`` and ``diagnose`` correct a capture one writer block at a time and
-keep of each corrected part only what they write or measure, so neither holds
-the corrected capture whole; ``diagnose`` drops the raw one before its reports.
+``apply`` and ``diagnose`` correct a capture one part of ``_PART_FRAMES`` frames
+at a time and keep of each corrected part only what they write or measure, so
+neither holds the corrected capture whole; ``diagnose`` drops the raw one before
+its reports. The writer formats each part in its own, smaller blocks.
 """
 
 from __future__ import annotations
@@ -194,11 +195,16 @@ def cmd_apply(args) -> int:
     return 0
 
 
+#: Frames per part that ``apply`` and ``diagnose`` correct. It is not the writer's
+#: block: each part has a fixed cost, and 64-frame parts took ``diagnose`` 4% more CPU time.
+_PART_FRAMES = 256
+
+
 def _corrected_parts(seq: CaptureSequence, profile: CalibrationProfile | None) -> Iterator[CaptureSequence]:
-    """``seq`` one writer block (``fileio.BLOCK_FRAMES`` frames) at a time, in order, each
-    corrected with ``profile``, or raw without one: the corrected capture is never held whole."""
-    for start in range(0, len(seq), fileio.BLOCK_FRAMES):
-        part = seq[start : start + fileio.BLOCK_FRAMES]
+    """``seq`` one part of ``_PART_FRAMES`` frames at a time, in order, each corrected with
+    ``profile``, or raw without one: the corrected capture is never held whole."""
+    for start in range(0, len(seq), _PART_FRAMES):
+        part = seq[start : start + _PART_FRAMES]
         yield part if profile is None else apply_profile(part, profile)
 
 

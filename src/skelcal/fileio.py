@@ -53,12 +53,16 @@ _BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-#: Capture frames formatted per bulk step of the writer, and per part that ``skelcal
-#: apply`` corrects. Writing the 9,000-frame capture of a fresh ``skelcal apply``
-#: process took a median 67 ms with 64-frame blocks, 59 ms with 128, 56 ms with
-#: 256 and 55 ms with 512 (11 runs each, 2-CPU Xeon); 256 frames keep a block's
-#: record table near 300 KB.
-BLOCK_FRAMES = 256
+#: Capture frames formatted per bulk step of the writer: at most 80, so that a
+#: block's record table, its ``tobytes()`` copy and the ``replace`` result stay
+#: below glibc's 128 KiB mmap threshold even for the widest records (63 bytes a
+#: row, 1,575 a frame). The allocator then reuses them from the heap whatever the
+#: process freed before the write. In a warm process, whose frees had raised the
+#: threshold, 256-frame blocks wrote the 9,000-frame capture's rows in 47 ms
+#: against 50 (best of 7); but a fresh ``skelcal apply`` took 5.6k to 16.4k minor
+#: page faults with them, by its checkout's path and whether it compiled its
+#: modules, against 5.4k with 64 in every case (2-CPU Xeon).
+BLOCK_FRAMES = 64
 #: The smallest double that prints as 10.000000000 (the double nearest
 #: 9.9999999995 lies below the half and prints as 9.999999999): the writer's
 #: kernel formats a block whose values are all below it, so print one whole digit.
@@ -171,8 +175,7 @@ def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -
             for text, row in zip(texts, rows)
         )
 
-    # in place, so that a block allocates about 10 arrays of its size, not 25: one
-    # of a capture block (154 KB) is above glibc's 128 KiB mmap threshold, and each
+    # in place, so that a block allocates about 10 arrays of its size, not 25: each
     # fresh one can cost new pages
     y = np.multiply(magnitude, 1e9, out=magnitude)
     nanos = np.rint(y, out=np.empty(y.shape, np.int64), casting="unsafe")

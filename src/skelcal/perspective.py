@@ -136,7 +136,7 @@ def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> l
                 betas.append(math.atan((y_last - y_first) / depth_travel))
         if not betas:
             raise NoUsableGaitsError(idx)
-        heights = np.concatenate([s[:, k, 1] for s in slices]).tolist()
+        heights = np.concatenate([s[:, k, 1] for s in slices])
         points.append(BetaPoint(idx, arithmetic_mean(heights), arithmetic_mean(betas)))
     points.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
     return points

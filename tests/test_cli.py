@@ -504,7 +504,7 @@ def peak_of_run(*argv):
 
 
 class TestApplyInParts:
-    """``apply`` corrects and writes one writer block at a time: its file is that
+    """``apply`` corrects and writes one 256-frame part at a time: its file is that
     of the whole correction, or no file is written."""
 
     @pytest.mark.parametrize("frames", [1, 255, 256, 257, 513])
@@ -615,7 +615,7 @@ class TestApplyInParts:
 
 
 class TestDiagnoseInParts:
-    """``diagnose`` corrects and measures one writer block at a time: its reports
+    """``diagnose`` corrects and measures one 256-frame part at a time: its reports
     are those of the whole capture, or no report is written."""
 
     @staticmethod
@@ -718,6 +718,16 @@ class TestDiagnoseInParts:
         peak(paths[0])  # the first run's one-time allocations
         frame_bytes = JOINT_COUNT * 3 * 8
         assert (peak(paths[1]) - peak(paths[0])) / (3000 * frame_bytes) < 1.5
+
+
+@pytest.mark.parametrize("command", ["apply", "diagnose"])
+def test_parts_are_256_frames_whatever_the_writer_block(tmp_path, profile, command):
+    """The part loop has its own size: it does not follow ``fileio.BLOCK_FRAMES``."""
+    raw = raw_capture(tmp_path, 513)
+    with mock.patch("skelcal.cli.apply_profile", wraps=apply_profile) as spy:
+        assert run(command, "--profile", profile, "--in", raw, "--out", tmp_path / "out.csv") == 0
+    assert spy.call_count == math.ceil(513 / 256)
+    assert [len(call.args[0]) for call in spy.call_args_list] == [256, 256, 1]
 
 
 class TestMedianFootY:

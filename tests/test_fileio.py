@@ -533,7 +533,7 @@ class TestWriterKernel:
             assert path.read_bytes() == _per_value_capture_bytes(seq)
 
     @pytest.mark.parametrize("outside", [False, True])
-    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1, 256, 513])
     def test_edge_values_across_blocks(self, frames, outside, tmp_path):
         xyz = np.random.default_rng(frames).normal(0.0, 2.0, (frames, JOINT_COUNT, 3))
         flat = xyz.reshape(-1)
@@ -600,9 +600,11 @@ def split_captures(draw):
 
 def _split_across_blocks():
     """1-frame parts and parts across each block boundary, one of them with a two-digit value."""
-    xyz = _small_values(2 * fileio.BLOCK_FRAMES + 3, 9)
-    xyz[300, 4, 1] = 12.5  # its block takes the per-value path
-    return CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL), [1, 2, 255, 257, 300, 512, 513, 514, 515]
+    block = fileio.BLOCK_FRAMES
+    xyz = _small_values(2 * block + 3, 9)
+    xyz[block + 44, 4, 1] = 12.5  # its block takes the per-value path
+    ends = [1, 2, block - 1, block + 1, block + 44, 2 * block, 2 * block + 1, 2 * block + 2, 2 * block + 3]
+    return CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL), ends
 
 
 def _parts(seq, ends):
@@ -686,6 +688,36 @@ class TestRecordWidths:
         assert text == _per_value_capture_bytes(seq)
         assert b",4194304.000000000," in text
 
+    def test_widest_blocks_stay_below_the_mmap_threshold(self, tmp_path):
+        """Each block's rows stay below glibc's 128 KiB mmap threshold, in captures
+        and reports of the widest records: 20-character frame indices and negative
+        values. Their record table is at most 10 bytes a frame longer."""
+        frames = 3 * fileio.BLOCK_FRAMES + 1
+        xyz = np.random.default_rng(3).uniform(-9.5, -0.5, (frames, JOINT_COUNT, 3))
+        xyz[-1, :, 1] = -0.25  # every y - y_last is negative too, but the last
+        index = np.arange(frames) - 2**62  # 20 characters each
+        index[0], index[-1] = -(2**63), 2**63 - 1
+        seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
+        series = y_diff_to_last(seq, list(JointIndex))
+        csv_rows, block_values = fileio._csv_rows, 3 * JOINT_COUNT * fileio.BLOCK_FRAMES
+        for write, values_per_frame in [
+            (lambda path: write_capture(seq, path), 3 * JOINT_COUNT),
+            (lambda path: write_ydiff_report(seq.frame_index, series, path), JOINT_COUNT),
+        ]:
+            blocks = []
+
+            def spy(frame_index, labels, values):
+                rows = csv_rows(frame_index, labels, values)
+                blocks.append((values.size, len(rows)))
+                return rows
+
+            with mock.patch.object(fileio, "_csv_rows", spy):
+                write(tmp_path / "widest.csv")
+            assert len(blocks) == -(-frames * values_per_frame // block_values)
+            for values, size in blocks:
+                assert values <= block_values  # a capture block's values: BLOCK_FRAMES frames
+                assert size < 128 * 1024
+
     @pytest.mark.parametrize("start", [-12, -3, 95, 995])
     def test_ydiff_report_frame_width_changes(self, start, tmp_path):
         seq = CaptureSequence(_small_values(10, 4), np.arange(10) + start, GaitDirection.VERTICAL)
@@ -733,7 +765,7 @@ class TestOneDigitKernel:
         assert spy.call_count == 1
         assert (fuzz_dir / "one_digit.csv").read_bytes() == _per_value_capture_bytes(seq)
 
-    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [1, fileio.BLOCK_FRAMES, 2 * fileio.BLOCK_FRAMES + 1, 256, 513])
     def test_edge_values_across_blocks(self, frames, digits8_spy, tmp_path):
         xyz = _small_values(frames, frames)
         flat = xyz.reshape(-1)
@@ -771,10 +803,10 @@ class TestOneDigitKernel:
 
     def test_ydiff_report_blocks_hold_as_many_values_as_capture_blocks(self, tmp_path):
         seq = CaptureSequence(_small_values(9000, 7) / 2, np.arange(9000), GaitDirection.VERTICAL)
-        series = y_diff_to_last(seq)  # 9 joints: 2,133 frames a block
+        series = y_diff_to_last(seq)  # 9 joints: a block of as many values as a capture block's
         with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as spy:
             write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
-        assert spy.call_count == 5
+        assert spy.call_count == -(-9000 // (fileio.BLOCK_FRAMES * JOINT_COUNT * 3 // 9))
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
         rows = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)
         assert (tmp_path / "ydiff.csv").read_bytes().partition(b"\n")[2] == rows
