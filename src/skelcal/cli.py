@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", type=Path, required=True)
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
+    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value,
+                   help="the walk's direction; does not change the output")
     p.set_defaults(handler=cmd_apply)
 
     p = sub.add_parser("diagnose", help="emit plot-ready consistency reports for a capture")
@@ -117,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["ydiff", "bones", "both"], default="ydiff")
     p.add_argument("--joints", type=_joint_list, default=DEFAULT_BETA_JOINTS,
                    metavar="J0,J1,...", help="joints for the ydiff report")
-    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value)
+    p.add_argument("--direction", choices=_DIRECTIONS, default=GaitDirection.VERTICAL.value,
+                   help="the walk's direction; does not change the output")
     p.add_argument("--out", type=Path, required=True,
                    help="output CSV; with --report both, writes <out>_ydiff.csv and <out>_bones.csv")
     p.set_defaults(handler=cmd_diagnose)

@@ -155,15 +155,9 @@ def tilt_correct_xyz(xyz: np.ndarray, params: TiltParams) -> np.ndarray:
     """Correct every ``(x, y, z)`` of ``xyz`` for tilt a and sensor height h, in a fresh array:
     z_c = y*sin(a) + z, then y_c = z_c*sin(a) + y + h, a shear that distort_tilt inverts."""
     s = math.sin(params.tilt_rad)
-    y, z = xyz[..., 1], xyz[..., 2]
     out = xyz.copy()
-    y_c, z_c = out[..., 1], out[..., 2]
-    # the float operations of the formula above, in its order, written into out's columns
-    np.multiply(y, s, out=z_c)
-    z_c += z
-    np.multiply(z_c, s, out=y_c)
-    y_c += y
-    y_c += params.sensor_height_m
+    out[..., 2] = xyz[..., 1] * s + xyz[..., 2]
+    out[..., 1] = out[..., 2] * s + xyz[..., 1] + params.sensor_height_m
     return out
 
 

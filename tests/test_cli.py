@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -155,6 +156,26 @@ class TestDirection:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "'bogus'" in err and "vertical" in err and "horizontal" in err
+
+    @pytest.mark.parametrize("command,files", [("apply", 1), ("diagnose", 2)])
+    def test_apply_and_diagnose_write_the_same_bytes_for_either_direction(self, tmp_path, profile, command, files):
+        raw = raw_capture(tmp_path, 300)
+        report = ["--report", "both"] if command == "diagnose" else []
+        outputs = []
+        for direction in ("vertical", "horizontal"):
+            out = tmp_path / direction
+            out.mkdir()
+            assert run(command, "--profile", profile, "--in", raw, "--direction", direction, *report,
+                       "--out", out / "out.csv") == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == files
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["apply", "diagnose"])
+    def test_help_says_direction_does_not_change_the_output(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        assert "does not change the output" in " ".join(capsys.readouterr().out.split())
 
     def test_horizontal_walk_round_trips(self, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -746,3 +767,34 @@ class TestMedianFootY:
         got = _median_foot_y(seq)
         assert got == expected
         assert got.hex() == expected.hex() or got == 0.0  # -0.0 and 0.0 tie in any order
+
+
+class TestOutputDigests:
+    """The SHA-256 of every file ``calibrate``, ``apply`` and ``diagnose --report both``
+    write from seeded synthetic inputs: a change to any output byte fails here."""
+
+    DIGESTS = {
+        "profile.json": "3bb4bb9fbc45abe649cb79ec8005a8b2540a92d1221fc2b9c3dcbd06a48df5f3",
+        "corrected.csv": "0b72781b53b0d160790bbfe7468ee6b7add5f36348547ae6c137c5da1b273674",
+        "report_ydiff.csv": "cb264c3d559a74e8c2fe786e9ba6bcadbab0020000a9f7b4d03f22cb4a8f2548",
+        "report_bones.csv": "f9ca8bf2dfd91172fed17c0cec184221fed8eae4ee70f99311c7c6544ad86be0",
+    }
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        def synth(name, frames, seed, direction="vertical"):
+            raw = tmp_path / f"{name}.csv"
+            assert run("synth", "--direction", direction, "--frames", frames, "--tilt-deg", 7,
+                       "--sensor-height", 0.75, "--beta-coeffs", "3.0,-1.0", "--noise-std", 0.005,
+                       "--seed", seed, "--out-truth", tmp_path / f"{name}_truth.csv", "--out-raw", raw) == 0
+            return raw
+
+        gaits = [synth(f"gait{i}", 90, i) for i in range(3)]
+        capture = synth("capture", 600, 3)  # 3 parts, 10 writer blocks
+        walk = synth("walk", 300, 4, "horizontal")
+        profile = tmp_path / "profile.json"
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, *gaits) == 0
+        assert run("apply", "--profile", profile, "--in", capture, "--out", tmp_path / "corrected.csv") == 0
+        assert run("diagnose", "--profile", profile, "--in", walk, "--direction", "horizontal",
+                   "--report", "both", "--out", tmp_path / "report.csv") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS

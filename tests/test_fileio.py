@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -689,33 +690,37 @@ class TestRecordWidths:
         assert b",4194304.000000000," in text
 
     def test_widest_blocks_stay_below_the_mmap_threshold(self, tmp_path):
-        """Each block's rows stay below glibc's 128 KiB mmap threshold, in captures
-        and reports of the widest records: 20-character frame indices and negative
-        values. Their record table is at most 10 bytes a frame longer."""
-        frames = 3 * fileio.BLOCK_FRAMES + 1
+        """Each block's record table holds at most the 100,800 bytes of BLOCK_FRAMES
+        capture frames of the widest records, 20-character frame indices and negative
+        values, and its rows stay below glibc's 128 KiB mmap threshold: in captures and
+        in reports of 1, 2 and 25 joints."""
+        frames = 4801  # blocks sized by value count gave a 1-joint report 4,800 frames of 34 bytes
         xyz = np.random.default_rng(3).uniform(-9.5, -0.5, (frames, JOINT_COUNT, 3))
         xyz[-1, :, 1] = -0.25  # every y - y_last is negative too, but the last
         index = np.arange(frames) - 2**62  # 20 characters each
         index[0], index[-1] = -(2**63), 2**63 - 1
         seq = CaptureSequence(xyz, index, GaitDirection.VERTICAL)
-        series = y_diff_to_last(seq, list(JointIndex))
-        csv_rows, block_values = fileio._csv_rows, 3 * JOINT_COUNT * fileio.BLOCK_FRAMES
-        for write, values_per_frame in [
-            (lambda path: write_capture(seq, path), 3 * JOINT_COUNT),
-            (lambda path: write_ydiff_report(seq.frame_index, series, path), JOINT_COUNT),
-        ]:
+        capture_frame = JOINT_COUNT * (20 + 3 + 3 * 13 + 1)  # records of an index, a joint field and 3 coordinates
+        table_bytes = fileio.BLOCK_FRAMES * capture_frame
+        assert table_bytes == 100_800
+        csv_rows, writers = fileio._csv_rows, [(functools.partial(write_capture, seq), capture_frame)]
+        for joints in ([JointIndex.HEAD], [JointIndex.HEAD, JointIndex.FOOT_LEFT], list(JointIndex)):
+            series = y_diff_to_last(seq, joints)
+            writers.append((functools.partial(write_ydiff_report, seq.frame_index, series), 20 + len(joints) * 13 + 1))
+        for write, frame_bytes in writers:
             blocks = []
 
             def spy(frame_index, labels, values):
                 rows = csv_rows(frame_index, labels, values)
-                blocks.append((values.size, len(rows)))
+                blocks.append((len(frame_index), len(rows)))
                 return rows
 
             with mock.patch.object(fileio, "_csv_rows", spy):
                 write(tmp_path / "widest.csv")
-            assert len(blocks) == -(-frames * values_per_frame // block_values)
-            for values, size in blocks:
-                assert values <= block_values  # a capture block's values: BLOCK_FRAMES frames
+            block_frames = table_bytes // frame_bytes
+            assert [n for n, _ in blocks] == [block_frames] * (frames // block_frames) + [frames % block_frames]
+            for n, size in blocks:
+                assert n * frame_bytes <= table_bytes
                 assert size < 128 * 1024
 
     @pytest.mark.parametrize("start", [-12, -3, 95, 995])
@@ -792,7 +797,8 @@ class TestOneDigitKernel:
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
     def test_ydiff_report_in_blocks(self, digits8_spy, tmp_path):
-        block = fileio.BLOCK_FRAMES * JOINT_COUNT * 3 // 2  # a 2-joint report's block: a capture block's values
+        # a 2-joint report's block: as many frames as fit a capture block's widest record table
+        block = fileio.BLOCK_FRAMES * JOINT_COUNT * (20 + 3 + 3 * 13 + 1) // (20 + 2 * 13 + 1)
         xyz = _small_values(2 * block + 1, 6) / 2  # every y - y_last below 9.5
         xyz[block + 44, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
         seq = CaptureSequence(xyz, np.arange(len(xyz)) - 300, GaitDirection.VERTICAL)
@@ -802,11 +808,13 @@ class TestOneDigitKernel:
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
     def test_ydiff_report_blocks_hold_as_many_values_as_capture_blocks(self, tmp_path):
+        """A block holds as many frames as fit a capture block's widest record table:
+        as many bytes of a record table, not as many values."""
         seq = CaptureSequence(_small_values(9000, 7) / 2, np.arange(9000), GaitDirection.VERTICAL)
-        series = y_diff_to_last(seq)  # 9 joints: a block of as many values as a capture block's
+        series = y_diff_to_last(seq)  # 9 joints: 138 bytes a frame in the widest table, 730 frames a block
         with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as spy:
             write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
-        assert spy.call_count == -(-9000 // (fileio.BLOCK_FRAMES * JOINT_COUNT * 3 // 9))
+        assert spy.call_count == -(-9000 // (fileio.BLOCK_FRAMES * JOINT_COUNT * (20 + 3 + 3 * 13 + 1) // 138)) == 13
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
         rows = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)
         assert (tmp_path / "ydiff.csv").read_bytes().partition(b"\n")[2] == rows

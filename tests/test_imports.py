@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, in the package and in its tests."""
+"""Every name a module imports is used in it, in the package and in its tests, and
+every private name a package module defines at module level is read in it."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import skelcal
 
-MODULES = sorted([*Path(skelcal.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+PACKAGE = sorted(Path(skelcal.__file__).parent.glob("*.py"))
+MODULES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -30,3 +32,33 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport sys\nfrom a import b as c, d\nsys.exit(d)\n"
     assert unused_imports(source) == [(2, "os"), (4, "c")]
+
+
+def unread_private_names(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of each private name that ``source`` binds at module level and never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        (line, name)
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_private_module_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_an_unread_private_name_is_found():
+    source = "_A, _B = 1, 2\n_C: int = _A\ndef _f():\n    _D = 3\nclass _K:\n    pass\n__all__ = []\nPUBLIC = 4\n"
+    assert unread_private_names(source) == [(1, "_B"), (2, "_C"), (3, "_f"), (5, "_K")]

@@ -337,16 +337,16 @@ class TestCaptureSequenceValue:
         with pytest.raises(NonMonotonicFrameIndexError, match="^frame index 4 does not increase after 5$"):
             make_seq(6)[::-1]
 
-    def test_slices_in_order_are_not_validated_again(self):
+    def test_every_slice_is_validated_once(self):
         seq = make_seq(600)
         with mock.patch.object(skeleton, "validate_sequence", wraps=validate_sequence) as spy:
             parts = [seq[start : start + 256] for start in range(0, 600, 256)]
             assert [len(p) for p in parts + [seq[::3], seq[-1:], seq[2:3:1], seq[:]]] == [256, 256, 88, 200, 1, 1, 600]
-            assert spy.call_count == 0
-            seq[3:2:-1]  # a reversed slice is checked, even of one frame
+            assert spy.call_count == 7
+            seq[3:2:-1]  # a reversed slice of one frame
             with pytest.raises(EmptySequenceError):
                 seq[7:7]
-            assert spy.call_count == 2
+            assert spy.call_count == 9
 
     @settings(max_examples=300, deadline=None)
     @given(
