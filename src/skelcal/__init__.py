@@ -39,7 +39,6 @@ _EXPORTS = {
     "DEFAULT_BETA_JOINTS": "perspective",
     "distort_perspective": "perspective",
     "fit_beta_model": "perspective",
-    "joint_perspective_degree": "perspective",
     "mean_perspective_degrees": "perspective",
     "perspective_correct_sequence": "perspective",
     "CalibrationProfile": "pipeline",

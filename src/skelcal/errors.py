@@ -97,10 +97,6 @@ class ZeroAngleError(CalibrationError):
 
 # -- perspective estimation --------------------------------------------------
 
-class InsufficientDepthTravelError(CalibrationError):
-    pass
-
-
 class WrongDirectionError(CalibrationError):
     pass
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     BetaOutOfRangeError,
     FixedPointDivergenceError,
-    InsufficientDepthTravelError,
     NoUsableGaitsError,
     WrongDirectionError,
 )
@@ -84,27 +83,6 @@ class BetaModel:
             raise ValueError("need more source points than the fit degree")
 
 
-def joint_perspective_degree(seq: CaptureSequence, j: JointIndex | int) -> float:
-    """Perspective angle of joint ``j`` from the first and last frame, radians.
-
-    atan of (Y picked up per meter of depth lost) between the two end frames:
-    positive when the far reading is too low. Only meaningful on a
-    tilt-corrected walk toward the sensor with enough depth travel.
-    """
-    if seq.direction is not GaitDirection.VERTICAL:
-        raise WrongDirectionError(
-            f"perspective estimation needs a vertical gait, got {seq.direction.value}"
-        )
-    idx = JointIndex(j)
-    (_, y_first, z_first), (_, y_last, z_last) = seq.xyz[[0, -1], idx].tolist()
-    depth_travel = z_first - z_last
-    if abs(depth_travel) <= MIN_DEPTH_TRAVEL_M:
-        raise InsufficientDepthTravelError(
-            f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {MIN_DEPTH_TRAVEL_M} m"
-        )
-    return math.atan((y_last - y_first) / depth_travel)
-
-
 def mean_perspective_degrees(
     seqs: Sequence[CaptureSequence],
     joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS,
@@ -118,10 +96,12 @@ def mean_perspective_degrees(
 def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> list[BetaPoint]:
     """Per-joint mean perspective angles from tilt-corrected vertical gaits' slices ``xyz[:, joints]``.
 
-    A joint's angle is ``joint_perspective_degree``'s, averaged over the gaits
-    where it was computable; its height is its mean Y over all frames of all
-    slices. Points come back ordered top to bottom by height. No slice at all
-    raises WrongDirectionError: no gait is vertical.
+    A joint's angle in one gait is atan((y_last - y_first) / (z_first - z_last))
+    over the slice's end frames: the Y it picks up per metre of depth it loses,
+    positive when the far reading is too low. It is averaged over the gaits
+    where |z_first - z_last| > MIN_DEPTH_TRAVEL_M; its height is its mean Y
+    over all frames of all slices. Points come back ordered top to bottom by
+    height. No slice at all raises WrongDirectionError: no gait is vertical.
     """
     if not slices:
         raise WrongDirectionError("no vertical gait among the calibration sequences")

@@ -1,4 +1,4 @@
-"""Scalar references for the array stages: one frame or one point at a time, in plain Python floats.
+"""Scalar references for the array stages: one frame, point or joint at a time, in plain Python floats.
 
 No skelcal command calls these. The tests compare the package's whole-array
 transforms against them, bit for bit where the array code promises it.
@@ -11,14 +11,18 @@ import math
 from typing import Sequence
 
 from skelcal.diagnostics import y_diff_to_last
-from skelcal.errors import BetaOutOfRangeError, CalibrationError
+from skelcal.errors import BetaOutOfRangeError, CalibrationError, WrongDirectionError
 from skelcal.numerics import polyeval
-from skelcal.perspective import DEFAULT_BETA_JOINTS, MAX_ABS_BETA_RAD, BetaModel
-from skelcal.skeleton import SKELETON_EDGES, CaptureSequence, JointIndex, Point3, SkeletonEdge
+from skelcal.perspective import DEFAULT_BETA_JOINTS, MAX_ABS_BETA_RAD, MIN_DEPTH_TRAVEL_M, BetaModel
+from skelcal.skeleton import SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3, SkeletonEdge
 from skelcal.tilt import MIN_SPINE_RISE_M, TiltParams
 
 
 class DegenerateSpineError(CalibrationError):
+    pass
+
+
+class InsufficientDepthTravelError(CalibrationError):
     pass
 
 
@@ -49,6 +53,27 @@ def tilt_correct_point(p: Sequence[float], params: TiltParams) -> Point3:
     z_c = y * s + z
     y_c = z_c * s + y + params.sensor_height_m
     return Point3(x, y_c, z_c)
+
+
+def joint_perspective_degree(seq: CaptureSequence, j: JointIndex | int) -> float:
+    """Perspective angle of joint ``j`` from the first and last frame, radians.
+
+    atan of (Y picked up per meter of depth lost) between the two end frames:
+    positive when the far reading is too low. Only meaningful on a
+    tilt-corrected walk toward the sensor with enough depth travel.
+    """
+    if seq.direction is not GaitDirection.VERTICAL:
+        raise WrongDirectionError(
+            f"perspective estimation needs a vertical gait, got {seq.direction.value}"
+        )
+    idx = JointIndex(j)
+    (_, y_first, z_first), (_, y_last, z_last) = seq.xyz[[0, -1], idx].tolist()
+    depth_travel = z_first - z_last
+    if abs(depth_travel) <= MIN_DEPTH_TRAVEL_M:
+        raise InsufficientDepthTravelError(
+            f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {MIN_DEPTH_TRAVEL_M} m"
+        )
+    return math.atan((y_last - y_first) / depth_travel)
 
 
 def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:

@@ -26,9 +26,7 @@ spans = importlib.import_module("spans")
 workloads = importlib.import_module("workloads")
 
 
-@pytest.mark.parametrize(
-    "module,function", [*spans.SPANS, ("perspective", "joint_perspective_degree")]
-)
+@pytest.mark.parametrize("module,function", spans.SPANS)
 def test_traced_names_resolve_to_functions(module, function):
     assert inspect.isfunction(getattr(importlib.import_module(f"skelcal.{module}"), function, None))
 

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, in the package and in its tests, and
-every private name a package module defines at module level is read in it."""
+"""Every name a module imports is used in it, in the package and in its tests,
+every private name a package module defines at module level is read in it, and
+every exception class of ``skelcal.errors`` is raised or subclassed in the package."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,37 @@ def test_every_private_module_name_is_read(path):
 def test_an_unread_private_name_is_found():
     source = "_A, _B = 1, 2\n_C: int = _A\ndef _f():\n    _D = 3\nclass _K:\n    pass\n__all__ = []\nPUBLIC = 4\n"
     assert unread_private_names(source) == [(1, "_B"), (2, "_C"), (3, "_f"), (5, "_K")]
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name that ``node`` reads: ``X`` of ``X`` and of ``module.X``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes that ``errors_source`` defines and that no module of ``sources`` raises or subclasses."""
+    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+            elif isinstance(node, ast.ClassDef):
+                used.update(_name(base) for base in node.bases)
+    return [name for name in defined if name not in used]
+
+
+def test_every_error_is_raised_or_subclassed():
+    errors = Path(skelcal.__file__).parent / "errors.py"
+    assert unraised_errors(errors.read_text(), [path.read_text() for path in PACKAGE]) == []
+
+
+def test_an_unraised_error_is_found():
+    errors = "class A(Exception):\n    pass\nclass B(A):\n    pass\nclass C(A):\n    pass\nclass D(A):\n    pass\n"
+    sources = [
+        errors,
+        "import e\nraise e.B('x') from None\n",
+        "from e import C\nclass E(C):\n    pass\n",
+        "from e import D\ntry:\n    pass\nexcept D:\n    raise\n",
+    ]
+    assert unraised_errors(errors, sources) == ["D"]

@@ -16,20 +16,18 @@ from skelcal import (
     arithmetic_mean,
     beta_points,
     fit_beta_model,
-    joint_perspective_degree,
     mean_perspective_degrees,
     perspective_correct_sequence,
     polyeval,
 )
 from skelcal.errors import (
     BetaOutOfRangeError,
-    InsufficientDepthTravelError,
     InsufficientPointsError,
     NoUsableGaitsError,
     WrongDirectionError,
 )
 from skelcal.perspective import distort_perspective
-from oracles import perspective_correct_point
+from oracles import InsufficientDepthTravelError, joint_perspective_degree, perspective_correct_point
 
 
 def two_frame_seq(first, last, direction=GaitDirection.VERTICAL):

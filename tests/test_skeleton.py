@@ -39,7 +39,9 @@ TEST_ONLY = (
     "perspective_correct_point",
     "bone_lengths",
     "max_y_diff",
+    "joint_perspective_degree",
     "DegenerateSpineError",
+    "InsufficientDepthTravelError",
 )
 
 
