@@ -120,19 +120,15 @@ _SWAR_STEPS = tuple(
 
 
 def _atomic_write(path: str | Path, chunks: bytes | Iterable[bytes]) -> None:
-    """Write ``chunks`` (bytes or an iterable of them) to a temp file, then rename it.
-
-    The temp file is created with mode 0666 so that the umask applies, as for
-    ``open(path, "w")``.
-    """
+    """Write ``chunks`` (bytes or an iterable of them) to a temp file, then rename it."""
     path = Path(path)
     if isinstance(chunks, bytes):
         chunks = (chunks,)
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")  # fixed length: any name the target can have fits
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fh = open(tmp, "xb")
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with fh:
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
@@ -252,7 +248,7 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     """
     path = Path(path)
     try:
-        with open(path, "rb", buffering=0) as fh:
+        with open(path, "rb") as fh:
             if not fh.seekable():  # a pipe, which the two passes cannot rewind
                 fh = io.BytesIO(fh.read())
             parsed = _parse_stream(fh)
@@ -312,12 +308,13 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     once its rows are checked against it, to one of that many frames. Beside
     those arrays and the buffer it holds one fill's temporaries. A row longer
     than the buffer, or a file that changed between the two passes, also
-    gives None.
+    gives None. Each fill is one ``readinto``, which fills the buffer unless
+    the file ends when ``fh`` is a buffered file or a ``BytesIO``.
     """
     buf = bytearray(_PAD + _CHUNK_BYTES)
     raw = np.frombuffer(buf, np.uint8)
     data = memoryview(buf)[_PAD:]
-    filled = _fill(fh, data)
+    filled = fh.readinto(data)
     header_end = buf.find(b"\n", _PAD, _PAD + filled) + 1
     if buf[_PAD:header_end].replace(b"\r\n", b"\n") != _HEADER_BYTES:
         return None
@@ -325,7 +322,7 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     while filled:
         # a fifth of the time of bytes.count(b"\n")
         rows += np.count_nonzero(raw[_PAD : _PAD + filled] == 10)
-        filled = _fill(fh, data)
+        filled = fh.readinto(data)
     if rows <= 0 or rows % JOINT_COUNT:
         return None
 
@@ -335,7 +332,7 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     frame_index = np.empty(rows // JOINT_COUNT, np.int64)
     xyz = np.empty((rows, 3))
     row = carry = 0
-    while filled := carry + _fill(fh, data[carry:]):
+    while filled := carry + fh.readinto(data[carry:]):
         # the carried bytes hold no LF: a CR that ends them may pair with one that starts the new ones
         end = _crlf_to_lf(buf, _PAD, _PAD + filled)
         stop = buf.rfind(b"\n", _PAD, end) + 1
@@ -366,14 +363,6 @@ def _crlf_to_lf(buf: bytearray, start: int, end: int) -> int:
     lf = buf[start:end].replace(b"\r\n", b"\n")
     buf[start : start + len(lf)] = lf
     return start + len(lf)
-
-
-def _fill(fh: BinaryIO, view: memoryview) -> int:
-    """Read from ``fh`` into ``view`` until it is full or the file ends; the bytes read."""
-    filled = 0
-    while filled < len(view) and (n := fh.readinto(view[filled:])):
-        filled += n
-    return filled
 
 
 def _parse_chunk(

@@ -130,10 +130,11 @@ def fit_beta_model(points: Sequence[BetaPoint], degree: int) -> BetaModel:
 
 def _check_angles(beta: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
     """Raise BetaOutOfRangeError at the first angle that no correction accepts."""
-    # |beta| >= MAX_ABS_BETA_RAD without a float temporary the size of beta
-    steep = np.flatnonzero((beta >= MAX_ABS_BETA_RAD) | (beta <= -MAX_ABS_BETA_RAD))
-    if steep.size:
-        k = steep[0]
+    # the extremes skip NaN and build no array the size of beta
+    highest = np.fmax.reduce(beta, None, initial=-np.inf)
+    lowest = np.fmin.reduce(beta, None, initial=np.inf)
+    if highest >= MAX_ABS_BETA_RAD or lowest <= -MAX_ABS_BETA_RAD:
+        k = np.flatnonzero(np.abs(beta) >= MAX_ABS_BETA_RAD)[0]
         raise BetaOutOfRangeError(
             f"angle {beta.flat[k]} rad too close to pi/2 at y={y.flat[k]}, z={z.flat[k]}"
         )

@@ -440,6 +440,17 @@ class TestBlockCodec:
         assert np.abs(back.xyz - short_walk.xyz).max() <= 1e-9
         assert list(tmp_path.iterdir()) == [path]  # no temp file left
 
+    def test_the_temp_file_is_created_exclusively(self, short_walk, tmp_path):
+        """A file already at the temp name is neither written through nor removed."""
+        tmp = tmp_path / f".{'00' * 8}.tmp"
+        tmp.write_bytes(b"sentinel")
+        target = tmp_path / "walk.csv"
+        with mock.patch.object(fileio.os, "urandom", return_value=bytes(8)):
+            with pytest.raises(IoFailureError, match=f"^cannot write {target}: "):
+                write_capture(short_walk, target)
+        assert tmp.read_bytes() == b"sentinel"
+        assert list(tmp_path.iterdir()) == [tmp]
+
     def test_a_failed_rename_leaves_no_temp_file(self, short_walk, tmp_path):
         target = tmp_path / "walk.csv"
         target.mkdir()  # a file cannot replace a directory
@@ -1055,7 +1066,7 @@ def _rows_of_length(size, first_frame=0):
 
 
 class _ShortReads(io.BytesIO):
-    """A file that returns at most ``limit`` bytes per read."""
+    """A raw file that returns at most ``limit`` bytes per read."""
 
     def __init__(self, data, limit):
         super().__init__(data)
@@ -1137,8 +1148,9 @@ class TestStreamReader:
 
     @pytest.mark.parametrize("limit", [7, 1000])
     def test_short_reads_still_take_the_kernel(self, limit):
+        """``read_capture`` reads through a buffered file, which repeats short raw reads until each fill is full."""
         data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES + 5000)
-        assert_kernel_equals_line_parser(data, lambda d: _ShortReads(d, limit))
+        assert_kernel_equals_line_parser(data, lambda d: io.BufferedReader(_ShortReads(d, limit)))
 
     def test_pipe_is_read_whole(self):
         data = _HEADER + _rows_of_length(3000)

@@ -26,7 +26,7 @@ from skelcal.errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
-from skelcal.perspective import distort_perspective
+from skelcal.perspective import _check_angles, distort_perspective
 from oracles import InsufficientDepthTravelError, joint_perspective_degree, perspective_correct_point
 
 
@@ -260,6 +260,14 @@ class TestPerspectiveCorrectSequence:
         back = perspective_correct_sequence(distort_perspective(seq, poly), model_from(poly))
         assert back.xyz[..., [0, 2]].tobytes() == xyz[..., [0, 2]].tobytes()
         assert np.abs(back.xyz[..., 1] - xyz[..., 1]).max() <= 1e-9
+
+    def test_check_angles_skips_nan(self):
+        """A NaN before a steep angle does not hide it, and NaN alone passes."""
+        beta = np.array([[math.nan, 0.1], [-1.6, 1.6]])
+        y, z = np.arange(4.0).reshape(2, 2), np.arange(10.0, 14.0).reshape(2, 2)
+        with pytest.raises(BetaOutOfRangeError, match=r"^angle -1\.6 rad too close to pi/2 at y=2\.0, z=12\.0$"):
+            _check_angles(beta, y, z)
+        _check_angles(np.full((2, 2), math.nan), y, z)
 
 
 class TestBetaTypes:

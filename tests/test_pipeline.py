@@ -285,6 +285,14 @@ class TestCalibrateOnePass:
         assert (eight - two) / 6 < 0.75 * truth_walk.xyz.nbytes
 
 
+def uniform_capture_and_profile(frames):
+    """A capture of uniform random points and a profile with tilt and a linear angle."""
+    xyz = np.random.default_rng(3).uniform(0.0, 3.0, (frames, JOINT_COUNT, 3))
+    seq = CaptureSequence(xyz, range(frames), GaitDirection.VERTICAL)
+    points = (BetaPoint(JointIndex.HEAD, 1.6, 0.0), BetaPoint(JointIndex.KNEE_LEFT, 0.5, 0.01))
+    return seq, CalibrationProfile(TiltParams(0.1, 0.75), BetaModel(Polynomial((0.02, -0.01)), 1, points), 1)
+
+
 class TestApplyProfile:
     def test_identity_profile_preserves_sequence(self, truth_walk):
         out = apply_profile(truth_walk, identity_profile())
@@ -327,17 +335,15 @@ class TestApplyProfile:
 
     def test_peak_memory_below_two_captures(self):
         """Both stages write one fresh array; the perspective angles are the one temporary."""
-        xyz = np.random.default_rng(3).uniform(0.0, 3.0, (2000, JOINT_COUNT, 3))
-        seq = CaptureSequence(xyz, range(2000), GaitDirection.VERTICAL)
-        points = (BetaPoint(JointIndex.HEAD, 1.6, 0.0), BetaPoint(JointIndex.KNEE_LEFT, 0.5, 0.01))
-        profile = CalibrationProfile(TiltParams(0.1, 0.75), BetaModel(Polynomial((0.02, -0.01)), 1, points), 1)
-        tracemalloc.start()
-        try:
-            apply_profile(seq, profile)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * seq.xyz.nbytes
+        seq, profile = uniform_capture_and_profile(2000)
+        assert tracemalloc_peak(lambda: apply_profile(seq, profile)) < 2 * seq.xyz.nbytes
+
+    def test_temporaries_are_the_angles(self):
+        """Beside its output, a whole-capture correction holds the float angles
+        (a third of the output) and nothing else the size of the capture."""
+        seq, profile = uniform_capture_and_profile(9000)
+        peak = tracemalloc_peak(lambda: apply_profile(seq, profile))
+        assert peak - seq.xyz.nbytes < 0.34 * seq.xyz.nbytes
 
     def test_overflowing_correction_raises_typed_error(self):
         xyz = np.ones((2, JOINT_COUNT, 3))
