@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fileio
-from .errors import CalibrationError, tagged
+from .errors import CalibrationError, IoFailureError, tagged
 from .perspective import DEFAULT_BETA_JOINTS
 from .pipeline import CalibrationProfile, PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
@@ -161,7 +161,8 @@ def cmd_calibrate(args) -> int:
     try:
         profile = calibrate(gaits(), args.sensor_height, config, created_label=args.label)
     except CalibrationError as exc:
-        exc.path = holding[0]  # a gait's own error names its file; later errors name none
+        if not isinstance(exc, IoFailureError):  # whose message names the file it cannot read
+            exc.path = holding[0]  # a gait's own error names its file; later errors name none
         raise
     fileio.write_profile(profile, args.out_profile)
     print(
@@ -176,7 +177,7 @@ def cmd_calibrate(args) -> int:
 def cmd_apply(args) -> int:
     profile = fileio.read_profile(args.profile)
     seq = fileio.read_capture(args.input, GaitDirection(args.direction))
-    raw_foot_y = _median_foot_y(seq)
+    raw_foot_y = _median(seq.xyz[:, _FEET, 1])
     corrected_feet = []  # of each corrected part, only its feet's heights are kept
 
     def parts():
@@ -213,11 +214,6 @@ def _corrected_parts(seq: CaptureSequence, profile: CalibrationProfile | None) -
 _FEET = [JointIndex.FOOT_LEFT, JointIndex.FOOT_RIGHT]
 
 
-def _median_foot_y(seq: CaptureSequence) -> float:
-    """The median of both feet's heights: ``np.median``'s value on finite input."""
-    return _median(seq.xyz[:, _FEET, 1])
-
-
 def _median(y: np.ndarray) -> float:
     """``np.median(y)`` for an even count of finite values: the mean of the two middle ranks.
 
@@ -232,7 +228,7 @@ def _median(y: np.ndarray) -> float:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import diff_to_last, edge_lengths, joint_heights, length_stability
+    from .diagnostics import diff_to_last, edge_lengths, length_stability
 
     seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     profile = None if args.profile is None else fileio.read_profile(args.profile)
@@ -240,7 +236,7 @@ def cmd_diagnose(args) -> int:
     heights, lengths = [], []  # of each corrected part, only what the reports read is kept
     for part in _corrected_parts(seq, profile):
         if ydiff:
-            heights.append(joint_heights(part, args.joints))
+            heights.append(part.xyz[:, args.joints, 1])
         if bones:
             lengths.append(edge_lengths(part))
     frame_index = seq.frame_index

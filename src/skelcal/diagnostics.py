@@ -59,15 +59,10 @@ class StabilityReport:
         return max(e.std_length_m for e in self.per_edge)
 
 
-def joint_heights(part: CaptureSequence, joints: Sequence[JointIndex | int]) -> np.ndarray:
-    """The per-part step of ``y_diff_to_last``: the (frames, joints) array of each joint's Y in each frame."""
-    return part.xyz[:, [JointIndex(j) for j in joints], 1]
-
-
 def diff_to_last(
     heights: np.ndarray, frame_index: np.ndarray, joints: Sequence[JointIndex | int]
 ) -> list[DiffSeries]:
-    """The final step of ``y_diff_to_last``, from the ``joint_heights`` of every frame, whose
+    """The final step of ``y_diff_to_last``, from ``xyz[:, joints, 1]`` of every frame, whose
     indices are ``frame_index``. The series are the columns of ``heights``, which it overwrites."""
     idx = [JointIndex(j) for j in joints]
     with np.errstate(over="ignore"):
@@ -90,7 +85,7 @@ def y_diff_to_last(
     The series are the columns of one (frames, joints) array. A difference
     beyond float64's range raises MeasureOverflowError at its first frame.
     """
-    return diff_to_last(joint_heights(seq, joints), seq.frame_index, joints)
+    return diff_to_last(seq.xyz[:, [JointIndex(j) for j in joints], 1], seq.frame_index, joints)
 
 
 _PARENTS = [int(e.parent) for e in SKELETON_EDGES]

@@ -119,11 +119,9 @@ _SWAR_STEPS = tuple(
 )
 
 
-def _atomic_write(path: str | Path, chunks: bytes | Iterable[bytes]) -> None:
-    """Write ``chunks`` (bytes or an iterable of them) to a temp file, then rename it."""
+def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temp file, then rename it."""
     path = Path(path)
-    if isinstance(chunks, bytes):
-        chunks = (chunks,)
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")  # fixed length: any name the target can have fits
     try:
         fh = open(tmp, "xb")
@@ -497,7 +495,7 @@ def write_bone_report(report: StabilityReport, path: str | Path) -> None:
             f"{e.edge.parent.name.lower()},{e.edge.child.name.lower()},"
             f"{e.mean_length_m:.9f},{e.std_length_m:.9f},{e.max_abs_dev_m:.9f}"
         )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_profile(profile: CalibrationProfile, path: str | Path) -> None:
@@ -514,7 +512,7 @@ def write_profile(profile: CalibrationProfile, path: str | Path) -> None:
         ],
         "created_label": profile.created_label,
     }
-    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
+    _atomic_write(path, [(json.dumps(doc, indent=2) + "\n").encode()])
 
 
 def _require(doc: dict, field: str, kind, context: str = "profile"):

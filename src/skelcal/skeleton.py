@@ -95,7 +95,7 @@ class CaptureSequence:
         self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str = ""
     ):
         xyz = np.array(xyz, dtype=np.float64)
-        self._adopt(xyz, np.array(frame_index, dtype=np.int64), direction, label)
+        self._adopt(xyz, _int64_indices(frame_index, copy=True), direction, label)
 
     @classmethod
     def adopt(
@@ -106,7 +106,7 @@ class CaptureSequence:
         Both are marked read-only, so pass fresh arrays that nothing else writes to.
         """
         seq = object.__new__(cls)
-        seq._adopt(np.asarray(xyz, np.float64), np.asarray(frame_index, np.int64), direction, label)
+        seq._adopt(np.asarray(xyz, np.float64), _int64_indices(frame_index, copy=False), direction, label)
         return seq
 
     def _adopt(self, xyz: np.ndarray, frame_index: np.ndarray, direction: GaitDirection, label: str):
@@ -157,6 +157,17 @@ class CaptureSequence:
             and np.array_equal(self.frame_index, other.frame_index)
             and np.array_equal(self.xyz, other.xyz)
         )
+
+
+def _int64_indices(frame_index: np.ndarray, copy: bool) -> np.ndarray:
+    """``frame_index`` as an int64 array, a copy if ``copy``. An index that int64 does not
+    hold exactly, such as 0.5, NaN or 2**63, raises a ValueError that names the first."""
+    given = np.asarray(frame_index)
+    if given.dtype != np.int64:  # as read_capture's arrays and every slice are: they skip this pass
+        for value in np.asarray(frame_index, object).ravel().tolist():  # compared exactly, as Python numbers
+            if not (-(2**63) <= value < 2**63 and value == int(value)):
+                raise ValueError(f"frame index {value!r} is not an integer that int64 holds")
+    return given.astype(np.int64, copy=copy)
 
 
 @dataclass(frozen=True)

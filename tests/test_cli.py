@@ -32,7 +32,7 @@ from skelcal import (
     y_diff_to_last,
 )
 from skelcal import fileio
-from skelcal.cli import _median_foot_y, main
+from skelcal.cli import _FEET, _median, main
 from skelcal.errors import CalibrationError
 
 
@@ -422,6 +422,11 @@ class TestCalibrateApplyDiagnose:
         assert err.startswith("error: MixedSignAnglesError: [stage: tilt-estimation] gait means disagree in sign: ")
         assert str(tmp_path) not in err
 
+    def test_an_unreadable_gait_is_named_as_apply_names_it(self, tmp_path, captures, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", captures[0], missing) == 1
+        assert capsys.readouterr().err.startswith(f"error: IoFailureError: cannot read {missing}: ")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "report, message",
@@ -764,7 +769,7 @@ class TestMedianFootY:
         xyz[:, feet, 1] = rng.choice([-2.5, -0.75, -0.0, 0.0, 0.125, 1.5], size=(frames, 2))
         seq = CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL)
         expected = float(np.median(xyz[:, feet, 1]))
-        got = _median_foot_y(seq)
+        got = _median(seq.xyz[:, _FEET, 1])  # as cmd_apply calls it on the raw feet
         assert got == expected
         assert got.hex() == expected.hex() or got == 0.0  # -0.0 and 0.0 tie in any order
 

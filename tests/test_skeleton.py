@@ -204,6 +204,9 @@ class TestValidByConstruction:
             ("unlink", "fileio.py"),
             ("read_text", "fileio.py"),
             ("fdopen", ""),
+            # the stage order, tilt then perspective, is composed only in pipeline
+            ("tilt_correct_xyz", "pipeline.py tilt.py"),
+            ("perspective_correct_xyz", "perspective.py pipeline.py"),
             # the scalar references live in tests/oracles.py; no module of the package names them
             *((name, "") for name in TEST_ONLY),
         ],
@@ -391,3 +394,28 @@ class TestCaptureSequenceValue:
             CaptureSequence(np.zeros((2, JOINT_COUNT - 1, 3)), [0, 1], GaitDirection.VERTICAL)
         with pytest.raises(ValueError):
             CaptureSequence(np.zeros((2, JOINT_COUNT, 3)), [0], GaitDirection.VERTICAL)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [CaptureSequence, CaptureSequence.adopt], ids=["constructor", "adopt"])
+    @pytest.mark.parametrize(
+        "index, named",
+        [
+            ([0.5, 1.5], "0.5"),  # a cast to int64 truncates both, to [0, 1]
+            (np.array([0, 2**63], np.uint64), "9223372036854775808"),  # a cast wraps it to -2**63
+            ([0, 2**63], "9223372036854775808"),  # a cast raises a bare OverflowError
+            ([0, math.nan], "nan"),  # a cast warns and stores -2**63
+        ],
+    )
+    def test_indices_int64_cannot_hold_are_rejected(self, build, index, named):
+        with pytest.raises(ValueError, match=f"^frame index {named} is not an integer that int64 holds$"):
+            build(make_xyz(2), index, GaitDirection.VERTICAL)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [CaptureSequence, CaptureSequence.adopt], ids=["constructor", "adopt"])
+    @pytest.mark.parametrize(
+        "index", [[-(2.0**63), 2.0**62], np.array([1, 2**63 - 1], np.uint64), [True, 2**63 - 1], np.array([3, 5], np.int32)]
+    )
+    def test_indices_int64_holds_keep_their_values(self, build, index):
+        seq = build(make_xyz(2), index, GaitDirection.VERTICAL)
+        assert seq.frame_index.dtype == np.int64
+        assert seq.frame_index.tolist() == [int(v) for v in index]
