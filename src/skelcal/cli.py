@@ -230,8 +230,8 @@ def _median(y: np.ndarray) -> float:
 def cmd_diagnose(args) -> int:
     from .diagnostics import diff_to_last, edge_lengths, length_stability
 
-    seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     profile = None if args.profile is None else fileio.read_profile(args.profile)
+    seq = fileio.read_capture(args.input, GaitDirection(args.direction))
     ydiff, bones = args.report != "bones", args.report != "ydiff"
     heights, lengths = [], []  # of each corrected part, only what the reports read is kept
     for part in _corrected_parts(seq, profile):

@@ -4,7 +4,7 @@ Capture files are CSV with header ``frame,joint,x,y,z``, one row per joint per
 frame, rows sorted by (frame, joint), coordinates printed with 9 fractional
 digits so a write/read round trip is lossless to well under 1e-9 m and a
 read/write round trip is byte-identical. Profiles are a strict JSON document
-(schema_version 1); unknown or malformed fields are rejected by name.
+(schema_version 1); unknown or malformed fields are rejected by their path.
 
 All writes are atomic (temp file in the target directory, then rename) and
 deterministic: the same data always produces a byte-identical file with LF
@@ -37,17 +37,19 @@ if TYPE_CHECKING:  # annotations only: the other subcommands never load diagnost
 CAPTURE_HEADER = "frame,joint,x,y,z"
 PROFILE_SCHEMA_VERSION = 1
 
-_PROFILE_FIELDS = (
-    "schema_version",
-    "alpha_g_rad",
-    "h_k_m",
-    "beta_degree",
-    "beta_coeffs",
-    "gait_count",
-    "beta_points",
-    "created_label",
-)
-_BETA_POINT_FIELDS = ("joint", "height_y_m", "beta_rad")
+#: Profile JSON v1, in the order ``write_profile`` prints it: each field with its type. ``float``
+#: is any finite number, ``[t]`` a list of ``t``, and a table an object of exactly its fields.
+_BETA_POINT = {"joint": int, "height_y_m": float, "beta_rad": float}
+_PROFILE = {
+    "schema_version": int,
+    "alpha_g_rad": float,
+    "h_k_m": float,
+    "beta_degree": int,
+    "beta_coeffs": [float],
+    "gait_count": int,
+    "beta_points": [_BETA_POINT],
+    "created_label": str,
+}
 
 #: Frame indices are stored as int64.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -515,25 +517,6 @@ def write_profile(profile: CalibrationProfile, path: str | Path) -> None:
     _atomic_write(path, [(json.dumps(doc, indent=2) + "\n").encode()])
 
 
-def _require(doc: dict, field: str, kind, context: str = "profile"):
-    if field not in doc:
-        raise SchemaError(field, f"missing from {context}")
-    value = doc[field]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(field, f"expected a number, got {type(value).__name__}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise SchemaError(field, "must be finite")
-        return number
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise SchemaError(field, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a field given twice is a SchemaError, not a silent overwrite."""
     doc = {}
@@ -566,48 +549,64 @@ def _parse_profile(text: str) -> CalibrationProfile:
         raise SchemaError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("<document>", "top level must be an object")
-
-    for key in doc:
-        if key not in _PROFILE_FIELDS:
-            raise SchemaError(key, "unknown field")
-    version = _require(doc, "schema_version", int)
-    if version != PROFILE_SCHEMA_VERSION:
+    version = _field(doc, "schema_version", int, "")
+    if version != PROFILE_SCHEMA_VERSION:  # before the other fields: another version may have other fields
         raise SchemaError("schema_version", f"unsupported version {version}")
-
-    alpha = _require(doc, "alpha_g_rad", float)
-    h_k = _require(doc, "h_k_m", float)
-    degree = _require(doc, "beta_degree", int)
-    coeffs = _require(doc, "beta_coeffs", list)
+    fields = _fields(doc, _PROFILE, "")
+    degree, coeffs = fields["beta_degree"], fields["beta_coeffs"]
     if len(coeffs) != degree + 1:
-        raise SchemaError(
-            "beta_coeffs", f"expected {degree + 1} coefficients for degree {degree}, got {len(coeffs)}"
-        )
-    if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
-        raise SchemaError("beta_coeffs", "coefficients must be numbers")
-    gait_count = _require(doc, "gait_count", int)
-    raw_points = _require(doc, "beta_points", list)
-    label = _require(doc, "created_label", str)
-
+        raise SchemaError("beta_coeffs", f"expected {degree + 1} coefficients for degree {degree}, got {len(coeffs)}")
     points = []
-    for i, entry in enumerate(raw_points):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"beta_points[{i}]", "expected an object")
-        for key in entry:
-            if key not in _BETA_POINT_FIELDS:
-                raise SchemaError(f"beta_points[{i}].{key}", "unknown field")
-        joint = _require(entry, "joint", int, context=f"beta_points[{i}]")
-        if not 0 <= joint < JOINT_COUNT:
-            raise SchemaError(f"beta_points[{i}].joint", f"joint {joint} out of range 0-24")
-        height = _require(entry, "height_y_m", float, context=f"beta_points[{i}]")
-        beta = _require(entry, "beta_rad", float, context=f"beta_points[{i}]")
+    for i, point in enumerate(fields["beta_points"]):
+        if not 0 <= point["joint"] < JOINT_COUNT:
+            raise SchemaError(f"beta_points[{i}].joint", f"joint {point['joint']} out of range 0-24")
         try:
-            points.append(BetaPoint(joint, height, beta))
+            points.append(BetaPoint(**point))
         except ValueError as exc:
             raise SchemaError(f"beta_points[{i}].beta_rad", str(exc)) from exc
 
     try:
-        tilt = TiltParams(alpha, h_k)
-        beta_model = BetaModel(Polynomial(tuple(float(c) for c in coeffs)), degree, tuple(points))
-        return CalibrationProfile(tilt, beta_model, gait_count, label)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a coefficient beyond the float range
+        tilt = TiltParams(fields["alpha_g_rad"], fields["h_k_m"])
+        beta_model = BetaModel(Polynomial(tuple(coeffs)), degree, tuple(points))
+        return CalibrationProfile(tilt, beta_model, fields["gait_count"], fields["created_label"])
+    except ValueError as exc:
         raise SchemaError("<document>", str(exc)) from exc
+
+
+def _fields(obj: dict, table: dict, at: str) -> dict:
+    """The fields of the JSON object ``obj``, each checked against ``table`` and named ``at + key``."""
+    for key in obj:
+        if key not in table:
+            raise SchemaError(at + key, "unknown field")
+    return {key: _field(obj, key, kind, at) for key, kind in table.items()}
+
+
+def _field(obj: dict, key: str, kind, at: str):
+    if key not in obj:
+        raise SchemaError(at + key, "missing")
+    return _value(obj[key], kind, at + key)
+
+
+def _value(value, kind, path: str):
+    """``value`` if it has the type ``kind``, else a SchemaError that names ``path``. A number
+    comes back as a float; a list names its numbers by itself and its objects by their index."""
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise SchemaError(path, "must be finite")
+        return value
+    shape = kind if isinstance(kind, type) else type(kind)  # int, str, list or dict
+    if not isinstance(value, shape) or isinstance(value, bool):
+        expected = "an object" if shape is dict else shape.__name__
+        raise SchemaError(path, f"expected {expected}, got {type(value).__name__}")
+    if shape is dict:
+        return _fields(value, kind, path + ".")
+    if shape is list:
+        (item,) = kind
+        return [_value(v, item, f"{path}[{i}]" if isinstance(item, dict) else path) for i, v in enumerate(value)]
+    return value

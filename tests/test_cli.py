@@ -338,6 +338,13 @@ class TestCalibrateApplyDiagnose:
         assert code != 0
         assert f"SchemaError: {bad}: field " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["apply", "diagnose"])
+    def test_profile_is_read_before_the_capture(self, tmp_path, command, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run(command, "--profile", bad, "--in", tmp_path / "missing.csv", "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err.startswith(f"error: SchemaError: {bad}: field '<document>': not valid JSON")
+
     # an overflow in a correction is one error line naming the stage; a numpy warning would raise here
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["apply", "diagnose"])

@@ -187,6 +187,16 @@ class TestProfileRoundTrip:
         write_profile(profile, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_written_fields_are_the_reader_tables(self, profile, tmp_path):
+        """The reader's tables state the format: the writer prints exactly their fields, in their order."""
+        path = tmp_path / "profile.json"
+        write_profile(profile, path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == list(fileio._PROFILE)
+        assert doc["beta_points"]
+        for point in doc["beta_points"]:
+            assert list(point) == list(fileio._BETA_POINT)
+
 
 def valid_profile_doc():
     return {
@@ -281,6 +291,21 @@ class TestProfileSchema:
             ("beta_points[0]", lambda doc: doc["beta_points"].insert(0, 1)),
             ("beta_points[0].joint", lambda doc: doc["beta_points"][0].update(joint=25)),
             ("beta_points[0].beta_rad", lambda doc: doc["beta_points"][0].update(beta_rad=2.0)),
+            pytest.param("beta_points[1].joint", lambda doc: doc["beta_points"][1].update(joint="0"), id="joint-str"),
+            pytest.param("beta_points[1].height_y_m", lambda doc: doc["beta_points"][1].pop("height_y_m"),
+                         id="height-missing"),
+            pytest.param("beta_points[1].height_y_m", lambda doc: doc["beta_points"][1].update(height_y_m=math.nan),
+                         id="height-nan"),
+            pytest.param("beta_points[1].height_y_m", lambda doc: doc["beta_points"][1].update(height_y_m=10**400),
+                         id="height-beyond-float"),
+            pytest.param("beta_points[1].beta_rad", lambda doc: doc["beta_points"][1].update(beta_rad="x"),
+                         id="beta-str"),
+            pytest.param("beta_coeffs", lambda doc: doc.update(beta_coeffs=[0.02, math.nan]), id="coeff-nan"),
+            pytest.param("beta_coeffs", lambda doc: doc.update(beta_coeffs=[0.02, -(10**400)]),
+                         id="coeff-beyond-float"),
+            # the version is read before the fields it decides
+            pytest.param("schema_version", lambda doc: doc.update(schema_version=2, tilt_model="shear"),
+                         id="version-2-with-a-new-field"),
         ],
     )
     def test_bad_value_names_its_field(self, tmp_path, field, edit):
@@ -1023,6 +1048,19 @@ class TestKernelGrammar:
     ])
     def test_outside_the_grammar(self, index, y):
         assert _stream(_one_frame_bytes(index, y)) is None
+
+    def test_marks_out_of_order(self, tmp_path):
+        """A row with the eight marks of one, a dot where its second comma belongs: the
+        kernel refuses it, and the line parser names its line."""
+        lines = _one_frame_bytes().decode().splitlines()
+        lines[4] = "7,3.0,1,1.0,2.0"
+        data = _text(lines).encode()
+        assert _stream(data) is None
+        path = tmp_path / "one_frame.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 5
 
     def test_line_ends_outside_the_grammar(self):
         data = _one_frame_bytes()
