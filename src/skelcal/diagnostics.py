@@ -13,7 +13,7 @@ capture can be measured one part at a time with the bits of the whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,16 +42,14 @@ class DiffSeries:
         return self.joint == other.joint and np.array_equal(self.per_frame_diff, other.per_frame_diff)
 
 
-@dataclass(frozen=True)
-class EdgeStability:
+class EdgeStability(NamedTuple):
     edge: SkeletonEdge
     mean_length_m: float
     std_length_m: float
     max_abs_dev_m: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     per_edge: tuple[EdgeStability, ...]
 
     @property

@@ -242,9 +242,9 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
 
     Files as ``write_capture`` writes them, with LF or CRLF line ends, are
     parsed by ``_parse_stream`` through one small buffer. Any other file, such
-    as one with 9 or more digits in a frame index, is read whole, decoded as
-    ``Path.read_text`` would, and goes through the slower line-by-line parser,
-    which accepts the other valid layouts and names the first bad line.
+    as one with 9 or more digits in a frame index or a byte-order mark, is
+    read whole, decoded as ASCII, and goes through the slower line-by-line
+    parser, which accepts the other valid layouts and names the first bad line.
     """
     path = Path(path)
     try:
@@ -269,20 +269,14 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
 
 
 def _decode_text(data: bytes) -> str:
-    r"""``data`` decoded in the locale encoding, as ``Path.read_text`` decodes it.
-
-    ``read_text`` also turns ``\r\n`` and ``\r`` into ``\n``, which gives the
-    same ``splitlines()``. A byte that does not decode is a ParseError naming
-    its line.
-    """
-    import locale  # only files outside the kernel's grammar need it
-
-    encoding = locale.getpreferredencoding(False)
+    """``data`` decoded as ASCII, less a leading UTF-8 byte-order mark; a byte
+    that is not ASCII is a ParseError naming its line."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
-        return data.decode(encoding)
+        return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode(encoding, "replace") + "x").splitlines())
-        raise ParseError(line, f"not valid {encoding} text: {exc.reason}") from exc
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(line, f"not ASCII text: {exc.reason}") from exc
 
 
 def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
@@ -294,8 +288,8 @@ def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
     digits read as one integer N <= 2**53: the layout ``write_capture``
     prints, with short frame indices and values below 2**22. The rows
     must be in the canonical layout: joints 0-24 of each frame in order, one
-    index per frame, strictly increasing frames. Such a file is ASCII, which
-    decodes alike in every locale encoding; every field is valid for
+    index per frame, strictly increasing frames. Such a file is ASCII with no
+    ``_``, as ``_parse_lines`` requires; every field is valid for
     ``int``/``float``, and ``float64(N) / 10**fraction_digits`` is one
     correctly rounded division of two exactly represented numbers, so it
     equals ``float()`` of the field: the values are those of ``_parse_lines``.
@@ -457,6 +451,8 @@ def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ParseError(lineno, f"expected 5 comma-separated fields, got {len(parts)}")
+        if "_" in line:  # which int and float read as a digit separator
+            raise ParseError(lineno, "'_' in a number")
         try:
             frame_index = int(parts[0])
             joint = int(parts[1])

@@ -63,8 +63,7 @@ class Point3(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class SkeletonFrame:
+class SkeletonFrame(NamedTuple):
     frame_index: int
     joints: tuple[Point3, ...]
 
@@ -170,8 +169,7 @@ def _int64_indices(frame_index: np.ndarray, copy: bool) -> np.ndarray:
     return given.astype(np.int64, copy=copy)
 
 
-@dataclass(frozen=True)
-class SkeletonEdge:
+class SkeletonEdge(NamedTuple):
     parent: JointIndex
     child: JointIndex
 

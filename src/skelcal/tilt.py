@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class TiltParams:
             raise ValueError(f"sensor height must be finite and >= 0, got {self.sensor_height_m}")
 
 
-@dataclass(frozen=True)
-class GaitInclination:
+class GaitInclination(NamedTuple):
     """Per-frame inclination estimates of one gait and their arithmetic mean."""
 
     per_frame_rad: tuple[float, ...]

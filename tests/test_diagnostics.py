@@ -37,6 +37,12 @@ class TestYDiffToLast:
         series = y_diff_to_last(flat_seq([1.2, 1.2, 1.2]), [JointIndex.HEAD])
         assert series[0].per_frame_diff.tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("other", [0, object()], ids=["zero", "object"])
+    def test_series_unequal_to_another_type(self, other):
+        series = y_diff_to_last(flat_seq([1.0, 1.3]), [JointIndex.HEAD])[0]
+        assert not series == other
+        assert series != other
+
     def test_last_entry_always_zero(self):
         series = y_diff_to_last(flat_seq([1.0, 1.3, 0.9, 1.1]))
         for s in series:

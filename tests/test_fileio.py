@@ -1240,6 +1240,27 @@ class TestUndecodableFiles:
         assert err.value.field == "<document>"
 
 
+class TestCaptureText:
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, short_walk, line_end):
+        path = tmp_path / "walk.csv"
+        write_capture(short_walk, path)
+        marked = tmp_path / "marked" / "walk.csv"  # the same stem, so the same label
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", line_end))
+        assert read_capture(marked, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
+
+    # a digit separator, Arabic-Indic digits and fullwidth digits: numbers to Python, not to the format
+    @pytest.mark.parametrize("field", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])
+    def test_only_ascii_numbers_are_read(self, tmp_path, field):
+        rows = [f"7,{j},{field if j == 0 else 0.1},1.0,2.0" for j in range(JOINT_COUNT)]
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(["frame,joint,x,y,z"] + rows + [""]).encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 2
+
+
 MUTATIONS = (
     "none", "blank_line", "permute_joints", "field_variant", "nan", "drop_row",
     "duplicate_row", "swap_frames", "repeat_index", "extra_comma", "non_numeric", "index_2_63",

@@ -1,8 +1,11 @@
 """Every name a module imports is used in it, in the package and in its tests,
-every private name a package module defines at module level is read in it, and
-every exception class of ``skelcal.errors`` is raised or subclassed in the package."""
+every private name a package module defines at module level is read in it,
+every exception class of ``skelcal.errors`` is raised or subclassed in the package,
+every package dataclass checks or compares its own fields, and every package
+module parses at the oldest Python that ``pyproject.toml`` supports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,49 @@ def test_an_unraised_error_is_found():
         "from e import D\ntry:\n    pass\nexcept D:\n    raise\n",
     ]
     assert unraised_errors(errors, sources) == ["D"]
+
+
+def plain_dataclasses(source: str) -> list[str]:
+    """The classes that ``source`` decorates with ``dataclass`` and that define none of
+    ``__post_init__``, ``__init__`` and ``__eq__``: plain records, which are named tuples."""
+    own = {"__post_init__", "__init__", "__eq__"}
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+        and not own & {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_dataclass_checks_or_compares_its_fields(path):
+    assert plain_dataclasses(path.read_text()) == []
+
+
+def test_a_plain_dataclass_is_found():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass\nclass B:\n    x: int\n    def size(self):\n        return 1\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n    def __post_init__(self):\n        pass\n"
+        "@dataclass(eq=False)\nclass D:\n    x: int\n    def __eq__(self, other):\n        return True\n"
+        "class E:\n    x: int\n"
+    )
+    assert plain_dataclasses(source) == ["A", "B"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_module_parses_at_the_oldest_python(path):
+    # read with a regex, since Python 3.10 has no ``tomllib``
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r"""^requires-python\s*=\s*["']>=\s*(\d+)\.(\d+)""", pyproject, re.MULTILINE)
+    assert floor, "pyproject.toml gives no requires-python floor of the form '>=X.Y'"
+    ast.parse(path.read_text(), feature_version=(int(floor[1]), int(floor[2])))
+
+
+def test_newer_syntax_is_refused_at_an_older_version():
+    source = "match x:\n    case 1:\n        pass\n"
+    ast.parse(source, feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="Pattern matching"):
+        ast.parse(source, feature_version=(3, 9))

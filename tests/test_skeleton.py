@@ -289,6 +289,12 @@ class TestCaptureSequenceValue:
         moved[1, 4] = (0.4, 1.0, 2.6)
         assert seq != CaptureSequence(moved, range(3), GaitDirection.VERTICAL)
 
+    @pytest.mark.parametrize("other", [0, object()], ids=["zero", "object"])
+    def test_unequal_to_another_type(self, other):
+        seq = make_seq(2)
+        assert not seq == other
+        assert seq != other
+
     def test_constructor_copies_its_inputs(self):
         xyz = np.zeros((2, JOINT_COUNT, 3))
         index = np.array([0, 1])
@@ -419,3 +425,15 @@ class TestCaptureSequenceValue:
         seq = build(make_xyz(2), index, GaitDirection.VERTICAL)
         assert seq.frame_index.dtype == np.int64
         assert seq.frame_index.tolist() == [int(v) for v in index]
+
+
+@pytest.mark.parametrize(
+    "name", ["Point3", "SkeletonFrame", "SkeletonEdge", "GaitInclination", "EdgeStability", "StabilityReport"]
+)
+def test_plain_records_are_named_tuples(name):
+    cls = getattr(skelcal, name)
+    record = cls(*range(len(cls._fields)))
+    assert isinstance(record, tuple) and record == tuple(range(len(cls._fields)))
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={i}" for i, f in enumerate(cls._fields)) + ")"
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], 7)
