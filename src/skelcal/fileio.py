@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
@@ -86,39 +87,13 @@ _JOINT_FIELDS = np.array([f",{j}" for j in range(JOINT_COUNT)], "S3").view(np.ui
 #: The one, empty label of a report row, which has no joint field.
 _NO_LABELS = np.empty((1, 0), np.uint8)
 
-#: Bytes of the reader's buffer, whose whole rows its kernel parses per step.
-#: For the writer's rows the kernel's temporary arrays (about 100 KB) then
-#: stay under glibc's 128 KiB mmap threshold, so the allocator recycles them:
-#: reading the ten 900-frame gaits of the calibration benchmark took 2,355
-#: minor page faults with 64 KiB chunks and 10,023 with 256 KiB ones (2-CPU Xeon).
-_CHUNK_BYTES = 1 << 16
-#: Bytes before the reader's data in its buffer: the 8-byte word that ends at
-#: a row's first mark then starts within the buffer.
-_PAD = 8
 _HEADER_BYTES = (CAPTURE_HEADER + "\n").encode()
-#: The separators and dots of one row, in order, as a little-endian word.
-_ROW_MARKS = np.frombuffer(b",,.,.,.\n", "<u8")[0]
-#: Added to the byte offsets of a row's marks: each dot's becomes that of the digit after it.
-_DOT_STEP = np.array([0, 0, 1, 0, 1, 0, 1, 0])[:, None]
-#: ``_KEEP[n]`` keeps the last ``n`` bytes of a little-endian 8-byte word.
-_KEEP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * n) - 1) for n in range(9)], np.uint64)
-_POW10 = 10 ** np.arange(10, dtype=np.uint64)
-#: 10**k, then -(10**k), for k < 10: a field with k fraction digits, and a
-#: minus sign if ``negative``, is float64(N) / _SIGNED_POW10_F[k + 10 * negative].
-_SIGNED_POW10_F = np.concatenate([_POW10, -_POW10.astype(np.int64)]).astype(np.float64)
-_EXACT_INT_MAX = np.uint64(2**53)
-#: Eight ASCII digits in a little-endian word to their value, in three steps.
-#: Each merges neighbouring lanes of 8, 16 and then 32 bits into one lane of
-#: twice the width that holds 10, 100 or 10000 times the earlier lane plus the
-#: later one; the first mask also maps "0"-"9" to 0-9.
-_SWAR_STEPS = tuple(
-    (np.uint64(mask), np.uint64(scale << bits | 1), np.uint64(bits))
-    for mask, scale, bits in (
-        (0x0F0F0F0F0F0F0F0F, 10, 8),
-        (0x00FF00FF00FF00FF, 100, 16),
-        (0x0000FFFF0000FFFF, 10000, 32),
-    )
-)
+#: Rows per ``np.loadtxt`` call of the reader, 256 whole frames. With the call's
+#: result and temporaries beside the arrays it fills, a 9,000-frame read's traced
+#: peak is 1.142 times its ``xyz``, against 1.21 at 12,800 rows a call and 1.40 at 25,600.
+_CHUNK_ROWS = 256 * JOINT_COUNT
+#: A capture row as ``np.loadtxt`` reads it.
+_ROW = np.dtype([("frame", "i8"), ("joint", "i8"), ("xyz", "f8", 3)])
 
 
 def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -240,11 +215,11 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     """Parse a capture CSV, labelled with the file's stem; malformed rows are
     reported with their line number, and every error names the file.
 
-    Files as ``write_capture`` writes them, with LF or CRLF line ends, are
-    parsed by ``_parse_stream`` through one small buffer. Any other file, such
-    as one with 9 or more digits in a frame index or a byte-order mark, is
-    read whole, decoded as ASCII, and goes through the slower line-by-line
-    parser, which accepts the other valid layouts and names the first bad line.
+    A file of LF or CRLF rows in the canonical layout takes numpy's C parser
+    (``_parse_stream``), whatever digits its fields have. Any other, such as
+    one with a byte-order mark, a blank line or a lone CR, is read whole and
+    goes through the slower line-by-line parser, which accepts the other
+    valid layouts and names the first bad line.
     """
     path = Path(path)
     try:
@@ -260,173 +235,73 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
 
     with tagged(path=str(path)):
         if parsed is None:
-            lines = _decode_text(data).splitlines()
-            if not lines or lines[0].strip() != CAPTURE_HEADER:
+            lines = _text_lines(data)
+            if lines[0].strip() != CAPTURE_HEADER:
                 raise ParseError(1, f"expected header '{CAPTURE_HEADER}'")
             parsed = _parse_lines(lines)
         xyz, frame_indices = parsed
         return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
 
 
-def _decode_text(data: bytes) -> str:
-    """``data`` decoded as ASCII, less a leading UTF-8 byte-order mark; a byte
-    that is not ASCII is a ParseError naming its line."""
-    data = data.removeprefix(b"\xef\xbb\xbf")
+def _text_lines(data: bytes) -> list[str]:
+    """The lines of ``data``, less a leading UTF-8 byte-order mark, split only at line
+    ends (LF, CRLF and a lone CR); a byte that is not ASCII is a ParseError naming its line."""
+    data = data.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        return data.decode("ascii")
+        return data.decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise ParseError(line, f"not ASCII text: {exc.reason}") from exc
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, f"not ASCII text: {exc.reason}") from exc
 
 
 def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
-    r"""Numpy parse of a capture file read from ``fh``, or None if it is outside the grammar.
+    r"""``np.loadtxt``'s parse of the capture in the seekable binary file ``fh``, or None if
+    the fast path does not take it.
 
-    The file must be the header line, then rows ``I,J,X,Y,Z``, each ending in
-    ``\n`` or ``\r\n``, the last one too. The integer fields ``I`` and ``J`` are
-    ``-?[0-9]{1,8}``. The coordinates are ``-?[0-9]{0,7}\.[0-9]{1,9}``, whose
-    digits read as one integer N <= 2**53: the layout ``write_capture``
-    prints, with short frame indices and values below 2**22. The rows
-    must be in the canonical layout: joints 0-24 of each frame in order, one
-    index per frame, strictly increasing frames. Such a file is ASCII with no
-    ``_``, as ``_parse_lines`` requires; every field is valid for
-    ``int``/``float``, and ``float64(N) / 10**fraction_digits`` is one
-    correctly rounded division of two exactly represented numbers, so it
-    equals ``float()`` of the field: the values are those of ``_parse_lines``.
-
-    ``fh`` is read twice through one _CHUNK_BYTES buffer: once to count the
-    rows, then to parse the whole rows in each fill of it, each CRLF first
-    made an LF in place, the partial row at its end (a CR that may pair with
-    the next fill's LF among it) carried to its front. Each fill's rows go to
-    an array of exactly that many rows of coordinates, and each frame's index,
-    once its rows are checked against it, to one of that many frames. Beside
-    those arrays and the buffer it holds one fill's temporaries. A row longer
-    than the buffer, or a file that changed between the two passes, also
-    gives None. Each fill is one ``readinto``, which fills the buffer unless
-    the file ends when ``fh`` is a buffered file or a ``BytesIO``.
+    The file must be the header line, then rows ``I,J,X,Y,Z`` that each end in
+    ``\n`` or ``\r\n``, in the canonical layout: joints 0-24 of each frame in
+    order, one index per frame, strictly increasing frames. numpy reads an
+    int64 field as ``int`` and a float64 one as ``float`` does, but refuses
+    ``_`` as ``_parse_lines`` does, so the values are those of ``_parse_lines``.
+    A field that numpy refuses, a byte that is not ASCII, a blank line, a lone
+    CR, or rows that differ in number between the two passes over ``fh`` (one
+    to count them, one to parse them _CHUNK_ROWS at a time) give None.
     """
-    buf = bytearray(_PAD + _CHUNK_BYTES)
-    raw = np.frombuffer(buf, np.uint8)
-    data = memoryview(buf)[_PAD:]
-    filled = fh.readinto(data)
-    header_end = buf.find(b"\n", _PAD, _PAD + filled) + 1
-    if buf[_PAD:header_end].replace(b"\r\n", b"\n") != _HEADER_BYTES:
+    header = fh.readline(len(_HEADER_BYTES) + 1)
+    if header.replace(b"\r\n", b"\n") != _HEADER_BYTES:
         return None
-    rows = -1  # the header's line end
-    while filled:
-        # a fifth of the time of bytes.count(b"\n")
-        rows += np.count_nonzero(raw[_PAD : _PAD + filled] == 10)
-        filled = fh.readinto(data)
-    if rows <= 0 or rows % JOINT_COUNT:
+    rows = 0
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
+        rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)  # a fourth of the time of chunk.count
+    if rows == 0 or rows % JOINT_COUNT:
         return None
 
-    fh.seek(header_end - _PAD)
-    # the little-endian 8-byte word at every byte offset of the buffer
-    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    fh.seek(len(header))
     frame_index = np.empty(rows // JOINT_COUNT, np.int64)
     xyz = np.empty((rows, 3))
-    row = carry = 0
-    while filled := carry + fh.readinto(data[carry:]):
-        # the carried bytes hold no LF: a CR that ends them may pair with one that starts the new ones
-        end = _crlf_to_lf(buf, _PAD, _PAD + filled)
-        stop = buf.rfind(b"\n", _PAD, end) + 1
-        if not stop:  # a row longer than the buffer, or no line end at the end of the file
-            return None
-        fields = _parse_chunk(raw, words, _PAD, stop, xyz[row:])
-        if fields is None:
-            return None
-        first = -(-row // JOINT_COUNT)  # the first frame that starts in this fill
-        starts = fields[0, first * JOINT_COUNT - row :: JOINT_COUNT]
-        frame_index[first : first + len(starts)] = starts
-        # each row's frame and joint in the canonical layout
-        frame, joint = np.divmod(np.arange(row, row + fields.shape[1]), JOINT_COUNT)
-        if not ((fields[1] == joint).all() and (fields[0] == frame_index[frame]).all()):
-            return None
-        row += fields.shape[1]
-        carry = end - stop
-        raw[_PAD : _PAD + carry] = raw[stop:end]
-    if not (row == rows and (frame_index[1:] > frame_index[:-1]).all()):
+    text = io.TextIOWrapper(fh, encoding="ascii", newline="\n")  # numpy ends a row at a CRLF, refuses a lone CR
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as numpy's on a blank line, which it would skip
+            for start in range(0, rows, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, rows)
+                chunk = np.loadtxt(text, _ROW, delimiter=",", comments=None, max_rows=stop - start)
+                if len(chunk) < stop - start:  # the file shrank
+                    return None
+                frames = chunk.reshape(-1, JOINT_COUNT)  # whole frames: JOINT_COUNT divides start and stop
+                index = frames["frame"]
+                if not ((frames["joint"] == range(JOINT_COUNT)).all() and (index == index[:, :1]).all()):
+                    return None
+                xyz[start:stop] = chunk["xyz"]
+                frame_index[start // JOINT_COUNT : stop // JOINT_COUNT] = index[:, 0]
+            if text.read(1):  # a row beyond the counted ones
+                return None
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    finally:
+        text.detach()  # leaves fh open
+    if not (frame_index[1:] > frame_index[:-1]).all():
         return None
     return xyz.reshape(-1, JOINT_COUNT, 3), frame_index
-
-
-def _crlf_to_lf(buf: bytearray, start: int, end: int) -> int:
-    """Turn each CRLF in ``buf[start:end]`` into an LF in place; the new end of the bytes."""
-    if buf.find(b"\r", start, end) < 0:
-        return end
-    lf = buf[start:end].replace(b"\r\n", b"\n")
-    buf[start : start + len(lf)] = lf
-    return start + len(lf)
-
-
-def _parse_chunk(
-    raw: np.ndarray, words: np.ndarray, start: int, stop: int, xyz: np.ndarray
-) -> np.ndarray | None:
-    """The (2, rows) int64 fields of the rows in ``raw[start:stop]``, their
-    coordinates written to ``xyz[:rows]``; None if the rows are outside the
-    grammar or ``xyz`` has fewer.
-
-    An integer field has 1 to 8 digits and is one masked word. A coordinate
-    has 0 to 7 whole digits and 1 to 9 fraction digits, as the writer prints
-    every value below 2**22 (from its kernel below _FAST_MAX, or from
-    ``"{:.9f}".format``), and is two words: its whole digits and first
-    fraction digit, then its other fraction digits.
-    """
-    b = raw[start:stop]
-    # every byte below "-" (which must be a "," or a "\n"), and the dots
-    marks = np.flatnonzero((b < 45) | (b == 46))
-    minus = np.count_nonzero(b == 45)
-    rows = len(marks) // 8
-    if rows > len(xyz):
-        return None
-    # marks, minus signs and digits must be all the bytes
-    if len(marks) != 8 * rows or len(marks) + minus + np.count_nonzero((b - 48) < 10) != len(b):
-        return None
-    if not (b[marks].view("<u8") == _ROW_MARKS).all():
-        return None
-    # byte offsets in the file, one row per mark, each dot moved on to the digit after it:
-    # the ends of I and J, then per coordinate its first fraction digit and its end
-    marks = np.add(marks.reshape(rows, 8).T, _DOT_STEP + start, out=np.empty((8, rows), np.int64))
-    first = np.empty((5, rows), np.int64)  # each field's first byte
-    first[0, 0] = start
-    first[0, 1:] = marks[7, :-1] + 1
-    first[1] = marks[0] + 1
-    first[2:] = marks[1:7:2] + 1
-    neg = raw[first] == 45
-    if np.count_nonzero(neg) != minus:  # a minus sign that does not start its field
-        return None
-    first += neg
-    frac_len = marks[3::2] - marks[2::2]
-    # the digits in each field's words: I, J, then per coordinate whole + 1 and fraction - 1
-    lens = np.empty((8, rows), np.int64)
-    np.subtract(marks[:2], first[:2], out=lens[:2])
-    np.subtract(marks[2::2], first[2:], out=lens[2::2])
-    tail_len = np.subtract(frac_len, 1, out=lens[3::2])
-    if lens.max() > 8 or lens[:2].min() < 1 or tail_len.min() < 0:
-        return None
-
-    # the word that ends before each mark, with the digit after each dot over the dot
-    w = words[marks - 8]
-    w.view(np.uint8).reshape(8, rows, 8)[2::2, :, 7] = raw[marks[2::2]]
-    w &= _KEEP[lens]
-    ints = _swar(w)[:2]
-    np.negative(ints, out=ints, where=neg[:2])
-    mantissa = w[2::2] * _POW10[tail_len]
-    mantissa += w[3::2]
-    if (mantissa > _EXACT_INT_MAX).any():
-        return None
-    # numpy converts each N <= 2**53 to float64 exactly
-    np.divide(mantissa, _SIGNED_POW10_F[frac_len + 10 * neg[2:]], out=xyz[:rows].T)
-    return ints.view(np.int64)
-
-
-def _swar(w: np.ndarray) -> np.ndarray:
-    """``w``, little-endian words of eight ASCII digits or 0 bytes, made their values in place."""
-    for mask, multiplier, shift in _SWAR_STEPS:
-        w &= mask
-        w *= multiplier
-        w >>= shift
-    return w
 
 
 def _parse_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:

@@ -890,14 +890,16 @@ class TestCrlfCaptures:
 
     @pytest.mark.parametrize("cr_at", [-1, 0, 1])  # the CR's offset from the last byte of the first fill
     def test_crlf_split_between_two_fills(self, cr_at):
-        """A CR that ends one fill of the reader's buffer pairs with the LF that starts the next."""
-        rows = fileio._CHUNK_BYTES // (JOINT_COUNT * 31) * JOINT_COUNT
+        """A CR that ends one read of the reader's text wrapper pairs with the LF that
+        starts the next, and the rows go on across numpy's calls."""
+        rows = _FILL // (JOINT_COUNT * 31) * JOINT_COUNT
         # whole frames of rows that, with a CR before each LF, end at the first fill's last byte + 1 + cr_at
-        first = _rows_of_length(fileio._CHUNK_BYTES + 1 + cr_at - rows)
+        first = _rows_of_length(_FILL + 1 + cr_at - rows)
         assert first.count(b"\n") == rows
-        lf = _HEADER + first + _rows_of_length(3000, first_frame=rows // JOINT_COUNT)
+        lf = _HEADER + first + _rows_of_length(_CHUNK_SIZE, first_frame=rows // JOINT_COUNT)
+        assert lf.count(b"\n") > fileio._CHUNK_ROWS
         crlf = lf.replace(b"\n", b"\r\n")
-        fill_end = len(_HEADER) + 1 + fileio._CHUNK_BYTES
+        fill_end = len(_HEADER) + 1 + _FILL
         assert crlf[fill_end - 1 + cr_at : fill_end + 1 + cr_at] == b"\r\n"
         got, expected = _stream(crlf), _stream(lf)
         assert got[0].tobytes() == expected[0].tobytes()
@@ -930,7 +932,7 @@ def _coordinate_texts():
     rng = np.random.default_rng(5)
     texts = []
     for frac in range(17):
-        n = "9007199254740992"  # 2**53, the largest N the kernel takes
+        n = "9007199254740992"  # 2**53
         texts.append(f"{n[:16 - frac]}.{n[16 - frac:]}")
         digits = "".join(map(str, rng.integers(0, 10, 16)))
         digits = str(int(digits[0]) % 9) + digits[1:]  # below 9e15 < 2**53
@@ -942,11 +944,11 @@ def _coordinate_texts():
 
 
 def _stream(data, stream_type=io.BytesIO):
-    """The kernel driver's parse of a file holding ``data``."""
+    """The fast path's parse of a file holding ``data``."""
     return fileio._parse_stream(stream_type(data))
 
 
-def assert_kernel_equals_line_parser(data, stream_type=io.BytesIO):
+def assert_fast_path_equals_line_parser(data, stream_type=io.BytesIO):
     got = _stream(data, stream_type)
     expected = fileio._parse_lines(data.decode().splitlines())
     assert got is not None
@@ -955,7 +957,7 @@ def assert_kernel_equals_line_parser(data, stream_type=io.BytesIO):
 
 
 def assert_read_by_the_line_parser(data, path):
-    """``data`` is outside the kernel's grammar, and ``read_capture`` of it gives the line parser's arrays."""
+    """The fast path leaves ``data`` to the line parser, and ``read_capture`` of it gives the line parser's arrays."""
     assert _stream(data) is None
     path.write_bytes(data)
     got = read_capture(path, GaitDirection.VERTICAL)
@@ -966,12 +968,12 @@ def assert_read_by_the_line_parser(data, path):
 
 
 class TestFastPathExactness:
-    """What the writer writes takes the kernel, and a valid file beyond it the line parser, with exact values."""
+    """What the writer writes, and any valid field beyond it, takes the fast path with the line parser's values."""
 
     def test_pin_capture_as_written(self, template, tmp_path):
         path = tmp_path / "pin.csv"
         write_capture(_pin_capture(template), path)
-        assert_kernel_equals_line_parser(path.read_bytes())
+        assert_fast_path_equals_line_parser(path.read_bytes())
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -982,26 +984,67 @@ class TestFastPathExactness:
     )
     def test_any_capture_the_writer_writes(self, fuzz_dir, index, values):
         """Frame indices of at most 8 digits and finite values below 2**22, from
-        either of the writer's paths, are in the kernel's grammar."""
+        either of the writer's paths, take the fast path."""
         xyz = np.resize(np.array(values), (len(index), JOINT_COUNT, 3))  # the values repeated in turn
         path = fuzz_dir / "written.csv"
         write_capture(CaptureSequence(xyz, sorted(index), GaitDirection.VERTICAL), path)
-        assert_kernel_equals_line_parser(path.read_bytes())
+        assert_fast_path_equals_line_parser(path.read_bytes())
 
     @pytest.mark.parametrize("index", [2**63 - 1, -(2**63)])
-    def test_extreme_index_and_coordinate_digits(self, index, tmp_path):
+    def test_extreme_index_and_coordinate_digits(self, index):
         coords = iter(_coordinate_texts())
         rows = [f"{index},{j},{next(coords)},{next(coords)},{next(coords)}" for j in range(JOINT_COUNT)]
         data = _text(["frame,joint,x,y,z"] + rows).encode()
-        got = assert_read_by_the_line_parser(data, tmp_path / "one_frame.csv")
-        assert got.frame_index.tolist() == [index]
+        assert_fast_path_equals_line_parser(data)
+        assert _stream(data)[1].tolist() == [index]
 
-    @pytest.mark.parametrize("y", ["1.0", "1e0"])  # the kernel's layout, then the line parser's
+    @pytest.mark.parametrize("y", ["1.0", "1e0"])  # the writer's layout, then another
     def test_frame_indices_whose_difference_overflows(self, y, tmp_path):
         rows = [f"{i},{j},0.1,{y},2.0" for i in (-1, 2**63 - 1) for j in range(JOINT_COUNT)]
         path = tmp_path / "far_apart.csv"
         path.write_text(_text(["frame,joint,x,y,z"] + rows))
         assert read_capture(path, GaitDirection.VERTICAL).frame_index.tolist() == [-1, 2**63 - 1]
+
+
+class TestRecorderLayouts:
+    """9,000-frame captures in layouts that recorders write and ``write_capture`` does not:
+    each takes the fast path and reads as the line parser reads it, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def capture(self):
+        xyz = np.random.default_rng(31).normal(0.0, 2.0, (9000, JOINT_COUNT, 3))
+        return CaptureSequence(xyz, np.arange(9000) * 33, GaitDirection.VERTICAL)
+
+    def test_ten_digit_frame_indices(self, capture, tmp_path):
+        path = tmp_path / "timestamps.csv"
+        write_capture(CaptureSequence(capture.xyz, capture.frame_index + 1_700_000_000, GaitDirection.VERTICAL), path)
+        self.assert_read_as_by_the_line_parser(path)
+
+    def test_repr_floats(self, capture, tmp_path):
+        path = tmp_path / "repr.csv"
+        rows = zip(np.repeat(capture.frame_index, JOINT_COUNT).tolist(), capture.xyz.reshape(-1, 3).tolist())
+        path.write_text("frame,joint,x,y,z\n" + "".join(
+            f"{i},{r % JOINT_COUNT},{x!r},{y!r},{z!r}\n" for r, (i, (x, y, z)) in enumerate(rows)
+        ))
+        self.assert_read_as_by_the_line_parser(path)
+
+    def test_savetxt_18e(self, capture, tmp_path):
+        path = tmp_path / "savetxt.csv"
+        rows = np.column_stack([
+            np.repeat(capture.frame_index, JOINT_COUNT), np.tile(np.arange(JOINT_COUNT), len(capture)),
+            capture.xyz.reshape(-1, 3),
+        ])
+        np.savetxt(path, rows, fmt=["%d", "%d"] + ["%.18e"] * 3, delimiter=",", header="frame,joint,x,y,z", comments="")
+        assert b"e+00," in path.read_bytes()
+        self.assert_read_as_by_the_line_parser(path)
+
+    def assert_read_as_by_the_line_parser(self, path):
+        with mock.patch.object(fileio, "_parse_lines", side_effect=AssertionError("line parser used")):
+            got = read_capture(path, GaitDirection.VERTICAL)  # on the fast path
+        expected = fileio._parse_lines(path.read_text().splitlines())
+        assert got.xyz.tobytes() == expected[0].tobytes()
+        assert got.frame_index.tolist() == expected[1]
+        assert len(got) == 9000
 
 
 def _one_frame_bytes(index="7", y="1.0"):
@@ -1010,7 +1053,8 @@ def _one_frame_bytes(index="7", y="1.0"):
 
 
 class TestKernelGrammar:
-    """Fields at the edges of the kernel's grammar are parsed exactly or left to the line parser."""
+    """Fields at the edges of the layout ``write_capture`` prints, and beyond it: the fast
+    path reads each field that the line parser reads, exactly, and leaves it the others."""
 
     @pytest.mark.parametrize("index, y", [
         ("-0", "1.0"), ("99999999", "1.0"), ("-99999999", "1.0"), ("00000007", "1.0"),
@@ -1031,11 +1075,12 @@ class TestKernelGrammar:
         ("7", "9007199254740992."), ("7", "-.9007199254740992"), ("7", "12345678.5"),
         ("7", "1.1234567891"),
     ])
-    def test_valid_outside_the_grammar(self, index, y, tmp_path):
+    def test_valid_outside_the_grammar(self, index, y):
         """Indices of 9 or more digits, coordinates of 8 or more whole digits or with
-        0 or 10 or more fraction digits: the line parser reads them."""
-        got = assert_read_by_the_line_parser(_one_frame_bytes(index, y), tmp_path / "one_frame.csv")
-        assert got.frame_index.tolist() == [int(index)]
+        0 or 10 or more fraction digits, which the writer does not print: the fast path reads them."""
+        data = _one_frame_bytes(index, y)
+        assert_fast_path_equals_line_parser(data)
+        assert _stream(data)[1].tolist() == [int(index)]
 
     @pytest.mark.parametrize("index, y", [
         ("9223372036854775808", "1.0"), ("-9223372036854775809", "1.0"),
@@ -1047,11 +1092,19 @@ class TestKernelGrammar:
         ("7", "9007199.254740993"),
     ])
     def test_outside_the_grammar(self, index, y):
-        assert _stream(_one_frame_bytes(index, y)) is None
+        """Other fields that the writer does not print: the fast path reads those that ``int``
+        or ``float`` reads, such as ``+7`` and ``1e-3``, and refuses the others."""
+        data = _one_frame_bytes(index, y)
+        try:
+            fileio._parse_lines(data.decode().splitlines())
+        except ParseError:
+            assert _stream(data) is None
+        else:
+            assert_fast_path_equals_line_parser(data)
 
     def test_marks_out_of_order(self, tmp_path):
         """A row with the eight marks of one, a dot where its second comma belongs: the
-        kernel refuses it, and the line parser names its line."""
+        fast path refuses it, and the line parser names its line."""
         lines = _one_frame_bytes().decode().splitlines()
         lines[4] = "7,3.0,1,1.0,2.0"
         data = _text(lines).encode()
@@ -1073,21 +1126,20 @@ class TestKernelGrammar:
 
     def test_ten_fraction_digits_in_the_last_chunk(self, tmp_path):
         """Chunks in the writer's layout, then a last chunk holding a 10-digit
-        fraction: the whole file goes to the line parser."""
+        fraction: numpy's calls read the whole file exactly."""
         rng = np.random.default_rng(10)
-        frames = 3 * fileio._CHUNK_BYTES // (JOINT_COUNT * 30)
+        frames = 5 * fileio._CHUNK_ROWS // (2 * JOINT_COUNT)
         xyz = rng.uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
         path = tmp_path / "chunks.csv"
         write_capture(CaptureSequence(xyz, np.arange(frames) * 7, GaitDirection.VERTICAL), path)
         written = path.read_bytes()
         data = written[: written.rindex(b",")] + b",0.1234567891\n"
-        assert len(data) > 2 * fileio._CHUNK_BYTES
-        assert _stream(written) is not None
-        assert_read_by_the_line_parser(data, path)
+        assert data.count(b"\n") > 2 * fileio._CHUNK_ROWS
+        assert_fast_path_equals_line_parser(data)
 
 
 def _rows_of_length(size, first_frame=0):
-    """Whole frames of rows in the kernel's grammar, ``size`` bytes in all.
+    """Whole frames of rows in the writer's layout, ``size`` bytes in all.
 
     Each coordinate is 0.5, 1.5 or 2.5 with up to 8 more zeros, as needed.
     """
@@ -1131,32 +1183,36 @@ class _ChangedOnRewind(io.BytesIO):
 
 
 _HEADER = b"frame,joint,x,y,z\n"
+#: Bytes of each read of the reader's text wrapper.
+_FILL = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+#: Bytes of _rows_of_length's rows that make one numpy call of the fast path.
+_CHUNK_SIZE = fileio._CHUNK_ROWS * 30
 
 
 class TestStreamReader:
-    """The kernel driver reads the file through one buffer, in two passes."""
+    """The fast path reads the file twice: once to count the rows, then to parse
+    them, _CHUNK_ROWS rows per numpy call, through one text wrapper."""
 
     def test_row_split_across_two_fills(self):
-        data = _HEADER + _rows_of_length(3 * fileio._CHUNK_BYTES + 100)
-        assert data[len(_HEADER) + fileio._CHUNK_BYTES - 1] != ord("\n")
-        assert_kernel_equals_line_parser(data)
+        data = _HEADER + _rows_of_length(3 * _CHUNK_SIZE + 100)
+        assert data[len(_HEADER) + _FILL - 1] != ord("\n")
+        assert_fast_path_equals_line_parser(data)
 
     @pytest.mark.parametrize("fills", [1, 2])
     def test_body_of_whole_buffers(self, fills):
-        """Each fill ends with a row, and the last one at the end of the file."""
-        frames = fileio._CHUNK_BYTES // (JOINT_COUNT * 30)
-        body = b"".join(_rows_of_length(fileio._CHUNK_BYTES, k * frames) for k in range(fills))
-        assert len(body) == fills * fileio._CHUNK_BYTES
-        assert_kernel_equals_line_parser(_HEADER + body)
+        """Each numpy call ends with a frame, and the last one at the end of the file."""
+        body = _rows_of_length(fills * _CHUNK_SIZE)
+        assert body.count(b"\n") == fills * fileio._CHUNK_ROWS
+        assert_fast_path_equals_line_parser(_HEADER + body)
 
-    def test_row_longer_than_the_buffer_is_read_by_the_line_parser(self, tmp_path):
+    def test_row_longer_than_64_kib(self):
         rows = _rows_of_length(3000).decode().splitlines()
-        rows[30] = rows[30].replace(",0.5", ",0" + "0" * fileio._CHUNK_BYTES + ".5", 1)
-        assert_read_by_the_line_parser(_text(["frame,joint,x,y,z"] + rows).encode(), tmp_path / "long_row.csv")
+        rows[30] = rows[30].replace(",0.5", ",0" + "0" * (1 << 16) + ".5", 1)
+        assert_fast_path_equals_line_parser(_text(["frame,joint,x,y,z"] + rows).encode())
 
     @pytest.mark.parametrize("change", ["grown", "shrunk"])
     def test_file_changed_between_the_passes(self, change):
-        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES)
+        data = _HEADER + _rows_of_length(2 * _CHUNK_SIZE)
         rows = data.splitlines(keepends=True)
         frame = int(rows[-1].split(b",", 1)[0]) + 1
         after = {
@@ -1168,16 +1224,12 @@ class TestStreamReader:
 
     @pytest.mark.parametrize("where", ["within_a_fill", "first_row_of_a_fill"])
     def test_a_row_with_another_frame_index_than_its_frame(self, where):
-        """The kernel keeps one index per frame: a row whose index differs from
-        that of its frame's first row, in the same fill or in the next, is
-        left to the line parser."""
-        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES)
+        """The fast path keeps one index per frame: a row whose index differs from
+        that of its frame's first row, within a numpy call or in the first
+        frame of the next one, is left to the line parser."""
+        data = _HEADER + _rows_of_length(2 * _CHUNK_SIZE)
         rows = data.splitlines(keepends=True)
-        if where == "within_a_fill":
-            r = 3
-        else:  # the first row parsed in the second fill, which does not start its frame
-            first_fill_end = len(_HEADER) + fileio._CHUNK_BYTES
-            r = next(r for r in range(len(rows)) if len(b"".join(rows[: r + 1])) > first_fill_end)
+        r = 3 if where == "within_a_fill" else 2 + fileio._CHUNK_ROWS  # rows[0] is the header
         index, rest = rows[r].split(b",", 1)
         assert not rest.startswith(b"0,")
         rows[r] = b"%d,%s" % (int(index) + 1, rest)
@@ -1186,9 +1238,9 @@ class TestStreamReader:
 
     @pytest.mark.parametrize("limit", [7, 1000])
     def test_short_reads_still_take_the_kernel(self, limit):
-        """``read_capture`` reads through a buffered file, which repeats short raw reads until each fill is full."""
-        data = _HEADER + _rows_of_length(2 * fileio._CHUNK_BYTES + 5000)
-        assert_kernel_equals_line_parser(data, lambda d: io.BufferedReader(_ShortReads(d, limit)))
+        """``read_capture`` reads through a buffered file, which returns short raw reads as they come."""
+        data = _HEADER + _rows_of_length(_CHUNK_SIZE + 5000)
+        assert_fast_path_equals_line_parser(data, lambda d: io.BufferedReader(_ShortReads(d, limit)))
 
     def test_pipe_is_read_whole(self):
         data = _HEADER + _rows_of_length(3000)
@@ -1250,6 +1302,27 @@ class TestCaptureText:
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", line_end))
         assert read_capture(marked, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
 
+    def test_a_form_feed_keeps_the_line_numbers(self, tmp_path):
+        """``str.splitlines`` also breaks at a form feed; the line parser counts line ends only."""
+        lines = ["frame,joint,x,y,z"] + [f"{i},{j},0.1,1.0,2.0" for i in (7, 8) for j in range(JOINT_COUNT)]
+        lines[2] += "\x0c"
+        lines[40] = lines[40].replace("0.1", "x")
+        path = tmp_path / "form_feed.csv"
+        path.write_text(_text(lines))
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 41
+
+    def test_a_byte_that_is_not_ascii_after_a_form_feed(self, tmp_path):
+        lines = ["frame,joint,x,y,z"] + [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]
+        lines[2] += "\x0c"
+        lines[4] = lines[4].replace("0.1", "0.\xff")
+        path = tmp_path / "form_feed.csv"
+        path.write_bytes(_text(lines).encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 5
+
     # a digit separator, Arabic-Indic digits and fullwidth digits: numbers to Python, not to the format
     @pytest.mark.parametrize("field", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])
     def test_only_ascii_numbers_are_read(self, tmp_path, field):
@@ -1274,14 +1347,20 @@ def capture_texts(draw):
     """A valid capture's text and a mutation of it; returns (text, mutation)."""
     frames = draw(st.sampled_from((1, 99, 100, 101, 250)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # indices of at most 8 digits, as the kernel reads them; "long_index" makes them longer
-    index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(10**8) + 1, 10**8 - 1 - 3 * frames))
+    # indices of up to 8 digits, as the writer prints short ones, or up to 10, as sensor
+    # timestamps are; "long_index" makes them longer
+    digits = draw(st.sampled_from((8, 10)))
+    index = np.cumsum(rng.integers(1, 4, frames)) + draw(st.integers(-(10**digits) + 1, 10**digits - 1 - 3 * frames))
     index = index.tolist()
+    # the writer's layout, repr's, np.savetxt's "%.18e" and "%e", perhaps with signs or leading spaces
+    number = draw(st.sampled_from(("{:.9f}", "{!r}", "{:.18e}", "{:e}", "{:+.9f}", "{:+e}")))
+    lead = draw(st.sampled_from(("", " ", "  ")))
+    index_form = draw(st.sampled_from(("{}", "{:+d}", " {}")))
     # the parsers treat every coordinate alike, so rows draw theirs from a pool
-    pool = [f"{x:.9f},{y:.9f},{z:.9f}" for x, y, z in rng.normal(0.0, 2.0, (64, 3)).tolist()]
+    pool = [",".join(lead + number.format(v) for v in xyz) for xyz in rng.normal(0.0, 2.0, (64, 3)).tolist()]
     picks = iter(rng.integers(0, len(pool), frames * JOINT_COUNT).tolist())
     lines = ["frame,joint,x,y,z"] + [
-        f"{i},{j},{pool[next(picks)]}" for i in index for j in range(JOINT_COUNT)
+        f"{index_form.format(i)},{j},{pool[next(picks)]}" for i in index for j in range(JOINT_COUNT)
     ]
     mutation = draw(st.sampled_from(MUTATIONS))
     # the first and last rows of the file and of each 2,500-row block, or any row

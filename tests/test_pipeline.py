@@ -199,6 +199,68 @@ class TestCalibrate:
             PipelineConfig(beta_joints=joints)
 
 
+#: β = 3.0 - 1.0·y degrees, as in the TestOutputDigests inputs.
+_WALK_BETA = Polynomial((math.radians(3.0), math.radians(-1.0)))
+#: The largest β error allowed over y in [0.05, 1.7] m: one-way walks measure 0.23 degrees.
+_WALK_BETA_ERROR_DEG = 0.5
+
+
+@functools.lru_cache(maxsize=None)
+def one_way_walks():
+    """Ten 90-frame vertical walks from 4.5 m to 1.5 m on seeds 0-9, with 7 degrees of shear,
+    h = 0.75 m, β = _WALK_BETA and 5 mm noise."""
+    truth = generate_truth_capture(default_template(), GaitDirection.VERTICAL, 90, 4.5, 1.5)
+    return tuple(
+        apply_distortion(truth, DistortionSpec(
+            tilt_rad=math.radians(7), sensor_height_m=0.75, beta_poly=_WALK_BETA, noise_std_m=0.005, seed=seed
+        ))
+        for seed in range(10)
+    )
+
+
+def beta_error_deg(profile):
+    """The largest |β_fit - β_true| of ``profile`` over y in [0.05, 1.7] m, in degrees."""
+    y = np.linspace(0.05, 1.7, 166)
+    fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
+    return math.degrees(np.abs(fit - np.polynomial.polynomial.polyval(y, _WALK_BETA.coefficients)).max())
+
+
+def _refused(k):
+    return pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, raises=NoUsableGaitsError,
+        reason="ROADMAP item 19: the first and last frames lie at about the same depth, so no joint has depth travel",
+    ))
+
+
+def _silently_wrong(k, measured):
+    return pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"ROADMAP item 19: beta_points reads the first and last frames of the walk; {measured} degrees wrong",
+    ))
+
+
+class TestWalksInAndBackOut:
+    """A walk toward the sensor and back, as people record one: each gait is followed by its
+    own frames reversed, less the last k, so the walk back ends k frames short of its start."""
+
+    def test_one_way(self):
+        profile = calibrate(list(one_way_walks()), 0.75)
+        assert beta_error_deg(profile) < _WALK_BETA_ERROR_DEG
+        assert math.degrees(profile.tilt.tilt_rad) == pytest.approx(7.0, abs=0.1)
+
+    @pytest.mark.parametrize("k", [
+        _refused(0), _refused(3), _silently_wrong(6, 4.37), _silently_wrong(15, 1.69), _silently_wrong(30, 0.92),
+    ])
+    def test_in_and_back_out(self, k):
+        walks = []
+        for gait in one_way_walks():
+            xyz = np.concatenate([gait.xyz, gait.xyz[::-1][: len(gait) - k]])
+            walks.append(CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL))
+        profile = calibrate(walks, 0.75)
+        assert math.degrees(profile.tilt.tilt_rad) == pytest.approx(7.0, abs=0.1)
+        assert beta_error_deg(profile) < _WALK_BETA_ERROR_DEG
+
+
 class TestCalibrateOnePass:
     """calibrate reads its gaits once and keeps only the joints its estimators read."""
 

@@ -200,7 +200,6 @@ class TestValidByConstruction:
             ("stage", "errors.py"),
             # file access stays in fileio, through Python's own file objects
             ("open", "fileio.py"),
-            ("readinto", "fileio.py"),
             ("unlink", "fileio.py"),
             ("read_text", "fileio.py"),
             ("fdopen", ""),
