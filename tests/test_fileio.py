@@ -1273,6 +1273,42 @@ class TestStreamReader:
         assert len(seq) == frames
         assert peak < 1.25 * seq.xyz.nbytes < path.stat().st_size
 
+    @pytest.mark.parametrize("layout", ["lone_cr", "blank_line"])
+    def test_line_parser_peak_memory_below_the_file_size(self, layout, tmp_path):
+        """The line parser reads the open file a line at a time: beside its
+        result it holds one frame's fields and one index per frame."""
+        frames = 9000
+        xyz = np.random.default_rng(14).uniform(-3.0, 3.0, (frames, JOINT_COUNT, 3))
+        path = tmp_path / "long.csv"
+        write_capture(CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL), path)
+        written, data = read_capture(path, GaitDirection.VERTICAL), path.read_bytes()
+        path.write_bytes(data.replace(b"\n", b"\r") if layout == "lone_cr" else data + b"\n")
+        with mock.patch.object(fileio, "_parse_lines", wraps=fileio._parse_lines) as line_parser:
+            tracemalloc.start()
+            try:
+                seq = read_capture(path, GaitDirection.VERTICAL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert line_parser.called
+        assert seq == written
+        assert peak < 1.5 * seq.xyz.nbytes < path.stat().st_size
+
+
+class TestLoadtxtContract:
+    """What the fast path relies on in ``np.loadtxt``, so that a numpy without it fails here by name."""
+
+    def test_max_rows_stops_right_after_its_rows(self):
+        text = io.TextIOWrapper(io.BytesIO(b"1,0,0.5,1.5,2.5\r\n2,0,0.5,1.5,2.5\n3,0,0.5,1.5,2.5\n"), newline="\n")
+        rows = np.loadtxt(text, fileio._ROW, delimiter=",", comments=None, max_rows=2)
+        assert rows["frame"].tolist() == [1, 2]
+        assert text.readline() == "3,0,0.5,1.5,2.5\n"
+
+    def test_a_blank_line_under_max_rows_warns(self):
+        text = io.TextIOWrapper(io.BytesIO(b"1,0,0.5,1.5,2.5\n\n2,0,0.5,1.5,2.5\n"), newline="\n")
+        with pytest.warns(UserWarning):
+            np.loadtxt(text, fileio._ROW, delimiter=",", comments=None, max_rows=2)
+
 
 class TestUndecodableFiles:
     def test_capture_names_the_line_of_the_bad_byte(self, tmp_path):
@@ -1283,6 +1319,30 @@ class TestUndecodableFiles:
         with pytest.raises(ParseError) as err:
             read_capture(path, GaitDirection.VERTICAL)
         assert err.value.line == 3
+
+    def test_the_first_bad_line_is_named_before_a_later_byte_that_is_not_ascii(self, tmp_path):
+        lines = ["frame,joint,x,y,z"] + [f"{i},{j},0.1,1.0,2.0" for i in (7, 8) for j in range(JOINT_COUNT)]
+        lines[3] = lines[3].replace("2.0", "x")  # the last field, whose line end the message leaves out
+        lines[40] = lines[40].replace("0.1", "0.\u00e9")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_text(lines).encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 4
+        assert "could not convert string to float: 'x'" in str(err.value)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "expected header 'frame,joint,x,y,z'"),
+        (b"\xef\xbb\xbf", "expected header 'frame,joint,x,y,z'"),
+        ("frame,joint,x,y,z\u00e9\n7,0,0.1,1.0,2.0\n".encode(), "not ASCII text: ordinal not in range(128)"),
+    ], ids=["empty", "byte_order_mark_only", "header_not_ascii"])
+    def test_a_bad_header_is_line_1(self, tmp_path, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 1
+        assert message in str(err.value)
 
     def test_profile_is_a_schema_error(self, tmp_path):
         path = tmp_path / "profile.json"
@@ -1301,6 +1361,17 @@ class TestCaptureText:
         marked.parent.mkdir()
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", line_end))
         assert read_capture(marked, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
+
+    @pytest.mark.parametrize("mark, line_end", [(b"", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r\n")],
+                             ids=["lf", "crlf", "bom_crlf"])
+    def test_no_line_end_after_the_last_row(self, template, tmp_path, mark, line_end):
+        """As an editor may leave a capture: the line parser reads it as it was written."""
+        path = tmp_path / "walk.csv"
+        write_capture(_pin_capture(template), path)
+        edited = tmp_path / "edited" / "walk.csv"  # the same stem, so the same label
+        edited.parent.mkdir()
+        edited.write_bytes(mark + path.read_bytes().replace(b"\n", line_end).removesuffix(line_end))
+        assert read_capture(edited, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
 
     def test_a_form_feed_keeps_the_line_numbers(self, tmp_path):
         """``str.splitlines`` also breaks at a form feed; the line parser counts line ends only."""
