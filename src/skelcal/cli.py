@@ -238,25 +238,24 @@ def cmd_diagnose(args) -> int:
         if ydiff:
             heights.append(part.xyz[:, args.joints, 1])
         if bones:
-            lengths.append(edge_lengths(part))
+            lengths.append(edge_lengths(part.xyz))
     frame_index = seq.frame_index
     del seq, part  # only the frame indices outlive the loop: a raw part, too, is a view of the raw capture
 
     # every report is built before any is written, so a failure leaves no partial output
     with tagged(stage="diagnostics"):
-        series = diff_to_last(np.concatenate(heights), frame_index, args.joints) if ydiff else None
-        stability = length_stability(np.concatenate(lengths, axis=1), frame_index) if bones else None
+        diffs = diff_to_last(np.concatenate(heights), frame_index, args.joints) if ydiff else None
+        stats = length_stability(np.concatenate(lengths, axis=1), frame_index) if bones else None
     del heights, lengths  # nor are the parts' lengths held while the reports are written
     stem = args.out.with_suffix("")
     if ydiff:
         path = Path(f"{stem}_ydiff.csv") if bones else args.out
-        fileio.write_ydiff_report(frame_index, series, path)
-        worst = max(s.max_abs for s in series)
-        print(f"ydiff report -> {path} (max |y - y_last| = {worst:.4f} m)", file=sys.stderr)
+        fileio.write_ydiff_report(frame_index, args.joints, diffs, path)
+        print(f"ydiff report -> {path} (max |y - y_last| = {np.abs(diffs).max():.4f} m)", file=sys.stderr)
     if bones:
         path = Path(f"{stem}_bones.csv") if ydiff else args.out
-        fileio.write_bone_report(stability, path)
-        print(f"bone report -> {path} (max std = {stability.max_std_m:.6f} m)", file=sys.stderr)
+        fileio.write_bone_report(stats, path)
+        print(f"bone report -> {path} (max std = {stats[:, 1].max():.6f} m)", file=sys.stderr)
     return 0
 
 

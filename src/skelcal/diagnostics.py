@@ -7,7 +7,8 @@ constant, since bone lengths belong to the person, not the viewing geometry.
 
 Each statistic is a per-part step, which keeps the small array it reads of
 some frames, and a final step over those arrays joined in frame order, so a
-capture can be measured one part at a time with the bits of the whole.
+capture can be measured one part at a time with the bits of the whole. The
+steps take and return arrays; only the whole-capture functions build records.
 """
 
 from __future__ import annotations
@@ -59,20 +60,19 @@ class StabilityReport(NamedTuple):
 
 def diff_to_last(
     heights: np.ndarray, frame_index: np.ndarray, joints: Sequence[JointIndex | int]
-) -> list[DiffSeries]:
+) -> np.ndarray:
     """The final step of ``y_diff_to_last``, from ``xyz[:, joints, 1]`` of every frame, whose
-    indices are ``frame_index``. The series are the columns of ``heights``, which it overwrites."""
-    idx = [JointIndex(j) for j in joints]
+    indices are ``frame_index``: ``heights`` less its last row, overwritten and made read-only."""
     with np.errstate(over="ignore"):
         heights -= heights[-1]
     bad = np.argwhere(~np.isfinite(heights))
     if bad.size:
         frame, k = bad[0].tolist()
         raise MeasureOverflowError(
-            f"y - y_last of joint {int(idx[k])} overflows at frame {int(frame_index[frame])}"
+            f"y - y_last of joint {int(joints[k])} overflows at frame {int(frame_index[frame])}"
         )
     heights.flags.writeable = False
-    return [DiffSeries(j, d) for j, d in zip(idx, heights.T)]
+    return heights
 
 
 def y_diff_to_last(
@@ -83,20 +83,22 @@ def y_diff_to_last(
     The series are the columns of one (frames, joints) array. A difference
     beyond float64's range raises MeasureOverflowError at its first frame.
     """
-    return diff_to_last(seq.xyz[:, [JointIndex(j) for j in joints], 1], seq.frame_index, joints)
+    idx = [JointIndex(j) for j in joints]
+    diffs = diff_to_last(seq.xyz[:, idx, 1], seq.frame_index, idx)
+    return [DiffSeries(j, d) for j, d in zip(idx, diffs.T)]
 
 
 _PARENTS = [int(e.parent) for e in SKELETON_EDGES]
 _CHILDREN = [int(e.child) for e in SKELETON_EDGES]
 
 
-def edge_lengths(part: CaptureSequence) -> np.ndarray:
+def edge_lengths(xyz: np.ndarray) -> np.ndarray:
     """The per-part step of ``bone_length_stability``: the (edges, frames) array of each
-    ``SKELETON_EDGES`` bone's length in each frame. A length beyond float64's range is inf."""
+    ``SKELETON_EDGES`` bone's length in each frame of ``xyz``. A length beyond float64's range is inf."""
     # (edges, frames) arrays: each edge's lengths are contiguous, so numpy sums them pairwise
-    lengths = np.zeros((len(SKELETON_EDGES), len(part)))
+    lengths = np.zeros((len(SKELETON_EDGES), len(xyz)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for coordinate in part.xyz.T:
+        for coordinate in xyz.T:
             step = coordinate[_PARENTS] - coordinate[_CHILDREN]
             step *= step
             lengths += step
@@ -104,9 +106,10 @@ def edge_lengths(part: CaptureSequence) -> np.ndarray:
     return lengths
 
 
-def length_stability(lengths: np.ndarray, frame_index: np.ndarray) -> StabilityReport:
-    """The final step of ``bone_length_stability``, from the ``edge_lengths`` of every frame,
-    whose indices are ``frame_index``, as one C-ordered array, which it overwrites."""
+def length_stability(lengths: np.ndarray, frame_index: np.ndarray) -> np.ndarray:
+    """The final step of ``bone_length_stability``, from the ``edge_lengths`` of every frame, whose
+    indices are ``frame_index``, as one C-ordered array, which it overwrites: the (edges, 3) array
+    of each bone's mean length, its standard deviation and its largest |deviation| from the mean."""
     frames = lengths.shape[1]
     if frames < 2:
         raise TooFewFramesError("bone-length stability needs at least 2 frames")
@@ -124,12 +127,7 @@ def length_stability(lengths: np.ndarray, frame_index: np.ndarray) -> StabilityR
         raise MeasureOverflowError(
             f"length of bone {int(edge.parent)}-{int(edge.child)} overflows at frame {frame}"
         )
-    return StabilityReport(
-        tuple(
-            EdgeStability(edge, m, s, d)
-            for edge, m, s, d in zip(SKELETON_EDGES, mean.tolist(), std.tolist(), max_dev.tolist())
-        )
-    )
+    return np.stack((mean, std, max_dev), axis=1)
 
 
 def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
@@ -138,4 +136,5 @@ def bone_length_stability(seq: CaptureSequence) -> StabilityReport:
     A statistic beyond float64's range raises MeasureOverflowError naming the
     edge and the frame that deviates most (or first overflows) on it.
     """
-    return length_stability(edge_lengths(seq), seq.frame_index)
+    stats = length_stability(edge_lengths(seq.xyz), seq.frame_index)
+    return StabilityReport(tuple(EdgeStability(edge, *row) for edge, row in zip(SKELETON_EDGES, stats.tolist())))

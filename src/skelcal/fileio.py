@@ -21,7 +21,7 @@ import os
 import warnings
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,11 +29,8 @@ from .errors import EmptySequenceError, IoFailureError, MissingJointError, Parse
 from .numerics import Polynomial
 from .perspective import BetaModel, BetaPoint
 from .pipeline import CalibrationProfile
-from .skeleton import JOINT_COUNT, CaptureSequence, GaitDirection, check_increasing
+from .skeleton import JOINT_COUNT, SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, check_increasing
 from .tilt import TiltParams
-
-if TYPE_CHECKING:  # annotations only: the other subcommands never load diagnostics
-    from .diagnostics import DiffSeries, StabilityReport
 
 CAPTURE_HEADER = "frame,joint,x,y,z"
 PROFILE_SCHEMA_VERSION = 1
@@ -348,22 +345,24 @@ def _parse_lines(lines: Iterable[str]) -> tuple[np.ndarray, list[int]]:
     return np.frombuffer(coords).reshape(-1, JOINT_COUNT, 3), frame_indices
 
 
-def write_ydiff_report(frame_index: np.ndarray, series: Sequence[DiffSeries], path: str | Path) -> None:
-    """Plot-ready CSV: one row per frame, its index and each joint's y - y_last."""
-    header = "frame," + ",".join(s.joint.name.lower() for s in series) + "\n"
-    diffs = np.array([s.per_frame_diff for s in series]).T
-    body = _block_rows(frame_index, _NO_LABELS, diffs[:, None]) if series else ()
+def write_ydiff_report(
+    frame_index: np.ndarray, joints: Sequence[JointIndex | int], diffs: np.ndarray, path: str | Path
+) -> None:
+    """Plot-ready CSV: one row per frame, its index and each joint's y - y_last, from the
+    (frames, joints) array ``diffs`` whose column k is the series of ``joints[k]``."""
+    header = "frame," + ",".join(JointIndex(j).name.lower() for j in joints) + "\n"
+    body = _block_rows(frame_index, _NO_LABELS, diffs[:, None]) if len(joints) else ()
     _atomic_write(path, itertools.chain((header.encode(),), body))
 
 
-def write_bone_report(report: StabilityReport, path: str | Path) -> None:
-    """CSV with one row per skeleton edge: its joints and its length statistics."""
+def write_bone_report(stats: np.ndarray, path: str | Path) -> None:
+    """CSV with one row per skeleton edge: its joints and its length statistics, from the
+    (edges, 3) array ``stats`` of each ``SKELETON_EDGES`` bone's mean, std and largest |deviation|."""
     lines = ["parent,child,parent_name,child_name,mean_m,std_m,max_abs_dev_m"]
-    for e in report.per_edge:
+    for (parent, child), (mean, std, max_dev) in zip(SKELETON_EDGES, stats.tolist()):
         lines.append(
-            f"{int(e.edge.parent)},{int(e.edge.child)},"
-            f"{e.edge.parent.name.lower()},{e.edge.child.name.lower()},"
-            f"{e.mean_length_m:.9f},{e.std_length_m:.9f},{e.max_abs_dev_m:.9f}"
+            f"{int(parent)},{int(child)},{parent.name.lower()},{child.name.lower()},"
+            f"{mean:.9f},{std:.9f},{max_dev:.9f}"
         )
     _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 

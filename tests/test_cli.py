@@ -31,7 +31,7 @@ from skelcal import (
     write_profile,
     y_diff_to_last,
 )
-from skelcal import fileio
+from skelcal import diagnostics, fileio
 from skelcal.cli import _FEET, _median, main
 from skelcal.errors import CalibrationError
 
@@ -658,8 +658,11 @@ class TestDiagnoseInParts:
         if profile is not None:
             seq = apply_profile(seq, read_profile(profile))
         ydiff, bones = tmp_path / "whole_ydiff.csv", tmp_path / "whole_bones.csv"
-        fileio.write_ydiff_report(seq.frame_index, y_diff_to_last(seq), ydiff)
-        fileio.write_bone_report(bone_length_stability(seq), bones)
+        series, report = y_diff_to_last(seq), bone_length_stability(seq)
+        diffs = np.stack([s.per_frame_diff for s in series], axis=1)
+        stats = np.array([[e.mean_length_m, e.std_length_m, e.max_abs_dev_m] for e in report.per_edge])
+        fileio.write_ydiff_report(seq.frame_index, [s.joint for s in series], diffs, ydiff)
+        fileio.write_bone_report(stats, bones)
         return {"ydiff": ydiff.read_bytes(), "bones": bones.read_bytes()}
 
     @pytest.mark.parametrize("report", ["ydiff", "bones", "both"])
@@ -675,6 +678,22 @@ class TestDiagnoseInParts:
             assert (tmp_path / "report_bones.csv").read_bytes() == whole["bones"]
         else:
             assert out.read_bytes() == whole[report]
+
+    @pytest.mark.parametrize("corrected", [False, True], ids=["raw", "profile"])
+    def test_reports_build_no_records(self, tmp_path, profile, corrected):
+        """The part loop's arrays go to the report writers as they are: the record
+        types of the whole-capture functions are never built, and the bytes stay."""
+        raw, out = raw_capture(tmp_path, 513), tmp_path / "report.csv"
+        given = ["--profile", profile] if corrected else []
+        whole = self.whole_reports(tmp_path, raw, profile if corrected else None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a diagnostics record was built")
+
+        with mock.patch.multiple(diagnostics, DiffSeries=refuse, EdgeStability=refuse, StabilityReport=refuse):
+            assert run("diagnose", "--in", raw, "--report", "both", "--out", out, *given) == 0
+        assert (tmp_path / "report_ydiff.csv").read_bytes() == whole["ydiff"]
+        assert (tmp_path / "report_bones.csv").read_bytes() == whole["bones"]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fault", sorted(_FAULTS))

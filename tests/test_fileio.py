@@ -395,7 +395,7 @@ class TestArrayBackedIo:
         xyz[..., 2] = 2.0
         seq = CaptureSequence(xyz, [3, 7, 9], GaitDirection.VERTICAL)
         path = tmp_path / "ydiff.csv"
-        write_ydiff_report(seq.frame_index, y_diff_to_last(seq, [JointIndex.HEAD]), path)
+        write_ydiff_report(seq.frame_index, *_ydiff_columns(y_diff_to_last(seq, [JointIndex.HEAD])), path)
         assert path.read_text() == "frame,head\n3,-0.600000000\n7,-0.200000000\n9,0.000000000\n"
 
 
@@ -543,6 +543,16 @@ def _per_value_ydiff_bytes(seq, series):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _ydiff_columns(series):
+    """``write_ydiff_report``'s joints and (frames, joints) array, from ``y_diff_to_last``'s series."""
+    return [s.joint for s in series], np.stack([s.per_frame_diff for s in series], axis=1)
+
+
+def _bone_stats(report):
+    """``write_bone_report``'s (edges, 3) array, from ``bone_length_stability``'s report."""
+    return np.array([[e.mean_length_m, e.std_length_m, e.max_abs_dev_m] for e in report.per_edge])
+
+
 def _per_value_bone_bytes(report):
     """The bone report as the original per-value writer printed it."""
     lines = ["parent,child,parent_name,child_name,mean_m,std_m,max_abs_dev_m"]
@@ -604,7 +614,7 @@ class TestWriterKernel:
         xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
         seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, *_ydiff_columns(series), tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
         # the report's rows with values that are not finite, given to the rows writer directly
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
@@ -612,7 +622,7 @@ class TestWriterKernel:
         text = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)
         assert text == _per_value_rows(seq.frame_index, [""], diffs)
         report = bone_length_stability(apply_distortion(walk, spec))
-        write_bone_report(report, tmp_path / "bones.csv")
+        write_bone_report(_bone_stats(report), tmp_path / "bones.csv")
         assert (tmp_path / "bones.csv").read_bytes() == _per_value_bone_bytes(report)
 
 
@@ -741,8 +751,8 @@ class TestRecordWidths:
         assert table_bytes == 100_800
         csv_rows, writers = fileio._csv_rows, [(functools.partial(write_capture, seq), capture_frame)]
         for joints in ([JointIndex.HEAD], [JointIndex.HEAD, JointIndex.FOOT_LEFT], list(JointIndex)):
-            series = y_diff_to_last(seq, joints)
-            writers.append((functools.partial(write_ydiff_report, seq.frame_index, series), 20 + len(joints) * 13 + 1))
+            write = functools.partial(write_ydiff_report, seq.frame_index, *_ydiff_columns(y_diff_to_last(seq, joints)))
+            writers.append((write, 20 + len(joints) * 13 + 1))
         for write, frame_bytes in writers:
             blocks = []
 
@@ -763,7 +773,7 @@ class TestRecordWidths:
     def test_ydiff_report_frame_width_changes(self, start, tmp_path):
         seq = CaptureSequence(_small_values(10, 4), np.arange(10) + start, GaitDirection.VERTICAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, *_ydiff_columns(series), tmp_path / "ydiff.csv")
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
 
@@ -828,7 +838,7 @@ class TestOneDigitKernel:
         xyz[-1, JointIndex.HEAD, 1] = 0.0  # so the head's y - y_last are the values
         seq = CaptureSequence(xyz, np.arange(120) - 60, GaitDirection.HORIZONTAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.SPINE_BASE, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, *_ydiff_columns(series), tmp_path / "ydiff.csv")
         assert digits8_spy.call_count == 1
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
@@ -839,7 +849,7 @@ class TestOneDigitKernel:
         xyz[block + 44, JointIndex.HEAD, 1] = 15.0  # the second block's y - y_last has two whole digits
         seq = CaptureSequence(xyz, np.arange(len(xyz)) - 300, GaitDirection.VERTICAL)
         series = y_diff_to_last(seq, [JointIndex.HEAD, JointIndex.FOOT_LEFT])
-        write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
+        write_ydiff_report(seq.frame_index, *_ydiff_columns(series), tmp_path / "ydiff.csv")
         assert digits8_spy.call_count == 2  # the first and the last block
         assert (tmp_path / "ydiff.csv").read_bytes() == _per_value_ydiff_bytes(seq, series)
 
@@ -849,7 +859,7 @@ class TestOneDigitKernel:
         seq = CaptureSequence(_small_values(9000, 7) / 2, np.arange(9000), GaitDirection.VERTICAL)
         series = y_diff_to_last(seq)  # 9 joints: 138 bytes a frame in the widest table, 730 frames a block
         with mock.patch.object(fileio, "_csv_rows", wraps=fileio._csv_rows) as spy:
-            write_ydiff_report(seq.frame_index, series, tmp_path / "ydiff.csv")
+            write_ydiff_report(seq.frame_index, *_ydiff_columns(series), tmp_path / "ydiff.csv")
         assert spy.call_count == -(-9000 // (fileio.BLOCK_FRAMES * JOINT_COUNT * (20 + 3 + 3 * 13 + 1) // 138)) == 13
         diffs = np.array([s.per_frame_diff for s in series]).T[:, None]
         rows = fileio._csv_rows(seq.frame_index, fileio._NO_LABELS, diffs)

@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, in the package and in its tests,
 every private name a package module defines at module level is read in it,
 every exception class of ``skelcal.errors`` is raised or subclassed in the package,
-every package dataclass checks or compares its own fields, and every package
-module parses at the oldest Python that ``pyproject.toml`` supports."""
+every package dataclass checks or compares its own fields, ``fileio`` imports
+nothing of ``diagnostics``, and every package module parses at the oldest
+Python that ``pyproject.toml`` supports."""
 
 import ast
 import re
@@ -130,6 +131,33 @@ def test_a_plain_dataclass_is_found():
         "class E:\n    x: int\n"
     )
     assert plain_dataclasses(source) == ["A", "B"]
+
+
+def imports_of(source: str, module: str) -> list[tuple[int, str]]:
+    """The (line, name) of each import in ``source``, under ``if TYPE_CHECKING:`` too,
+    of the module ``module`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if module in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            found += [(node.lineno, a.name) for a in node.names if module in path or a.name == module]
+    return sorted(found)
+
+
+def test_fileio_imports_nothing_of_diagnostics():
+    """The report writers take arrays: the file formats do not read the diagnostics' record types."""
+    fileio = Path(skelcal.__file__).parent / "fileio.py"
+    assert imports_of(fileio.read_text(), "diagnostics") == []
+
+
+def test_an_import_of_another_module_is_found():
+    source = (
+        "from typing import TYPE_CHECKING\nimport numpy\nif TYPE_CHECKING:\n    from .stats import Series\n"
+        "from . import stats\nimport pkg.stats as s\nfrom .statistics import mean\n"
+    )
+    assert imports_of(source, "stats") == [(4, "Series"), (5, "stats"), (6, "pkg.stats")]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)

@@ -1,0 +1,122 @@
+"""The scenario matrix: calibrate on seeded gaits, then measure the profile against ground truth.
+
+Each scenario distorts ten 90-frame vertical gaits, 4.5 m to 1.5 m, with
+noise seeds 0-9: a sensor tilt under one ``TiltModel``, h = 0.75 m,
+β = 3.0 - 1.0·y degrees and 5 mm Gaussian noise. It calibrates on them and
+measures, against the truth:
+
+- the tilt error, |a_fit - a|;
+- the β error, the largest |β_fit - β| over y in [0.05, 1.7] m;
+- the Y and Z RMSE of a held-out 900-frame walk over the same path, distorted
+  alike on noise seed 10 and corrected with the profile.
+
+The bounds come from measurement. Over the rows that meet them, seeds 0-9
+read at most 0.045 degrees of tilt error, 0.23 degrees of β error, 10.0 mm
+Y RMSE and 5.04 mm Z RMSE; seeds 20-29 (held-out seed 30) read at most 0.055,
+0.20, 9.1 and 5.07, and miss the same bounds in the same rows. A row that misses a
+bound today is a strict xfail that names the ROADMAP item that mends it, so
+it fails here once it passes.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from skelcal import (
+    DistortionSpec,
+    GaitDirection,
+    Polynomial,
+    TiltModel,
+    apply_distortion,
+    apply_profile,
+    calibrate,
+    default_template,
+    generate_truth_capture,
+)
+
+SENSOR_HEIGHT_M = 0.75
+BETA = Polynomial((math.radians(3.0), math.radians(-1.0)))
+GAIT_SEEDS = range(10)
+HELD_OUT_SEED = 10
+TILTS_DEG = [0, 2, 7, 15]
+
+#: Each measure's bound, with its unit in its name.
+BOUNDS = {"tilt_deg": 0.1, "beta_deg": 0.4, "y_rmse_mm": 12.0, "z_rmse_mm": 6.0}
+
+_ITEM_10 = (
+    "ROADMAP item 10: the spine reads a shear tilt a as atan(sin a), and the correction takes "
+    "that for a: atan(sin 15 degrees) is 14.51 degrees"
+)
+_ITEM_5 = (
+    "ROADMAP item 5: the shear correction leaves a rotated capture an error that grows with depth, "
+    "which the β fit takes as an angle of the wrong sign: β(0) read -9.79 degrees at 7, 3.00 true"
+)
+#: The measures that miss their bound today, with what seeds 0-9 read and the item that mends them.
+DEFECTS = {
+    ("tilt_deg", TiltModel.SHEAR_INVERSE, 15): (0.45, _ITEM_10),
+    ("beta_deg", TiltModel.SHEAR_INVERSE, 15): (0.58, _ITEM_10),
+    ("z_rmse_mm", TiltModel.SHEAR_INVERSE, 15): (9.0, _ITEM_10),
+    ("beta_deg", TiltModel.ROTATION, 2): (3.77, _ITEM_5),
+    ("beta_deg", TiltModel.ROTATION, 7): (13.0, _ITEM_5),
+    ("beta_deg", TiltModel.ROTATION, 15): (26.0, _ITEM_5),
+    ("y_rmse_mm", TiltModel.ROTATION, 7): (13.6, _ITEM_5),
+    ("y_rmse_mm", TiltModel.ROTATION, 15): (32.3, _ITEM_5),
+    ("z_rmse_mm", TiltModel.ROTATION, 2): (24.9, _ITEM_5),
+    ("z_rmse_mm", TiltModel.ROTATION, 7): (70.2, _ITEM_5),
+    ("z_rmse_mm", TiltModel.ROTATION, 15): (105.4, _ITEM_5),
+}
+
+
+def _spec(model, tilt_deg, seed):
+    return DistortionSpec(
+        tilt_model=model,
+        tilt_rad=math.radians(tilt_deg),
+        sensor_height_m=SENSOR_HEIGHT_M,
+        beta_poly=BETA,
+        noise_std_m=0.005,
+        seed=seed,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _truth(frames):
+    return generate_truth_capture(default_template(), GaitDirection.VERTICAL, frames, 4.5, 1.5)
+
+
+@functools.lru_cache(maxsize=None)
+def measure(model, tilt_deg):
+    """The four measures of one scenario, by the names of ``BOUNDS``."""
+    gaits = [apply_distortion(_truth(90), _spec(model, tilt_deg, seed)) for seed in GAIT_SEEDS]
+    profile = calibrate(gaits, SENSOR_HEIGHT_M)
+    y = np.linspace(0.05, 1.7, 166)
+    beta_fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
+    beta_true = np.polynomial.polynomial.polyval(y, BETA.coefficients)
+    held_out = apply_distortion(_truth(900), _spec(model, tilt_deg, HELD_OUT_SEED))
+    error = apply_profile(held_out, profile).xyz - _truth(900).xyz
+    return {
+        "tilt_deg": abs(math.degrees(profile.tilt.tilt_rad) - tilt_deg),
+        "beta_deg": math.degrees(np.abs(beta_fit - beta_true).max()),
+        "y_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 1] ** 2)),
+        "z_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 2] ** 2)),
+    }
+
+
+def _rows():
+    for name in BOUNDS:
+        for model in TiltModel:
+            for tilt_deg in TILTS_DEG:
+                key = (name, model, tilt_deg)
+                marks = []
+                if key in DEFECTS:
+                    measured, reason = DEFECTS[key]
+                    reason = f"{reason}; {name} read {measured}, bound {BOUNDS[name]}"
+                    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
+                yield pytest.param(*key, marks=marks, id=f"{name}-{model.value}-{tilt_deg}deg")
+
+
+@pytest.mark.parametrize("name, model, tilt_deg", _rows())
+def test_measure_within_bound(name, model, tilt_deg):
+    assert measure(model, tilt_deg)[name] <= BOUNDS[name]
+
