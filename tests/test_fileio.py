@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import functools
 import io
 import json
@@ -5,7 +7,10 @@ import math
 import os
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +34,7 @@ from skelcal import (
 )
 from skelcal import CaptureSequence, JOINT_COUNT, bone_length_stability, y_diff_to_last
 from skelcal import fileio
+from skelcal.cli import main
 from skelcal.fileio import write_bone_report, write_ydiff_report
 from skelcal.errors import (
     CalibrationError,
@@ -1362,6 +1368,48 @@ class TestUndecodableFiles:
         assert err.value.field == "<document>"
 
 
+class TestProfileText:
+    """A profile is UTF-8 whatever the locale, after any byte-order mark."""
+
+    def test_utf8_label_reads_under_an_ascii_locale(self, profile, tmp_path):
+        path, back = tmp_path / "profile.json", tmp_path / "back.json"
+        write_profile(profile, path)
+        doc = json.loads(path.read_bytes())
+        doc["created_label"] = "Caf\u00e9"
+        path.write_bytes(json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8"))
+        code = (
+            "import locale, sys\nfrom skelcal import read_profile, write_profile\n"
+            "write_profile(read_profile(sys.argv[1]), sys.argv[2])\nprint(locale.getpreferredencoding(False))\n"
+        )
+        src = str(Path(fileio.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(back)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert codecs.lookup(done.stdout.strip()).name == "ascii"  # the child's locale could not decode the label
+        assert read_profile(back) == dataclasses.replace(profile, created_label="Caf\u00e9")
+
+    def test_byte_order_mark_is_skipped(self, profile, short_walk, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        write_profile(profile, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_profile(marked) == profile
+        capture = tmp_path / "walk.csv"
+        write_capture(short_walk, capture)
+        for path in (plain, marked):
+            out = path.with_suffix(".csv")
+            assert main(["apply", "--profile", str(path), "--in", str(capture), "--out", str(out)]) == 0
+        assert marked.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
+    def test_a_byte_that_is_not_utf8_is_not_valid_text(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_bytes(json.dumps(valid_profile_doc()).encode().replace(b'"test"', b'"te\xffst"'))
+        with pytest.raises(SchemaError, match="not valid text") as err:
+            read_profile(path)
+        assert err.value.field == "<document>"
+
+
 class TestCaptureText:
     @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     def test_byte_order_mark_is_skipped(self, tmp_path, short_walk, line_end):
@@ -1403,6 +1451,34 @@ class TestCaptureText:
         with pytest.raises(ParseError) as err:
             read_capture(path, GaitDirection.VERTICAL)
         assert err.value.line == 5
+
+    # NEL, no-break space, line separator and ideographic space: spaces to str.strip, not ASCII to the format
+    @pytest.mark.parametrize("space", ["\u0085", "\u00a0", "\u2028", "\u3000"], ids=["nel", "nbsp", "ls", "ideo"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_a_unicode_space_around_the_header_is_not_ascii(self, tmp_path, space, before):
+        header = space + "frame,joint,x,y,z" if before else "frame,joint,x,y,z" + space
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(_text([header] + [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]).encode("utf-8"))
+        with pytest.raises(ParseError, match="not ASCII text") as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 1
+
+    def test_a_second_byte_order_mark_is_not_ascii(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        rows = [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + _text(["frame,joint,x,y,z"] + rows).encode())
+        with pytest.raises(ParseError, match="not ASCII text") as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 1
+
+    def test_a_byte_order_mark_inside_the_file_names_its_line(self, tmp_path):
+        lines = ["frame,joint,x,y,z"] + [f"7,{j},0.1,1.0,2.0" for j in range(JOINT_COUNT)]
+        lines[5] = "\ufeff" + lines[5]
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _text(lines).encode("utf-8"))
+        with pytest.raises(ParseError, match="not ASCII text") as err:
+            read_capture(path, GaitDirection.VERTICAL)
+        assert err.value.line == 6
 
     # a digit separator, Arabic-Indic digits and fullwidth digits: numbers to Python, not to the format
     @pytest.mark.parametrize("field", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])

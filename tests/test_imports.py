@@ -2,8 +2,9 @@
 every private name a package module defines at module level is read in it,
 every exception class of ``skelcal.errors`` is raised or subclassed in the package,
 every package dataclass checks or compares its own fields, ``fileio`` imports
-nothing of ``diagnostics``, and every package module parses at the oldest
-Python that ``pyproject.toml`` supports."""
+nothing of ``diagnostics``, every text file the package opens names its
+encoding, and every package module parses at the oldest Python that
+``pyproject.toml`` supports."""
 
 import ast
 import re
@@ -158,6 +159,55 @@ def test_an_import_of_another_module_is_found():
         "from . import stats\nimport pkg.stats as s\nfrom .statistics import mean\n"
     )
     assert imports_of(source, "stats") == [(4, "Series"), (5, "stats"), (6, "pkg.stats")]
+
+
+#: The positional indices of the mode (None: text only) and of the encoding of each call that may open a text file.
+_TEXT_CALLS = {"TextIOWrapper": (None, 1), "read_text": (None, 0), "write_text": (None, 1)}
+
+
+def unnamed_encodings(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of each call in ``source`` that opens a text file and leaves its encoding to the
+    locale: builtin, ``io.`` or ``Path.open`` in a mode without ``b``, ``TextIOWrapper``, ``read_text`` and
+    ``write_text``. A mode that is not a string literal counts as text; ``os.open`` opens no text file."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, owner = _name(node.func), _name(getattr(node.func, "value", None))
+        if name == "open" and owner != "os":
+            mode_at, encoding_at = (1, 3) if isinstance(node.func, ast.Name) or owner == "io" else (0, 2)
+        elif name in _TEXT_CALLS:
+            mode_at, encoding_at = _TEXT_CALLS[name]
+        else:
+            continue
+        given = {keyword.arg: keyword.value for keyword in node.keywords}
+        for key, at in (("mode", mode_at), ("encoding", encoding_at)):
+            if at is not None and len(node.args) > at:
+                given[key] = node.args[at]
+        mode = given.get("mode")
+        if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)) and "encoding" not in given:
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_text_file_names_its_encoding(path):
+    """A file read or written in the locale's encoding would read differently from one machine to the next."""
+    assert unnamed_encodings(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_text_file_without_an_encoding_is_found():
+    source = (
+        "import io, os\nfrom io import TextIOWrapper\nfrom pathlib import Path\n"
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='xb')\nopen(p, 'r', -1, 'utf-8')\nopen(p, encoding='ascii')\n"
+        "io.open(p, 'w')\nos.open(p, os.O_RDONLY)\nPath(p).open('rb')\nPath(p).open()\n"
+        "Path(p).open('r', -1, 'utf-8')\nopen(p, m)\nio.TextIOWrapper(fh)\nTextIOWrapper(fh, 'utf-8-sig')\n"
+        "p.read_text()\np.read_text('utf-8')\np.write_text(s)\np.write_text(s, encoding='ascii')\n"
+    )
+    assert unnamed_encodings(source) == [
+        (4, "open"), (9, "open"), (12, "open"), (14, "open"),
+        (15, "TextIOWrapper"), (17, "read_text"), (19, "write_text"),
+    ]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)

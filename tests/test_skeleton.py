@@ -201,7 +201,7 @@ class TestValidByConstruction:
             # file access stays in fileio, through Python's own file objects
             ("open", "fileio.py"),
             ("unlink", "fileio.py"),
-            ("read_text", "fileio.py"),
+            ("read_text", ""),
             ("fdopen", ""),
             # the stage order, tilt then perspective, is composed only in pipeline
             ("tilt_correct_xyz", "pipeline.py tilt.py"),
