@@ -33,10 +33,6 @@ class DiffSeries:
     joint: JointIndex
     per_frame_diff: np.ndarray
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.per_frame_diff).max())
-
     def __eq__(self, other):
         if not isinstance(other, DiffSeries):
             return NotImplemented
@@ -52,10 +48,6 @@ class EdgeStability(NamedTuple):
 
 class StabilityReport(NamedTuple):
     per_edge: tuple[EdgeStability, ...]
-
-    @property
-    def max_std_m(self) -> float:
-        return max(e.std_length_m for e in self.per_edge)
 
 
 def diff_to_last(

@@ -409,7 +409,7 @@ def _parse_profile(data: bytes) -> CalibrationProfile:
         doc = json.loads(data.decode("utf-8-sig"), object_pairs_hook=_unique_fields)
     except UnicodeDecodeError as exc:
         raise SchemaError("<document>", f"not valid text: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an int past int_max_str_digits, nested too deep
         raise SchemaError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("<document>", "top level must be an object")

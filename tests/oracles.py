@@ -2,7 +2,8 @@
 
 No skelcal command calls these. The tests compare the package's whole-array
 transforms against them, bit for bit where the array code promises it.
-``max_y_diff`` is the one-number Y drift that the end-to-end tests bound.
+``max_y_diff`` is the one-number Y drift that the end-to-end tests bound, and
+``beta_error_deg`` the one-number β error of a profile against the true polynomial.
 """
 
 from __future__ import annotations
@@ -10,10 +11,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from skelcal.diagnostics import y_diff_to_last
 from skelcal.errors import BetaOutOfRangeError, CalibrationError, WrongDirectionError
-from skelcal.numerics import polyeval
+from skelcal.numerics import Polynomial, polyeval
 from skelcal.perspective import DEFAULT_BETA_JOINTS, MAX_ABS_BETA_RAD, MIN_DEPTH_TRAVEL_M, BetaModel
+from skelcal.pipeline import CalibrationProfile
 from skelcal.skeleton import SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3, SkeletonEdge
 from skelcal.tilt import MIN_SPINE_RISE_M, TiltParams
 
@@ -92,4 +96,11 @@ def bone_lengths(joints: Sequence[Sequence[float]]) -> list[tuple[SkeletonEdge, 
 
 def max_y_diff(seq: CaptureSequence, joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS) -> float:
     """Largest |y - y_last| over the given joints and all frames."""
-    return max(series.max_abs for series in y_diff_to_last(seq, joints))
+    return max(float(np.abs(series.per_frame_diff).max()) for series in y_diff_to_last(seq, joints))
+
+
+def beta_error_deg(profile: CalibrationProfile, beta_true: Polynomial) -> float:
+    """The largest |β_fit - β_true| of ``profile`` over y in [0.05, 1.7] m, in degrees."""
+    y = np.linspace(0.05, 1.7, 166)
+    fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
+    return math.degrees(np.abs(fit - np.polynomial.polynomial.polyval(y, beta_true.coefficients)).max())

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -220,6 +221,12 @@ def valid_profile_doc():
     }
 
 
+def long_integer_doc(field):
+    """``valid_profile_doc`` as JSON text, with ``field`` a 5,000-digit integer: past Python's limit of 4,300
+    digits for a decimal string to ``int``, which ``json.dumps`` cannot write either."""
+    return json.dumps({**valid_profile_doc(), field: 0}).replace(f'"{field}": 0', f'"{field}": {"1" * 5000}')
+
+
 class TestProfileSchema:
     def write(self, tmp_path, doc):
         path = tmp_path / "profile.json"
@@ -331,6 +338,19 @@ class TestProfileSchema:
         with pytest.raises(SchemaError):
             read_profile(path)
 
+    @pytest.mark.parametrize("field", ["h_k_m", "gait_count"])
+    def test_an_integer_past_the_digit_limit_is_not_valid_json(self, tmp_path, short_walk, capsys, field):
+        """``json.loads`` refuses it with a plain ValueError, which named no file."""
+        path = tmp_path / "profile.json"
+        path.write_text(long_integer_doc(field))
+        with pytest.raises(SchemaError, match="not valid JSON") as err:
+            read_profile(path)
+        assert (err.value.field, err.value.path) == ("<document>", str(path))
+        capture = tmp_path / "walk.csv"
+        write_capture(short_walk, capture)
+        assert main(["apply", "--profile", str(path), "--in", str(capture), "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: SchemaError: {path}: field '<document>': not valid JSON")
+
 
 #: Any JSON value, nested a little.
 _JSON_VALUES = st.recursive(
@@ -342,9 +362,10 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def mutated_profile_texts(draw):
-    """A valid profile document with one field replaced, removed or added, or one character edited."""
+    """A valid profile document with one field replaced, removed or added, one character edited, or one number
+    made an integer of more than 4,300 digits."""
     doc = valid_profile_doc()
-    kind = draw(st.sampled_from(("replace", "remove", "add", "point", "edit")))
+    kind = draw(st.sampled_from(("replace", "remove", "add", "point", "edit", "digits")))
     if kind == "replace":
         doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
     elif kind == "remove":
@@ -358,6 +379,9 @@ def mutated_profile_texts(draw):
     if kind == "edit":
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.text(max_size=2)) + text[at + draw(st.integers(0, 2)) :]
+    elif kind == "digits":  # written into the text: json.dumps cannot write such an integer
+        number = draw(st.sampled_from(list(re.finditer(r"-?\d[\d.e+-]*", text))))
+        text = text[: number.start()] + "9" * draw(st.integers(4301, 5000)) + text[number.end() :]
     return text
 
 
@@ -380,6 +404,8 @@ class TestProfileFuzz:
     @example("[" * 100_000)
     @example(json.dumps({**valid_profile_doc(), "h_k_m": 10**400}))
     @example(json.dumps({**valid_profile_doc(), "beta_coeffs": [0.02, -(10**400)]}))
+    @example(long_integer_doc("h_k_m"))
+    @example(long_integer_doc("gait_count"))
     @settings(max_examples=300, deadline=None)
     @given(mutated_profile_texts())
     def test_mutated_profile(self, fuzz_dir, text):

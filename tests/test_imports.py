@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, in the package and in its tests,
 every private name a package module defines at module level is read in it,
 every exception class of ``skelcal.errors`` is raised or subclassed in the package,
-every package dataclass checks or compares its own fields, ``fileio`` imports
-nothing of ``diagnostics``, every text file the package opens names its
+every package dataclass checks or compares its own fields, every public
+property of the package is read in the package or the benchmarks, ``fileio``
+imports nothing of ``diagnostics``, every text file the package opens names its
 encoding, and every package module parses at the oldest Python that
 ``pyproject.toml`` supports."""
 
@@ -15,6 +16,7 @@ import pytest
 import skelcal
 
 PACKAGE = sorted(Path(skelcal.__file__).parent.glob("*.py"))
+BENCHMARKS = sorted((Path(__file__).parents[1] / "benchmarks").glob("*.py"))
 MODULES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
 
 
@@ -132,6 +134,42 @@ def test_a_plain_dataclass_is_found():
         "class E:\n    x: int\n"
     )
     assert plain_dataclasses(source) == ["A", "B"]
+
+
+def unread_properties(source: str, readers: list[str]) -> list[tuple[int, str]]:
+    """The (line, name) of each public ``@property`` that ``source`` defines and no module of ``readers``
+    reads as an attribute."""
+    read = {
+        node.attr
+        for reader in readers
+        for node in ast.walk(ast.parse(reader))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(_name(d) == "property" for d in node.decorator_list)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_public_property_is_read_outside_the_tests(path):
+    """A property that only tests read is a second implementation of what the package computes elsewhere."""
+    readers = [module.read_text(encoding="utf-8") for module in [*PACKAGE, *BENCHMARKS]]
+    assert unread_properties(path.read_text(encoding="utf-8"), readers) == []
+
+
+def test_an_unread_property_is_found():
+    source = (
+        "class A:\n    @property\n    def read(self):\n        return 1\n"
+        "    @property\n    def unread(self):\n        return 2\n"
+        "    @property\n    def _private(self):\n        return 3\n"
+        "    def method(self):\n        return self.read\n"
+    )
+    assert unread_properties(source, [source, "a.unread = 1\nprint(unread)\n"]) == [(6, "unread")]
 
 
 def imports_of(source: str, module: str) -> list[tuple[int, str]]:

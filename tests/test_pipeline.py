@@ -39,7 +39,7 @@ from skelcal.errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
-from oracles import max_y_diff
+from oracles import beta_error_deg, max_y_diff
 
 
 def identity_profile():
@@ -218,13 +218,6 @@ def one_way_walks():
     )
 
 
-def beta_error_deg(profile):
-    """The largest |β_fit - β_true| of ``profile`` over y in [0.05, 1.7] m, in degrees."""
-    y = np.linspace(0.05, 1.7, 166)
-    fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
-    return math.degrees(np.abs(fit - np.polynomial.polynomial.polyval(y, _WALK_BETA.coefficients)).max())
-
-
 def _refused(k):
     return pytest.param(k, marks=pytest.mark.xfail(
         strict=True, raises=NoUsableGaitsError,
@@ -245,7 +238,7 @@ class TestWalksInAndBackOut:
 
     def test_one_way(self):
         profile = calibrate(list(one_way_walks()), 0.75)
-        assert beta_error_deg(profile) < _WALK_BETA_ERROR_DEG
+        assert beta_error_deg(profile, _WALK_BETA) < _WALK_BETA_ERROR_DEG
         assert math.degrees(profile.tilt.tilt_rad) == pytest.approx(7.0, abs=0.1)
 
     @pytest.mark.parametrize("k", [
@@ -258,7 +251,7 @@ class TestWalksInAndBackOut:
             walks.append(CaptureSequence(xyz, np.arange(len(xyz)), GaitDirection.VERTICAL))
         profile = calibrate(walks, 0.75)
         assert math.degrees(profile.tilt.tilt_rad) == pytest.approx(7.0, abs=0.1)
-        assert beta_error_deg(profile) < _WALK_BETA_ERROR_DEG
+        assert beta_error_deg(profile, _WALK_BETA) < _WALK_BETA_ERROR_DEG
 
 
 class TestCalibrateOnePass:

@@ -12,8 +12,8 @@ measures, against the truth:
 
 The bounds come from measurement. Over the rows that meet them, seeds 0-9
 read at most 0.045 degrees of tilt error, 0.23 degrees of β error, 10.0 mm
-Y RMSE and 5.04 mm Z RMSE; seeds 20-29 (held-out seed 30) read at most 0.055,
-0.20, 9.1 and 5.07, and miss the same bounds in the same rows. A row that misses a
+Y RMSE and 5.04 mm Z RMSE; seeds 20-29 (held-out seed 30) read at most 0.066,
+0.22, 9.1 and 5.07, and miss the same bounds in the same rows. A row that misses a
 bound today is a strict xfail that names the ROADMAP item that mends it, so
 it fails here once it passes.
 """
@@ -35,12 +35,13 @@ from skelcal import (
     default_template,
     generate_truth_capture,
 )
+from oracles import beta_error_deg
 
 SENSOR_HEIGHT_M = 0.75
 BETA = Polynomial((math.radians(3.0), math.radians(-1.0)))
 GAIT_SEEDS = range(10)
 HELD_OUT_SEED = 10
-TILTS_DEG = [0, 2, 7, 15]
+TILTS_DEG = [0, 0.3, 2, 7, 15]
 
 #: Each measure's bound, with its unit in its name.
 BOUNDS = {"tilt_deg": 0.1, "beta_deg": 0.4, "y_rmse_mm": 12.0, "z_rmse_mm": 6.0}
@@ -58,11 +59,13 @@ DEFECTS = {
     ("tilt_deg", TiltModel.SHEAR_INVERSE, 15): (0.45, _ITEM_10),
     ("beta_deg", TiltModel.SHEAR_INVERSE, 15): (0.58, _ITEM_10),
     ("z_rmse_mm", TiltModel.SHEAR_INVERSE, 15): (9.0, _ITEM_10),
+    ("beta_deg", TiltModel.ROTATION, 0.3): (0.52, _ITEM_5),
     ("beta_deg", TiltModel.ROTATION, 2): (3.77, _ITEM_5),
     ("beta_deg", TiltModel.ROTATION, 7): (13.0, _ITEM_5),
     ("beta_deg", TiltModel.ROTATION, 15): (26.0, _ITEM_5),
     ("y_rmse_mm", TiltModel.ROTATION, 7): (13.6, _ITEM_5),
     ("y_rmse_mm", TiltModel.ROTATION, 15): (32.3, _ITEM_5),
+    ("z_rmse_mm", TiltModel.ROTATION, 0.3): (6.36, _ITEM_5),
     ("z_rmse_mm", TiltModel.ROTATION, 2): (24.9, _ITEM_5),
     ("z_rmse_mm", TiltModel.ROTATION, 7): (70.2, _ITEM_5),
     ("z_rmse_mm", TiltModel.ROTATION, 15): (105.4, _ITEM_5),
@@ -85,22 +88,23 @@ def _truth(frames):
     return generate_truth_capture(default_template(), GaitDirection.VERTICAL, frames, 4.5, 1.5)
 
 
-@functools.lru_cache(maxsize=None)
-def measure(model, tilt_deg):
-    """The four measures of one scenario, by the names of ``BOUNDS``."""
-    gaits = [apply_distortion(_truth(90), _spec(model, tilt_deg, seed)) for seed in GAIT_SEEDS]
-    profile = calibrate(gaits, SENSOR_HEIGHT_M)
-    y = np.linspace(0.05, 1.7, 166)
-    beta_fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
-    beta_true = np.polynomial.polynomial.polyval(y, BETA.coefficients)
+def _against_truth(profile, model, tilt_deg):
+    """The four measures of ``profile``, calibrated at ``tilt_deg`` under ``model``, by the names of ``BOUNDS``."""
     held_out = apply_distortion(_truth(900), _spec(model, tilt_deg, HELD_OUT_SEED))
     error = apply_profile(held_out, profile).xyz - _truth(900).xyz
     return {
         "tilt_deg": abs(math.degrees(profile.tilt.tilt_rad) - tilt_deg),
-        "beta_deg": math.degrees(np.abs(beta_fit - beta_true).max()),
+        "beta_deg": beta_error_deg(profile, BETA),
         "y_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 1] ** 2)),
         "z_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 2] ** 2)),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def measure(model, tilt_deg):
+    """The four measures of one scenario, by the names of ``BOUNDS``."""
+    gaits = [apply_distortion(_truth(90), _spec(model, tilt_deg, seed)) for seed in GAIT_SEEDS]
+    return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, tilt_deg)
 
 
 def _rows():
@@ -130,40 +134,30 @@ def test_measure_within_bound(name, model, tilt_deg):
 #   calibrate reads the horizontal walks' inclinations but fits β from the vertical gaits only. On seeds 0-9
 #   each measure reads within 0.008 degrees (tilt and β) and 0.01 mm (Y and Z) of the vertical-only row; on
 #   seeds 20-29, with horizontal seeds 120-122, within 0.022 degrees and 0.022 mm.
+# - "long": ten 900-frame gaits over the same path instead of 90-frame ones. Seeds 0-9 read at most 0.035 degrees
+#   of tilt error, 0.183 of β error, 8.22 mm Y RMSE and 5.05 mm Z RMSE; seeds 20-29 (held-out seed 30) 0.052,
+#   0.195, 8.05 and 5.06.
 VARIANT_TILTS_DEG = [0, 2, 7]
 HORIZONTAL_SEEDS = range(100, 103)
 
 
-def _against_truth(profile, model, tilt_deg):
-    """The four measures of ``profile``, calibrated at ``tilt_deg`` under ``model``, by the names of ``BOUNDS``."""
-    y = np.linspace(0.05, 1.7, 166)
-    beta_fit = np.polynomial.polynomial.polyval(y, profile.beta.poly.coefficients)
-    beta_true = np.polynomial.polynomial.polyval(y, BETA.coefficients)
-    held_out = apply_distortion(_truth(900), _spec(model, tilt_deg, HELD_OUT_SEED))
-    error = apply_profile(held_out, profile).xyz - _truth(900).xyz
-    return {
-        "tilt_deg": abs(math.degrees(profile.tilt.tilt_rad) - tilt_deg),
-        "beta_deg": math.degrees(np.abs(beta_fit - beta_true).max()),
-        "y_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 1] ** 2)),
-        "z_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 2] ** 2)),
-    }
-
-
 @functools.lru_cache(maxsize=None)
 def measure_variant(variant, tilt_deg):
-    """The four measures of the shear scenario at ``tilt_deg`` with the gaits of ``variant``, "cut" or "mixed"."""
+    """The four measures of the shear scenario at ``tilt_deg`` with the gaits of ``variant``: "cut", "mixed" or
+    "long"."""
     model = TiltModel.SHEAR_INVERSE
-    gaits = [apply_distortion(_truth(90), _spec(model, tilt_deg, seed)) for seed in GAIT_SEEDS]
+    frames = 900 if variant == "long" else 90
+    gaits = [apply_distortion(_truth(frames), _spec(model, tilt_deg, seed)) for seed in GAIT_SEEDS]
     if variant == "cut":
         gaits = [gait[:-7] for gait in gaits]
-    else:
+    elif variant == "mixed":
         across = generate_truth_capture(default_template(), GaitDirection.HORIZONTAL, 90, 4.5, 1.5)
         gaits += [apply_distortion(across, _spec(model, tilt_deg, seed)) for seed in HORIZONTAL_SEEDS]
     return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, tilt_deg)
 
 
 @pytest.mark.parametrize("tilt_deg", VARIANT_TILTS_DEG, ids=lambda tilt_deg: f"{tilt_deg}deg")
-@pytest.mark.parametrize("variant", ["cut", "mixed"])
+@pytest.mark.parametrize("variant", ["cut", "mixed", "long"])
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_variant_within_bound(name, variant, tilt_deg):
     assert measure_variant(variant, tilt_deg)[name] <= BOUNDS[name]

@@ -39,6 +39,7 @@ TEST_ONLY = (
     "perspective_correct_point",
     "bone_lengths",
     "max_y_diff",
+    "beta_error_deg",
     "joint_perspective_degree",
     "DegenerateSpineError",
     "InsufficientDepthTravelError",
