@@ -7,9 +7,11 @@ from the sensor into the scene, X lateral.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,15 +130,10 @@ class CaptureSequence:
         return CaptureSequence.adopt(xyz, self.frame_index, self.direction, self.label)
 
     @property
-    def frames(self) -> tuple[SkeletonFrame, ...]:
-        """Per-frame ``Point3`` view of ``xyz``, rebuilt on every access.
-
-        Slow on long captures: kept for the benchmark harness, which reads it.
-        """
-        return tuple(
-            SkeletonFrame(index, tuple(Point3(*p) for p in joints))
-            for index, joints in zip(self.frame_index.tolist(), self.xyz.tolist())
-        )
+    def frames(self) -> Sequence[SkeletonFrame]:
+        """Per-frame ``Point3`` view of ``xyz``: its length is free, and each frame is
+        built when read. Slow to iterate on long captures: kept for the benchmark harness."""
+        return _FrameView(self)
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -156,6 +153,21 @@ class CaptureSequence:
             and np.array_equal(self.frame_index, other.frame_index)
             and np.array_equal(self.xyz, other.xyz)
         )
+
+
+class _FrameView(Sequence):
+    """The ``SkeletonFrame``s of one capture, each built from its arrays when indexed."""
+
+    def __init__(self, seq: CaptureSequence):
+        self._seq = seq
+
+    def __len__(self) -> int:
+        return len(self._seq)
+
+    def __getitem__(self, k: int) -> SkeletonFrame:
+        k = operator.index(k)  # one frame, not a slice; past the end, numpy's IndexError ends iteration
+        joints = tuple(Point3(*p) for p in self._seq.xyz[k].tolist())
+        return SkeletonFrame(int(self._seq.frame_index[k]), joints)
 
 
 def _int64_indices(frame_index: np.ndarray, copy: bool) -> np.ndarray:

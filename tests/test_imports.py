@@ -1,10 +1,10 @@
-"""Every name a module imports is used in it, in the package and in its tests,
+"""Every name a module imports is used in it, in the package, its tests and ``tools/``,
 every private name a package module defines at module level is read in it,
 every exception class of ``skelcal.errors`` is raised or subclassed in the package,
 every package dataclass checks or compares its own fields, every public
 property of the package is read in the package or the benchmarks, ``fileio``
-imports nothing of ``diagnostics``, every text file the package opens names its
-encoding, and every package module parses at the oldest Python that
+imports nothing of ``diagnostics``, every text file the package and ``tools/`` open
+names its encoding, and every package module parses at the oldest Python that
 ``pyproject.toml`` supports."""
 
 import ast
@@ -17,7 +17,8 @@ import skelcal
 
 PACKAGE = sorted(Path(skelcal.__file__).parent.glob("*.py"))
 BENCHMARKS = sorted((Path(__file__).parents[1] / "benchmarks").glob("*.py"))
-MODULES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
+TOOLS = sorted((Path(__file__).parents[1] / "tools").glob("*.py"))
+MODULES = sorted([*PACKAGE, *TOOLS, *Path(__file__).parent.glob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -228,7 +229,7 @@ def unnamed_encodings(source: str) -> list[tuple[int, str]]:
     return found
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", [*PACKAGE, *TOOLS], ids=lambda path: path.name)
 def test_every_text_file_names_its_encoding(path):
     """A file read or written in the locale's encoding would read differently from one machine to the next."""
     assert unnamed_encodings(path.read_text(encoding="utf-8")) == []

@@ -72,12 +72,12 @@ DEFECTS = {
 }
 
 
-def _spec(model, tilt_deg, seed):
+def _spec(model, tilt_deg, seed, beta=BETA):
     return DistortionSpec(
         tilt_model=model,
         tilt_rad=math.radians(tilt_deg),
         sensor_height_m=SENSOR_HEIGHT_M,
-        beta_poly=BETA,
+        beta_poly=beta,
         noise_std_m=0.005,
         seed=seed,
     )
@@ -88,13 +88,14 @@ def _truth(frames):
     return generate_truth_capture(default_template(), GaitDirection.VERTICAL, frames, 4.5, 1.5)
 
 
-def _against_truth(profile, model, tilt_deg):
-    """The four measures of ``profile``, calibrated at ``tilt_deg`` under ``model``, by the names of ``BOUNDS``."""
-    held_out = apply_distortion(_truth(900), _spec(model, tilt_deg, HELD_OUT_SEED))
+def _against_truth(profile, model, tilt_deg, beta=BETA):
+    """The four measures of ``profile``, calibrated at ``tilt_deg`` under ``model`` and ``beta``, by the names of
+    ``BOUNDS``."""
+    held_out = apply_distortion(_truth(900), _spec(model, tilt_deg, HELD_OUT_SEED, beta))
     error = apply_profile(held_out, profile).xyz - _truth(900).xyz
     return {
         "tilt_deg": abs(math.degrees(profile.tilt.tilt_rad) - tilt_deg),
-        "beta_deg": beta_error_deg(profile, BETA),
+        "beta_deg": beta_error_deg(profile, beta),
         "y_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 1] ** 2)),
         "z_rmse_mm": 1000 * math.sqrt(np.mean(error[..., 2] ** 2)),
     }
@@ -107,17 +108,21 @@ def measure(model, tilt_deg):
     return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, tilt_deg)
 
 
+def _row(key, defects, id):
+    """The test parameters ``key``, which start with a measure's name: a strict xfail if ``defects`` holds them."""
+    marks = []
+    if key in defects:
+        measured, reason = defects[key]
+        reason = f"{reason}; {key[0]} read {measured}, bound {BOUNDS[key[0]]}"
+        marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
+    return pytest.param(*key, marks=marks, id=id)
+
+
 def _rows():
     for name in BOUNDS:
         for model in TiltModel:
             for tilt_deg in TILTS_DEG:
-                key = (name, model, tilt_deg)
-                marks = []
-                if key in DEFECTS:
-                    measured, reason = DEFECTS[key]
-                    reason = f"{reason}; {name} read {measured}, bound {BOUNDS[name]}"
-                    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
-                yield pytest.param(*key, marks=marks, id=f"{name}-{model.value}-{tilt_deg}deg")
+                yield _row((name, model, tilt_deg), DEFECTS, f"{name}-{model.value}-{tilt_deg}deg")
 
 
 @pytest.mark.parametrize("name, model, tilt_deg", _rows())
@@ -161,3 +166,55 @@ def measure_variant(variant, tilt_deg):
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_variant_within_bound(name, variant, tilt_deg):
     assert measure_variant(variant, tilt_deg)[name] <= BOUNDS[name]
+
+
+# The β shapes beside 3 - 1·y degrees, as ascending coefficients in degrees over y in m, under the shear model at 0
+# and 7 degrees with the same bounds and held-out walk. The fit attributes each joint's β to its mean raw height,
+# which drifts with depth, so the β error grows with the slope of β. Over the rows that meet the bounds, seeds 0-9
+# read at most 0.011 degrees of tilt error, 0.101 of β error, 5.70 mm Y RMSE and 5.05 mm Z RMSE; seeds 20-29
+# (held-out seed 30) 0.056, 0.069, 5.42 and 5.10. 3 - 3·y and 5 - 4·y + 1.5·y² miss the β and Y bounds at both
+# tilts; seeds 20-29 read 0.56-0.60 and 1.51-1.55 degrees of β error, 19.7-19.8 and 67.7-67.8 mm Y RMSE.
+BETA_SHAPES_DEG = {
+    "3": (3.0,),
+    "8": (8.0,),
+    "1-0.5y": (1.0, -0.5),
+    "3-3y": (3.0, -3.0),
+    "5-4y+1.5y2": (5.0, -4.0, 1.5),
+}
+SHAPE_TILTS_DEG = [0, 7]
+_ITEM_6 = (
+    "ROADMAP item 6: β is fitted from each gait's end frames at the joint's mean raw height, which drifts "
+    "with depth, so the β error grows with the slope of β"
+)
+#: The shape rows that miss their bound today, with what seeds 0-9 read and the item that mends them.
+SHAPE_DEFECTS = {
+    ("beta_deg", "3-3y", 0): (0.62, _ITEM_6),
+    ("beta_deg", "3-3y", 7): (0.64, _ITEM_6),
+    ("beta_deg", "5-4y+1.5y2", 0): (1.56, _ITEM_6),
+    ("beta_deg", "5-4y+1.5y2", 7): (1.57, _ITEM_6),
+    ("y_rmse_mm", "3-3y", 0): (21.8, _ITEM_6),
+    ("y_rmse_mm", "3-3y", 7): (21.8, _ITEM_6),
+    ("y_rmse_mm", "5-4y+1.5y2", 0): (70.2, _ITEM_6),
+    ("y_rmse_mm", "5-4y+1.5y2", 7): (70.2, _ITEM_6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def measure_shape(shape, tilt_deg):
+    """The four measures of the shear scenario at ``tilt_deg`` with the β of ``BETA_SHAPES_DEG[shape]``."""
+    beta = Polynomial(tuple(math.radians(c) for c in BETA_SHAPES_DEG[shape]))
+    model = TiltModel.SHEAR_INVERSE
+    gaits = [apply_distortion(_truth(90), _spec(model, tilt_deg, seed, beta)) for seed in GAIT_SEEDS]
+    return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, tilt_deg, beta)
+
+
+def _shape_rows():
+    for name in BOUNDS:
+        for shape in BETA_SHAPES_DEG:
+            for tilt_deg in SHAPE_TILTS_DEG:
+                yield _row((name, shape, tilt_deg), SHAPE_DEFECTS, f"{name}-{shape}-{tilt_deg}deg")
+
+
+@pytest.mark.parametrize("name, shape, tilt_deg", _shape_rows())
+def test_beta_shape_within_bound(name, shape, tilt_deg):
+    assert measure_shape(shape, tilt_deg)[name] <= BOUNDS[name]

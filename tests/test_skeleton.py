@@ -252,6 +252,25 @@ class TestJointTrack:
                 assert isinstance(p, Point3)
                 assert (p.x, p.y, p.z) == tuple(seq.xyz[k, j].tolist()) == tuple(xyz[k, j])
 
+    def test_frame_count_builds_no_point(self):
+        # the benchmark harness's hooks count frames with len(seq.frames) inside the traced calls
+        seq = make_seq(9000)
+        with mock.patch.object(skeleton, "Point3", side_effect=AssertionError("a Point3 was built")):
+            assert len(seq.frames) == 9000
+
+    def test_frames_read_as_the_tuple_of_every_frame(self):
+        xyz = np.random.default_rng(5).normal(size=(5, JOINT_COUNT, 3))
+        seq = CaptureSequence(xyz, [2, 4, 7, 9, 20], GaitDirection.VERTICAL)
+        every = tuple(
+            skeleton.SkeletonFrame(index, tuple(Point3(*p) for p in joints))
+            for index, joints in zip([2, 4, 7, 9, 20], xyz.tolist())
+        )
+        assert tuple(seq.frames) == every
+        assert [seq.frames[k] for k in range(-5, 5)] == [*every, *every]
+        assert seq.frames[np.int64(3)] == every[3]
+        with pytest.raises(IndexError):
+            seq.frames[5]
+
 
 class TestValidationOrder:
     @pytest.mark.parametrize(
