@@ -21,6 +21,7 @@ import math
 import os
 import warnings
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -110,6 +111,17 @@ def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
             raise
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
+
+
+@contextmanager
+def _reading(path: Path) -> Iterator[BinaryIO]:
+    """The file ``path``, open in binary: a CalibrationError raised on its contents names the file
+    in its ``path``, and an OSError becomes an IoFailureError that names it in its message only."""
+    try:
+        with open(path, "rb") as fh, tagged(path=str(path)):
+            yield fh
+    except OSError as exc:  # outside tagged, which would set the IoFailureError's path
+        raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
 
 def _csv_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray) -> bytes:
@@ -221,20 +233,17 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
     A 9,000-frame read's traced peak is 1.14 times its ``xyz`` on the fast path and 1.26 on the slow one.
     """
     path = Path(path)
-    try:
-        with open(path, "rb") as fh, tagged(path=str(path)):
-            if not fh.seekable():  # a pipe, which the two passes cannot rewind
-                fh = io.BytesIO(fh.read())
-            parsed = _parse_stream(fh)
-            if parsed is None:
-                fh.seek(0)
-                # universal newlines end a line at LF, CRLF and a lone CR; utf-8-sig skips a leading byte-order mark
-                with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline=None) as text:
-                    parsed = _parse_lines(text)
-            xyz, frame_indices = parsed
-            return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
-    except OSError as exc:  # outside tagged: an IoFailureError names the file in its message only
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
+    with _reading(path) as fh:
+        if not fh.seekable():  # a pipe, which the two passes cannot rewind
+            fh = io.BytesIO(fh.read())
+        parsed = _parse_stream(fh)
+        if parsed is None:
+            fh.seek(0)
+            # universal newlines end a line at LF, CRLF and a lone CR; utf-8-sig skips a leading byte-order mark
+            with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline=None) as text:
+                parsed = _parse_lines(text)
+        xyz, frame_indices = parsed
+        return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
 
 
 def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:
@@ -396,12 +405,8 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 def read_profile(path: str | Path) -> CalibrationProfile:
     """Parse and schema-validate a profile document, UTF-8 after any byte-order mark whatever
     the locale (strict: unknown fields rejected); every error names the file."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh, tagged(path=str(path)):
-            return _parse_profile(fh.read())
-    except OSError as exc:  # outside tagged: an IoFailureError names the file in its message only
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
+    with _reading(Path(path)) as fh:
+        return _parse_profile(fh.read())
 
 
 def _parse_profile(data: bytes) -> CalibrationProfile:

@@ -3,8 +3,9 @@ every private name a package module defines at module level is read in it,
 every exception class of ``skelcal.errors`` is raised or subclassed in the package,
 every package dataclass checks or compares its own fields, every public
 property of the package is read in the package or the benchmarks, ``fileio``
-imports nothing of ``diagnostics``, every text file the package and ``tools/`` open
-names its encoding, and every package module parses at the oldest Python that
+imports nothing of ``diagnostics``, the package opens files in two functions of
+``fileio`` only, every text file the package and ``tools/`` open names its
+encoding, and every package module parses at the oldest Python that
 ``pyproject.toml`` supports."""
 
 import ast
@@ -200,20 +201,72 @@ def test_an_import_of_another_module_is_found():
     assert imports_of(source, "stats") == [(4, "Series"), (5, "stats"), (6, "pkg.stats")]
 
 
+#: Calls that open a file: ``open`` (builtin, ``io.``, ``os.`` or a path's) and a path's reads and writes.
+_OPENERS = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+
+
+def file_openers(source: str) -> set[str]:
+    """The qualified names of the functions in ``source`` that call one of ``_OPENERS``, the
+    innermost one for a nested function; ``<module>`` for a call outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _name(child.func) in _OPENERS:
+                found.add(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_package_opens_files_in_the_read_step_and_the_atomic_write_only():
+    """One function owns how a failed read is reported, and one how a failed write is: a reader or writer
+    that opened its own file would write that rule out again."""
+    openers = sorted((path.stem, scope) for path in PACKAGE for scope in file_openers(path.read_text(encoding="utf-8")))
+    assert openers == [("fileio", "_atomic_write"), ("fileio", "_reading")]
+
+
+def test_a_function_that_opens_a_file_is_found():
+    source = (
+        "import io, os\nfrom pathlib import Path\n"
+        "def a():\n    with open(p, 'rb') as fh:\n        return fh.read()\n"
+        "def b():\n    return Path(p).read_bytes()\n"
+        "def c():\n    def d():\n        return io.open(p)\n    return d\n"
+        "class E:\n    def f(self):\n        return os.open(p, os.O_RDONLY)\n"
+        "    def g(self, fh):\n        return fh.read()\n"
+        "def h():\n    return opened(p), reopen(p), p.write(b'')\n"
+        "Path(p).write_text('', encoding='utf-8')\n"
+    )
+    assert sorted(file_openers(source)) == ["<module>", "E.f", "a", "b", "c.d"]
+
+
 #: The positional indices of the mode (None: text only) and of the encoding of each call that may open a text file.
 _TEXT_CALLS = {"TextIOWrapper": (None, 1), "read_text": (None, 0), "write_text": (None, 1)}
+#: The owners whose ``open`` opens no text file.
+_BINARY_OWNERS = {"os", "tarfile", "ZipFile"}
+#: The compression modules, whose ``open`` opens text only in a mode with ``t``: the positional index of its
+#: encoding (None: keyword only).
+_COMPRESSED = {"gzip": 3, "bz2": 3, "lzma": None}
 
 
 def unnamed_encodings(source: str) -> list[tuple[int, str]]:
     """The (line, name) of each call in ``source`` that opens a text file and leaves its encoding to the
-    locale: builtin, ``io.`` or ``Path.open`` in a mode without ``b``, ``TextIOWrapper``, ``read_text`` and
-    ``write_text``. A mode that is not a string literal counts as text; ``os.open`` opens no text file."""
+    locale: builtin, ``io.`` or ``Path.open`` in a mode without ``b``, ``gzip.``, ``bz2.`` or ``lzma.open``
+    in a mode with ``t``, ``TextIOWrapper``, ``read_text`` and ``write_text``. A mode that is not a string
+    literal counts as text; ``os.``, ``tarfile.`` and ``ZipFile(...).open`` open no text file."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        name, owner = _name(node.func), _name(getattr(node.func, "value", None))
-        if name == "open" and owner != "os":
+        name, owner = _name(node.func), getattr(node.func, "value", None)
+        owner = _name(owner.func if isinstance(owner, ast.Call) else owner)  # ZipFile of ZipFile(p).open
+        if name == "open" and owner in _COMPRESSED:
+            mode_at, encoding_at = 1, _COMPRESSED[owner]
+        elif name == "open" and owner not in _BINARY_OWNERS:
             mode_at, encoding_at = (1, 3) if isinstance(node.func, ast.Name) or owner == "io" else (0, 2)
         elif name in _TEXT_CALLS:
             mode_at, encoding_at = _TEXT_CALLS[name]
@@ -224,7 +277,12 @@ def unnamed_encodings(source: str) -> list[tuple[int, str]]:
             if at is not None and len(node.args) > at:
                 given[key] = node.args[at]
         mode = given.get("mode")
-        if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)) and "encoding" not in given:
+        literal = str(mode.value) if isinstance(mode, ast.Constant) else None
+        if owner in _COMPRESSED and name == "open":  # binary unless asked for text
+            text = mode is not None and (literal is None or "t" in literal)
+        else:
+            text = literal is None or "b" not in literal
+        if text and "encoding" not in given:
             found.append((node.lineno, name))
     return found
 
@@ -242,10 +300,12 @@ def test_a_text_file_without_an_encoding_is_found():
         "io.open(p, 'w')\nos.open(p, os.O_RDONLY)\nPath(p).open('rb')\nPath(p).open()\n"
         "Path(p).open('r', -1, 'utf-8')\nopen(p, m)\nio.TextIOWrapper(fh)\nTextIOWrapper(fh, 'utf-8-sig')\n"
         "p.read_text()\np.read_text('utf-8')\np.write_text(s)\np.write_text(s, encoding='ascii')\n"
+        "tarfile.open(fileobj=f)\ngzip.open(p)\nzipfile.ZipFile(p).open('x')\ngzip.open(p, 'rt')\n"
+        "gzip.open(p, 'rt', 9, 'utf-8')\nbz2.open(p, mode='wb')\nlzma.open(p, 'rt', encoding='utf-8')\nlzma.open(p, m)\n"
     )
     assert unnamed_encodings(source) == [
         (4, "open"), (9, "open"), (12, "open"), (14, "open"),
-        (15, "TextIOWrapper"), (17, "read_text"), (19, "write_text"),
+        (15, "TextIOWrapper"), (17, "read_text"), (19, "write_text"), (24, "open"), (28, "open"),
     ]
 
 
