@@ -264,7 +264,8 @@ def unnamed_encodings(source: str) -> list[tuple[int, str]]:
             continue
         name, owner = _name(node.func), getattr(node.func, "value", None)
         owner = _name(owner.func if isinstance(owner, ast.Call) else owner)  # ZipFile of ZipFile(p).open
-        if name == "open" and owner in _COMPRESSED:
+        compressed = name == "open" and owner in _COMPRESSED
+        if compressed:
             mode_at, encoding_at = 1, _COMPRESSED[owner]
         elif name == "open" and owner not in _BINARY_OWNERS:
             mode_at, encoding_at = (1, 3) if isinstance(node.func, ast.Name) or owner == "io" else (0, 2)
@@ -278,7 +279,7 @@ def unnamed_encodings(source: str) -> list[tuple[int, str]]:
                 given[key] = node.args[at]
         mode = given.get("mode")
         literal = str(mode.value) if isinstance(mode, ast.Constant) else None
-        if owner in _COMPRESSED and name == "open":  # binary unless asked for text
+        if compressed:  # binary unless its mode asks for text
             text = mode is not None and (literal is None or "t" in literal)
         else:
             text = literal is None or "b" not in literal
@@ -301,7 +302,8 @@ def test_a_text_file_without_an_encoding_is_found():
         "Path(p).open('r', -1, 'utf-8')\nopen(p, m)\nio.TextIOWrapper(fh)\nTextIOWrapper(fh, 'utf-8-sig')\n"
         "p.read_text()\np.read_text('utf-8')\np.write_text(s)\np.write_text(s, encoding='ascii')\n"
         "tarfile.open(fileobj=f)\ngzip.open(p)\nzipfile.ZipFile(p).open('x')\ngzip.open(p, 'rt')\n"
-        "gzip.open(p, 'rt', 9, 'utf-8')\nbz2.open(p, mode='wb')\nlzma.open(p, 'rt', encoding='utf-8')\nlzma.open(p, m)\n"
+        "gzip.open(p, 'rt', 9, 'utf-8')\nbz2.open(p, mode='wb')\nlzma.open(p, 'rt', encoding='utf-8')\n"
+        "lzma.open(p, m)\n"
     )
     assert unnamed_encodings(source) == [
         (4, "open"), (9, "open"), (12, "open"), (14, "open"),
