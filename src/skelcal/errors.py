@@ -114,7 +114,7 @@ class NoUsableGaitsError(CalibrationError):
 # -- diagnostics -------------------------------------------------------------
 
 class MeasureOverflowError(CalibrationError):
-    """A diagnostic measure of finite coordinates that is beyond float64's range."""
+    """A measure of finite coordinates that is beyond float64's range: a diagnostic, or a joint's mean height."""
 
 
 # -- synthetic generation ----------------------------------------------------

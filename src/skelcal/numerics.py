@@ -60,7 +60,8 @@ def polyfit_least_squares(xs: Sequence[float], ys: Sequence[float], degree: int)
 
     Solved through an orthogonal decomposition (SVD-backed lstsq) rather than
     raw normal equations, for conditioning. Requires more distinct x values
-    than the degree.
+    than the degree, and raises DegenerateSystemError when a power of an x
+    overflows.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -68,7 +69,10 @@ def polyfit_least_squares(xs: Sequence[float], ys: Sequence[float], degree: int)
         raise InsufficientPointsError(
             f"need more than {degree} distinct x values, got {len(set(xs))}"
         )
-    design = np.vander(np.asarray(xs, dtype=float), degree + 1, increasing=True)
+    with np.errstate(over="ignore"):
+        design = np.vander(np.asarray(xs, dtype=float), degree + 1, increasing=True)
+    if not np.isfinite(design).all():  # LAPACK would refuse it, and print so to stdout
+        raise DegenerateSystemError(f"x**{degree} overflows float64 at x = {max(xs, key=abs)}")
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(ys, dtype=float), rcond=None)
     if rank < degree + 1:
         raise DegenerateSystemError(

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BetaOutOfRangeError,
     FixedPointDivergenceError,
+    MeasureOverflowError,
     NoUsableGaitsError,
     WrongDirectionError,
 )
@@ -100,8 +101,9 @@ def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> l
     over the slice's end frames: the Y it picks up per metre of depth it loses,
     positive when the far reading is too low. It is averaged over the gaits
     where |z_first - z_last| > MIN_DEPTH_TRAVEL_M; its height is its mean Y
-    over all frames of all slices. Points come back ordered top to bottom by
-    height. No slice at all raises WrongDirectionError: no gait is vertical.
+    over all frames of all slices, and a mean beyond float64's range raises
+    MeasureOverflowError. Points come back ordered top to bottom by height.
+    No slice at all raises WrongDirectionError: no gait is vertical.
     """
     if not slices:
         raise WrongDirectionError("no vertical gait among the calibration sequences")
@@ -117,7 +119,11 @@ def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> l
         if not betas:
             raise NoUsableGaitsError(idx)
         heights = np.concatenate([s[:, k, 1] for s in slices])
-        points.append(BetaPoint(idx, arithmetic_mean(heights), arithmetic_mean(betas)))
+        try:
+            height = arithmetic_mean(heights)
+        except OverflowError:  # math.fsum's, on a sum beyond float64's range
+            raise MeasureOverflowError(f"mean height of joint {int(idx)} overflows") from None
+        points.append(BetaPoint(idx, height, arithmetic_mean(betas)))
     points.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
     return points
 
@@ -146,12 +152,13 @@ def perspective_correct_xyz(xyz: np.ndarray, model: BetaModel) -> np.ndarray:
     Raises before ``xyz`` is written if any angle is out of range.
     """
     y, z = xyz[..., 1], xyz[..., 2]
-    beta = polyeval(model.poly, y)
-    _check_angles(beta, y, z)
-    # y + z * tan(beta), with tan(beta) and its product with z computed in place
-    shift = np.tan(beta, out=beta)
-    shift *= z
-    y += shift
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which validation reports
+        beta = polyeval(model.poly, y)
+        _check_angles(beta, y, z)
+        # y + z * tan(beta), with tan(beta) and its product with z computed in place
+        shift = np.tan(beta, out=beta)
+        shift *= z
+        y += shift
     return xyz
 
 
@@ -179,7 +186,9 @@ def distort_perspective(seq: CaptureSequence, beta_poly: Polynomial) -> CaptureS
     # a runaway iterate may overflow, silently as it does in Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(FIXED_POINT_ITERATIONS):
-            y_next = y - z * _tan(polyeval(beta_poly, y_raw))
+            beta = polyeval(beta_poly, y_raw)
+            beta[np.isinf(beta)] = np.nan  # a NaN never converges; math.tan raises a ValueError on inf
+            y_next = y - z * _tan(beta)
             converged = np.abs(y_next - y_raw) < FIXED_POINT_TOLERANCE
             y_raw = np.where(pending, y_next, y_raw)
             pending &= ~converged

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import EmptyInputError, tagged
 from .perspective import (
     BetaModel,
@@ -87,8 +85,7 @@ def calibrate(
         raise EmptyInputError("no calibration gaits given")
     with tagged(stage="tilt-estimation"):
         tilt = TiltParams(estimate_tilt(inclinations), sensor_height_m)
-    # an overflow is reported as a NonFiniteCoordinateError, not as a warning
-    with tagged(stage="tilt-correction"), np.errstate(over="ignore", invalid="ignore"):
+    with tagged(stage="tilt-correction"):
         for i, (frame_index, xyz) in enumerate(kept):
             kept[i] = frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
             check_finite(kept[i][1], frame_index, joints)
@@ -108,5 +105,5 @@ def apply_profile(seq: CaptureSequence, profile: CalibrationProfile) -> CaptureS
     a correction that overflows raises ``NonFiniteCoordinateError``, tagged
     with the stage "correction", and no numpy warning.
     """
-    with tagged(stage="correction"), np.errstate(over="ignore", invalid="ignore"):
+    with tagged(stage="correction"):
         return seq.with_xyz(perspective_correct_xyz(tilt_correct_xyz(seq.xyz, profile.tilt), profile.beta))

@@ -194,7 +194,8 @@ def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:
     if std_m == 0:
         return seq
     rng = np.random.default_rng(seed)
-    return seq.with_xyz(seq.xyz + rng.normal(0.0, std_m, size=seq.xyz.shape))
+    with np.errstate(over="ignore"):  # an overflow leaves an inf, which with_xyz reports
+        return seq.with_xyz(seq.xyz + rng.normal(0.0, std_m, size=seq.xyz.shape))
 
 
 def apply_distortion(seq: CaptureSequence, spec: DistortionSpec) -> CaptureSequence:

@@ -81,20 +81,21 @@ def gait_inclination(seq: CaptureSequence) -> GaitInclination:
     """Per-frame inclinations of a gait plus their mean.
 
     Frames with a degenerate spine (tracking glitch collapsing the two spine
-    joints in Y) are skipped; the mean is over usable frames only. Each value
-    is atan2(z_base - z_mid, y_mid - y_base) of its frame's spine segment.
+    joints in Y) are skipped, and so are frames whose spine rise or drop
+    overflows; the mean is over usable frames only. Each value is
+    atan2(z_base - z_mid, y_mid - y_base) of its frame's spine segment.
     """
     base = seq.xyz[:, JointIndex.SPINE_BASE]
     mid = seq.xyz[:, JointIndex.SPINE_MID]
-    rise = mid[:, 1] - base[:, 1]
-    usable = ~(np.abs(rise) <= MIN_SPINE_RISE_M)  # a NaN rise is usable
+    with np.errstate(over="ignore"):
+        rise = mid[:, 1] - base[:, 1]
+        drop = base[:, 2] - mid[:, 2]
+    usable = np.isfinite(rise) & np.isfinite(drop) & (np.abs(rise) > MIN_SPINE_RISE_M)
     if not usable.any():
         raise NoUsableFramesError(f"no frame of '{seq.label}' has a usable spine segment")
     # math.atan2 rather than np.arctan2, which differs from it in the last bit
     # on some inputs: each estimate stays bit-identical to a per-frame math.atan2
-    per_frame = tuple(
-        map(math.atan2, (base[usable, 2] - mid[usable, 2]).tolist(), rise[usable].tolist())
-    )
+    per_frame = tuple(map(math.atan2, drop[usable].tolist(), rise[usable].tolist()))
     return GaitInclination(per_frame, arithmetic_mean(per_frame))
 
 
@@ -155,8 +156,9 @@ def tilt_correct_xyz(xyz: np.ndarray, params: TiltParams) -> np.ndarray:
     z_c = y*sin(a) + z, then y_c = z_c*sin(a) + y + h, a shear that distort_tilt inverts."""
     s = math.sin(params.tilt_rad)
     out = xyz.copy()
-    out[..., 2] = xyz[..., 1] * s + xyz[..., 2]
-    out[..., 1] = out[..., 2] * s + xyz[..., 1] + params.sensor_height_m
+    with np.errstate(over="ignore"):  # an overflow leaves an inf, which validating the result reports
+        out[..., 2] = xyz[..., 1] * s + xyz[..., 2]
+        out[..., 1] = out[..., 2] * s + xyz[..., 1] + params.sensor_height_m
     return out
 
 
@@ -172,10 +174,11 @@ def distort_tilt(
     a, h = params.tilt_rad, params.sensor_height_m
     s, c = math.sin(a), math.cos(a)
     x, y, z = seq.xyz[..., 0], seq.xyz[..., 1], seq.xyz[..., 2]
-    if TiltModel(model) is TiltModel.SHEAR_INVERSE:
-        y_raw = y - z * s - h
-        z_raw = z - y_raw * s
-    else:
-        y_raw = y * c + z * s - h
-        z_raw = z * c - y * s
+    with np.errstate(over="ignore"):  # an overflow leaves an inf, which with_xyz reports
+        if TiltModel(model) is TiltModel.SHEAR_INVERSE:
+            y_raw = y - z * s - h
+            z_raw = z - y_raw * s
+        else:
+            y_raw = y * c + z * s - h
+            z_raw = z * c - y * s
     return seq.with_xyz(np.stack((x, y_raw, z_raw), axis=-1))

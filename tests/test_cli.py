@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,6 +33,7 @@ from skelcal import (
 from skelcal import diagnostics, fileio
 from skelcal.cli import _FEET, _median, main
 from skelcal.errors import CalibrationError
+from memory import traced
 
 
 def run(*argv):
@@ -373,6 +373,33 @@ class TestCalibrateApplyDiagnose:
         )
 
 
+    # a level sensor's gait with joints' y moved near the float64 limit in every frame: an estimate
+    # overflows, and LAPACK, which writes to fd 1, is never called with it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raised, error",
+        [
+            ({JointIndex.HEAD: 1e308},
+             "MeasureOverflowError: [stage: perspective-estimation] mean height of joint 3 overflows"),
+            ({JointIndex.HEAD: 1e200},
+             "DegenerateSystemError: [stage: perspective-estimation] x**2 overflows float64 at x = 1e+200"),
+            ({JointIndex.SPINE_BASE: -1.7e308, JointIndex.SPINE_MID: 1.7e308},
+             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame of 'gait' has a usable spine segment"),
+        ],
+        ids=["head-mean-height", "head-height-squared", "spine-rise"],
+    )
+    def test_an_estimate_that_overflows_is_one_tagged_error(self, tmp_path, raised, error, capfd):
+        gait = tmp_path / "gait.csv"
+        run("synth", "--frames", 90, "--out-truth", tmp_path / "truth.csv", "--out-raw", gait)
+        seq = read_capture(gait, GaitDirection.VERTICAL)
+        xyz = seq.xyz.copy()
+        for joint, by in raised.items():
+            xyz[:, joint, 1] += by
+        write_capture(seq.with_xyz(xyz), gait)
+        capfd.readouterr()
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", gait) == 1
+        assert capfd.readouterr() == ("", f"error: {error.format(gait=gait)}\n")
+
     def test_repeated_calibrate_joint_rejected_before_reading(self, tmp_path, captures, capsys):
         profile = tmp_path / "p.json"
         with mock.patch.object(fileio, "read_capture", side_effect=AssertionError("a capture was read")):
@@ -460,12 +487,7 @@ class TestCalibrateApplyDiagnose:
         gait_bytes = read_capture(gait, GaitDirection.VERTICAL).xyz.nbytes
 
         def peak(n):
-            tracemalloc.start()
-            try:
-                assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", *[gait] * n) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak_of_run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", *[gait] * n)
 
         assert (peak(8) - peak(2)) / 6 < 0.75 * gait_bytes
 
@@ -507,33 +529,12 @@ def raw_capture(tmp_path, frames, faults=None):
     return path
 
 
-def peak_after_read(*argv):
-    """The tracemalloc peak of the CLI run ``argv`` from the end of its read of the capture,
-    with the read capture in it: the reader's own peak is not the part loop's."""
-    read = fileio.read_capture
-
-    def read_then_reset_peak(*args):
-        seq = read(*args)
-        tracemalloc.reset_peak()
-        return seq
-
-    tracemalloc.start()
-    try:
-        with mock.patch.object(fileio, "read_capture", read_then_reset_peak):
-            assert run(*argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def peak_of_run(*argv):
-    """The tracemalloc peak of the CLI run ``argv``, its read of the capture included."""
-    tracemalloc.start()
-    try:
-        assert run(*argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def peak_of_run(*argv, after_read=False):
+    """The tracemalloc peak of the CLI run ``argv``, its read of the capture included
+    unless ``after_read`` (see ``traced``)."""
+    status, peak = traced(lambda: run(*argv), after_read=after_read)
+    assert status == 0
+    return peak
 
 
 class TestApplyInParts:
@@ -622,7 +623,8 @@ class TestApplyInParts:
         paths = raw_capture(small, 1000), raw_capture(large, 4000)
 
         def peak(path):
-            return peak_after_read("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv")
+            return peak_of_run("apply", "--profile", profile, "--in", path, "--out", tmp_path / "out.csv",
+                               after_read=True)
 
         peak(paths[0])  # the first run's one-time allocations
         frame_bytes = JOINT_COUNT * 3 * 8
@@ -764,8 +766,8 @@ class TestDiagnoseInParts:
         paths = raw_capture(small, 1000), raw_capture(large, 4000)
 
         def peak(path):
-            return peak_after_read("diagnose", "--profile", profile, "--in", path, "--report", "both",
-                                   "--out", tmp_path / "report.csv")
+            return peak_of_run("diagnose", "--profile", profile, "--in", path, "--report", "both",
+                               "--out", tmp_path / "report.csv", after_read=True)
 
         peak(paths[0])  # the first run's one-time allocations
         frame_bytes = JOINT_COUNT * 3 * 8

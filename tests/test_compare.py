@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,18 @@ def test_head_against_head_prints_every_verdict():
     )
     assert sorted(verdicts) == sorted(METRICS)
     assert re.search(r"^calibrate-10x900: failed operations, parent 0 of \d+, change 0 of \d+$", done.stdout, re.M)
+
+
+def test_export_without_extraction_filters(tmp_path, monkeypatch):
+    """Python before 3.10.12 and 3.11.4 has no ``tarfile.data_filter``, and its ``extractall`` takes no filter."""
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    extracted = []
+
+    def extractall(self, path=".", members=None, *, numeric_owner=False):
+        extracted.append(path)
+
+    monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    monkeypatch.setattr(tarfile.TarFile, "extractall", extractall)
+    compare.export("HEAD", tmp_path / "tree")
+    assert extracted == [tmp_path / "tree"]

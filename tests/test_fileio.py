@@ -10,7 +10,6 @@ import stat
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +46,7 @@ from skelcal.errors import (
     ParseError,
     SchemaError,
 )
+from memory import traced
 
 
 @pytest.fixture
@@ -1306,12 +1306,7 @@ class TestStreamReader:
         path = tmp_path / "long.csv"
         write_capture(CaptureSequence(xyz, np.arange(frames), GaitDirection.VERTICAL), path)
         path.write_bytes(path.read_bytes().replace(b"\n", line_end))
-        tracemalloc.start()
-        try:
-            seq = read_capture(path, GaitDirection.VERTICAL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        seq, peak = traced(lambda: read_capture(path, GaitDirection.VERTICAL))
         assert len(seq) == frames
         assert peak < 1.25 * seq.xyz.nbytes < path.stat().st_size
 
@@ -1326,12 +1321,7 @@ class TestStreamReader:
         written, data = read_capture(path, GaitDirection.VERTICAL), path.read_bytes()
         path.write_bytes(data.replace(b"\n", b"\r") if layout == "lone_cr" else data + b"\n")
         with mock.patch.object(fileio, "_parse_lines", wraps=fileio._parse_lines) as line_parser:
-            tracemalloc.start()
-            try:
-                seq = read_capture(path, GaitDirection.VERTICAL)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            seq, peak = traced(lambda: read_capture(path, GaitDirection.VERTICAL))
         assert line_parser.called
         assert seq == written
         assert peak < 1.5 * seq.xyz.nbytes < path.stat().st_size

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,13 +16,18 @@ from skelcal import (
     JointIndex,
     PipelineConfig,
     Polynomial,
+    TiltModel,
     TiltParams,
+    add_noise,
     apply_distortion,
     CaptureSequence,
     JOINT_COUNT,
     apply_profile,
+    bone_length_stability,
     calibrate,
     default_template,
+    distort_perspective,
+    distort_tilt,
     estimate_tilt,
     fit_beta_model,
     gait_inclination,
@@ -31,14 +35,21 @@ from skelcal import (
     mean_perspective_degrees,
     perspective_correct_sequence,
     tilt_correct_sequence,
+    y_diff_to_last,
 )
 from skelcal.errors import (
+    BetaOutOfRangeError,
+    CalibrationError,
     EmptyInputError,
+    FixedPointDivergenceError,
+    MeasureOverflowError,
     MixedSignAnglesError,
     NonFiniteCoordinateError,
+    NoUsableFramesError,
     NoUsableGaitsError,
     WrongDirectionError,
 )
+from memory import traced
 from oracles import beta_error_deg, max_y_diff
 
 
@@ -67,19 +78,9 @@ def shear_gait(direction, noise_seed):
 def staged_calibration(gaits, height, config):
     """The stages composed on whole sequences, as calibrate composed them before it kept joint slices."""
     tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in gaits]), height)
-    with np.errstate(over="ignore", invalid="ignore"):
-        corrected = [tilt_correct_sequence(g, tilt) for g in gaits]
+    corrected = [tilt_correct_sequence(g, tilt) for g in gaits]
     beta = fit_beta_model(mean_perspective_degrees(corrected, config.beta_joints), config.beta_degree)
     return CalibrationProfile(tilt, beta, len(gaits))
-
-
-def tracemalloc_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestCalibrate:
@@ -309,7 +310,7 @@ class TestCalibrateOnePass:
         xyz[5, list(joints)] = (1.0, 1.7e308, 1.7e308)  # the 7 degree tilt correction overflows them
         gaits[1] = gaits[1].with_xyz(xyz)
         tilt = TiltParams(estimate_tilt([gait_inclination(g) for g in gaits]), 0.75)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteCoordinateError) as whole:
+        with pytest.raises(NonFiniteCoordinateError) as whole:
             tilt_correct_sequence(gaits[1], tilt)
         with pytest.raises(NonFiniteCoordinateError) as err:
             calibrate(iter(gaits), 0.75)
@@ -331,12 +332,34 @@ class TestCalibrateOnePass:
         overflowing = gaits[:-1] + [gaits[-1].with_xyz(xyz)]
         assert calibrate(iter(overflowing), 0.75) == calibrate(gaits, 0.75)
 
+    def test_huge_coordinates_end_in_a_profile_or_a_typed_error(self, template, capfd):
+        """Seeded: 1-5 coordinates or joint tracks of a walk pushed to ±10^100 .. 10^308. calibrate
+        returns a profile, raises a CalibrationError or the ValueError of BetaPoint or TiltParams
+        (see CHANGES.md), warns nothing (the pytest setting makes a warning an error) and writes
+        nothing to fd 1, where LAPACK reports an argument it refuses."""
+        truth = generate_truth_capture(template, GaitDirection.VERTICAL, 30, 4.5, 1.5)
+        rng = np.random.default_rng(0)
+        for case in range(200):
+            xyz = truth.xyz.copy()
+            for _ in range(rng.integers(1, 6)):
+                frames = slice(None) if rng.random() < 0.5 else rng.integers(len(xyz))
+                value = rng.choice([-1, 1]) * 10 ** rng.uniform(100, 308)
+                xyz[frames, rng.integers(JOINT_COUNT), rng.integers(3)] = value
+            seq = truth.with_xyz(xyz)
+            try:
+                calibrate([seq, seq], 0.75)
+            except CalibrationError:
+                pass
+            except ValueError as exc:
+                assert type(exc) is ValueError and str(exc).startswith(("perspective angle", "tilt must")), case
+            assert capfd.readouterr().out == "", case
+
     def test_memory_grows_by_less_than_a_gait_per_gait(self, truth_walk):
         """Of each gait only 9 of 25 joints and its inclinations are kept: 0.55 of its xyz, measured."""
         def gaits(n):
             return (CaptureSequence(truth_walk.xyz, truth_walk.frame_index, truth_walk.direction) for _ in range(n))
 
-        two, eight = (tracemalloc_peak(lambda: calibrate(gaits(n), 0.0)) for n in (2, 8))
+        two, eight = (traced(lambda: calibrate(gaits(n), 0.0)).peak for n in (2, 8))
         assert (eight - two) / 6 < 0.75 * truth_walk.xyz.nbytes
 
 
@@ -391,13 +414,13 @@ class TestApplyProfile:
     def test_peak_memory_below_two_captures(self):
         """Both stages write one fresh array; the perspective angles are the one temporary."""
         seq, profile = uniform_capture_and_profile(2000)
-        assert tracemalloc_peak(lambda: apply_profile(seq, profile)) < 2 * seq.xyz.nbytes
+        assert traced(lambda: apply_profile(seq, profile)).peak < 2 * seq.xyz.nbytes
 
     def test_temporaries_are_the_angles(self):
         """Beside its output, a whole-capture correction holds the float angles
         (a third of the output) and nothing else the size of the capture."""
         seq, profile = uniform_capture_and_profile(9000)
-        peak = tracemalloc_peak(lambda: apply_profile(seq, profile))
+        peak = traced(lambda: apply_profile(seq, profile)).peak
         assert peak - seq.xyz.nbytes < 0.34 * seq.xyz.nbytes
 
     def test_overflowing_correction_raises_typed_error(self):
@@ -405,7 +428,7 @@ class TestApplyProfile:
         xyz[1, 0] = (1.0, 1.7e308, 1.7e308)  # the tilt stage's z overflows
         seq = CaptureSequence(xyz, [0, 1], GaitDirection.VERTICAL)
         profile = CalibrationProfile(TiltParams(0.1, 0.75), identity_profile().beta, 1)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteCoordinateError) as err:
+        with pytest.raises(NonFiniteCoordinateError) as err:
             apply_profile(seq, profile)
         assert (err.value.frame_index, err.value.joint, err.value.field) == (1, 0, "y")
 
@@ -413,3 +436,86 @@ class TestApplyProfile:
         beta = BetaModel(Polynomial((0.0,)), 0, (BetaPoint(JointIndex.HEAD, 1.6, 0.0),))
         with pytest.raises(ValueError):
             CalibrationProfile(TiltParams(0.0, 0.0), beta, 0)
+
+
+HUGE = 1.7e308
+_J = JointIndex
+#: A profile's angle 0.01 * y, fitted to two points on it.
+_LINEAR_ANGLE = BetaModel(
+    Polynomial((0.0, 0.01)), 1, (BetaPoint(_J.HEAD, 1.6, 0.016), BetaPoint(_J.KNEE_LEFT, 0.5, 0.005))
+)
+#: Each public transform, the points that make it overflow as ``(frame, joint, (x, y, z))``,
+#: set in a 3-frame truth walk, and the typed error it raises.
+OVERFLOWS = {
+    "tilt_correct_sequence": (
+        lambda seq: tilt_correct_sequence(seq, TiltParams(0.1, 0.75)),
+        [(1, _J.SPINE_BASE, (1.0, HUGE, HUGE))],
+        NonFiniteCoordinateError,
+    ),
+    "perspective_correct_sequence": (
+        lambda seq: perspective_correct_sequence(seq, _LINEAR_ANGLE),
+        [(1, _J.HEAD, (0.0, 100.0, HUGE))],  # z * tan(1.0)
+        NonFiniteCoordinateError,
+    ),
+    "apply_profile": (
+        lambda seq: apply_profile(seq, CalibrationProfile(TiltParams(0.1, 0.75), _LINEAR_ANGLE, 1)),
+        [(1, _J.SPINE_BASE, (1.0, HUGE, HUGE))],
+        NonFiniteCoordinateError,
+    ),
+    "distort_tilt-shear": (
+        lambda seq: distort_tilt(seq, TiltParams(0.1, 0.75), TiltModel.SHEAR_INVERSE),
+        [(1, _J.SPINE_BASE, (1.0, HUGE, -HUGE))],
+        NonFiniteCoordinateError,
+    ),
+    "distort_tilt-rotation": (
+        lambda seq: distort_tilt(seq, TiltParams(0.1, 0.75), TiltModel.ROTATION),
+        [(1, _J.SPINE_BASE, (1.0, HUGE, HUGE))],
+        NonFiniteCoordinateError,
+    ),
+    "distort_perspective-linear": (
+        lambda seq: distort_perspective(seq, Polynomial((0.0, 0.01))),
+        [(1, _J.HEAD, (0.0, 1e200, 1.0))],
+        BetaOutOfRangeError,
+    ),
+    "distort_perspective-quadratic": (  # the angle itself overflows
+        lambda seq: distort_perspective(seq, Polynomial((0.0, 0.0, 0.01))),
+        [(1, _J.HEAD, (0.0, 1e200, 1.0))],
+        FixedPointDivergenceError,
+    ),
+    "add_noise": (
+        lambda seq: add_noise(seq, 1e308, 0),
+        [(1, slice(None), (HUGE, HUGE, HUGE))],
+        NonFiniteCoordinateError,
+    ),
+    "gait_inclination": (  # every frame's spine rise or drop overflows, so no frame is usable
+        gait_inclination,
+        [
+            *((frame, _J.SPINE_BASE, (0.0, -HUGE, 3.0)) for frame in (0, 1)),
+            *((frame, _J.SPINE_MID, (0.0, HUGE, 3.0)) for frame in (0, 1)),
+            (2, _J.SPINE_BASE, (0.0, 1.0, HUGE)),
+            (2, _J.SPINE_MID, (0.0, 1.3, -HUGE)),
+        ],
+        NoUsableFramesError,
+    ),
+    "y_diff_to_last": (
+        y_diff_to_last,
+        [(0, _J.HEAD, (0.0, HUGE, 3.0)), (2, _J.HEAD, (0.0, -HUGE, 3.0))],
+        MeasureOverflowError,
+    ),
+    "bone_length_stability": (
+        bone_length_stability,
+        [(1, _J.NECK, (0.0, -HUGE, 3.0)), (1, _J.HEAD, (0.0, HUGE, 3.0))],
+        MeasureOverflowError,
+    ),
+}
+
+
+@pytest.mark.parametrize("transform, points, error", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_an_overflow_is_a_typed_error(transform, points, error):
+    """Each transform owns its overflow rule: no caller wraps it in ``np.errstate``, and the
+    pytest setting that makes a RuntimeWarning an error fails the test on any numpy warning."""
+    xyz = generate_truth_capture(default_template(), GaitDirection.VERTICAL, 3, 4.5, 1.5).xyz.copy()
+    for frame, joint, point in points:
+        xyz[frame, joint] = point
+    with pytest.raises(error):
+        transform(CaptureSequence(xyz, range(3), GaitDirection.VERTICAL))

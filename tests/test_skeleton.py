@@ -204,6 +204,8 @@ class TestValidByConstruction:
             ("unlink", "fileio.py"),
             ("read_text", ""),
             ("fdopen", ""),
+            # each computation owns its overflow rule: no caller wraps a transform in np.errstate
+            ("errstate", "cli.py diagnostics.py numerics.py perspective.py synthetic.py tilt.py"),
             # the stage order, tilt then perspective, is composed only in pipeline
             ("tilt_correct_xyz", "pipeline.py tilt.py"),
             ("perspective_correct_xyz", "perspective.py pipeline.py"),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skelcal import (
@@ -252,10 +252,14 @@ class TestArrayKernelsMatchScalarOracle:
             assert list(map(tuple, out.xyz[k].tolist())) == [tilt_correct_point(p, params) for p in joints]
 
     @given(capture_xyz)
+    @example(  # a usable frame, then frames whose spine rise and whose spine drop overflow
+        np.array([spine_frame((0, 0.9, 2.5), (0, 1.2, 2.4)), spine_frame((0, -1.7e308, 2.5), (0, 1.7e308, 2.5)),
+                  spine_frame((0, 0.9, 1.7e308), (0, 1.2, -1.7e308))])
+    )
     def test_gait_inclination_equals_frame_inclination(self, xyz):
         seq = vertical_gait(xyz)
         expected = []
-        for joints in xyz:
+        for joints in xyz.tolist():
             try:
                 expected.append(frame_inclination(joints))
             except DegenerateSpineError:

@@ -150,7 +150,10 @@ def export(rev: str, dest: Path) -> None:
     if done.returncode != 0:
         raise SystemExit(f"error: git archive {rev}: {done.stderr.decode(errors='replace').strip()}")
     with tarfile.TarFile(fileobj=io.BytesIO(done.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):  # PEP 706's filters, from Python 3.10.12 and 3.11.4
+            tar.extractall(dest, filter="data")
+        else:  # this repository's own archive, extracted as before PEP 706
+            tar.extractall(dest)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict]:
