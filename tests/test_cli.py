@@ -372,7 +372,6 @@ class TestCalibrateApplyDiagnose:
             "error: NonFiniteCoordinateError: [stage: tilt-correction] non-finite coordinate at frame 5, joint 3, field y\n"
         )
 
-
     # a level sensor's gait with joints' y moved near the float64 limit in every frame: an estimate
     # overflows, and LAPACK, which writes to fd 1, is never called with it
     @pytest.mark.filterwarnings("error")

@@ -242,7 +242,6 @@ def test_beta_shape_within_bound(name, shape, tilt_deg):
     assert measure_shape(shape, tilt_deg)[name] <= BOUNDS[name]
 
 
-
 HEIGHT_ERRORS_M = [-0.2, 0.2]
 HEIGHT_TILTS_DEG = [0, 7]
 _ITEM_11 = (
