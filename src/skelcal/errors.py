@@ -95,14 +95,18 @@ class ZeroAngleError(CalibrationError):
     pass
 
 
+class TiltOutOfRangeError(CalibrationError, ValueError):
+    """A tilt outside (-pi/2, pi/2), which TiltParams refuses; a ValueError too."""
+
+
 # -- perspective estimation --------------------------------------------------
 
 class WrongDirectionError(CalibrationError):
     pass
 
 
-class BetaOutOfRangeError(CalibrationError):
-    pass
+class BetaOutOfRangeError(CalibrationError, ValueError):
+    """|angle| >= MAX_ABS_BETA_RAD, which no BetaPoint or correction accepts; a ValueError too."""
 
 
 class NoUsableGaitsError(CalibrationError):

@@ -28,7 +28,7 @@ from .skeleton import CaptureSequence, GaitDirection, JointIndex
 
 #: Minimum first-to-last depth travel for a usable estimate.
 MIN_DEPTH_TRAVEL_M = 0.05
-#: Largest |angle| a correction accepts: tan grows without bound toward pi/2.
+#: Largest |angle| a BetaPoint or a correction accepts: tan grows without bound toward pi/2.
 MAX_ABS_BETA_RAD = math.pi / 2 - 1e-6
 #: Iteration cap and convergence step of distort_perspective's fixed-point solve.
 FIXED_POINT_ITERATIONS = 50
@@ -51,7 +51,7 @@ DEFAULT_BETA_JOINTS: tuple[JointIndex, ...] = (
 
 @dataclass(frozen=True)
 class BetaPoint:
-    """Mean perspective angle of one joint at its representative height."""
+    """Mean perspective angle of one joint at its representative height; |angle| < MAX_ABS_BETA_RAD."""
 
     joint: JointIndex
     height_y_m: float
@@ -61,8 +61,8 @@ class BetaPoint:
         object.__setattr__(self, "joint", JointIndex(self.joint))  # a ValueError outside 0-24
         if not math.isfinite(self.height_y_m):
             raise ValueError(f"height must be finite: {self.height_y_m}")
-        if not (math.isfinite(self.beta_rad) and abs(self.beta_rad) < math.pi / 2):
-            raise ValueError(f"perspective angle out of range: {self.beta_rad}")
+        if not abs(self.beta_rad) < MAX_ABS_BETA_RAD:
+            raise BetaOutOfRangeError(f"perspective angle out of range: {self.beta_rad}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> l
     positive when the far reading is too low. It is averaged over the gaits
     where |z_first - z_last| > MIN_DEPTH_TRAVEL_M; its height is its mean Y
     over all frames of all slices, and a mean beyond float64's range raises
-    MeasureOverflowError. Points come back ordered top to bottom by height.
+    MeasureOverflowError, a mean angle no correction accepts BetaOutOfRangeError.
+    Points come back ordered top to bottom by height.
     No slice at all raises WrongDirectionError: no gait is vertical.
     """
     if not slices:

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     MixedSignAnglesError,
     NoUsableFramesError,
+    TiltOutOfRangeError,
     ZeroAngleError,
 )
 from .numerics import arithmetic_mean, geometric_mean
@@ -58,14 +59,14 @@ class TiltModel(Enum):
 
 @dataclass(frozen=True)
 class TiltParams:
-    """Sensor inclination (radians) and sensor height above ground (meters)."""
+    """Sensor inclination (radians, in (-pi/2, pi/2)) and sensor height above ground (meters, >= 0)."""
 
     tilt_rad: float
     sensor_height_m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tilt_rad) and abs(self.tilt_rad) < math.pi / 2):
-            raise ValueError(f"tilt must satisfy |tilt| < pi/2, got {self.tilt_rad}")
+        if not abs(self.tilt_rad) < math.pi / 2:
+            raise TiltOutOfRangeError(f"tilt must satisfy |tilt| < pi/2, got {self.tilt_rad}")
         if not (math.isfinite(self.sensor_height_m) and self.sensor_height_m >= 0.0):
             raise ValueError(f"sensor height must be finite and >= 0, got {self.sensor_height_m}")
 
@@ -80,17 +81,18 @@ class GaitInclination(NamedTuple):
 def gait_inclination(seq: CaptureSequence) -> GaitInclination:
     """Per-frame inclinations of a gait plus their mean.
 
-    Frames with a degenerate spine (tracking glitch collapsing the two spine
-    joints in Y) are skipped, and so are frames whose spine rise or drop
-    overflows; the mean is over usable frames only. Each value is
-    atan2(z_base - z_mid, y_mid - y_base) of its frame's spine segment.
+    A frame is usable when its spine rises, y_mid - y_base > MIN_SPINE_RISE_M,
+    and neither its rise nor its drop overflows: a spine that collapses or
+    inverts in Y is a tracking glitch. Each value is atan2(z_base - z_mid,
+    y_mid - y_base) of a usable frame, so it lies in (-pi/2, pi/2) up to rounding
+    (a drop some 1e16 times the rise reads +-pi/2); the mean is over usable frames.
     """
     base = seq.xyz[:, JointIndex.SPINE_BASE]
     mid = seq.xyz[:, JointIndex.SPINE_MID]
     with np.errstate(over="ignore"):
         rise = mid[:, 1] - base[:, 1]
         drop = base[:, 2] - mid[:, 2]
-    usable = np.isfinite(rise) & np.isfinite(drop) & (np.abs(rise) > MIN_SPINE_RISE_M)
+    usable = np.isfinite(rise) & np.isfinite(drop) & (rise > MIN_SPINE_RISE_M)
     if not usable.any():
         raise NoUsableFramesError(f"no frame of '{seq.label}' has a usable spine segment")
     # math.atan2 rather than np.arctan2, which differs from it in the last bit

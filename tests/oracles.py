@@ -35,12 +35,13 @@ def frame_inclination(joints: Sequence[Sequence[float]]) -> float:
 
     Computed as atan2(z_base - z_mid, y_mid - y_base): the depth loss per unit
     height gain along the spine. Zero when the spine is vertically aligned in
-    Z; positive when the upper spine joint reads closer to the sensor. A rise
-    within MIN_SPINE_RISE_M of 0, or a rise or drop beyond float64's range, is degenerate.
+    Z; positive when the upper spine joint reads closer to the sensor. A spine
+    that does not rise by more than MIN_SPINE_RISE_M, or a rise or drop beyond
+    float64's range, is degenerate.
     """
     base, mid = joints[JointIndex.SPINE_BASE], joints[JointIndex.SPINE_MID]
     rise, drop = mid[1] - base[1], base[2] - mid[2]
-    if not (abs(rise) > MIN_SPINE_RISE_M and math.isfinite(rise) and math.isfinite(drop)):
+    if not (rise > MIN_SPINE_RISE_M and math.isfinite(rise) and math.isfinite(drop)):
         raise DegenerateSpineError(f"spine rise {rise} and drop {drop} give no inclination")
     return math.atan2(drop, rise)
 

@@ -399,6 +399,39 @@ class TestCalibrateApplyDiagnose:
         assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", gait) == 1
         assert capfd.readouterr() == ("", f"error: {error.format(gait=gait)}\n")
 
+    # two copies of a truth walk with one coordinate set near the float64 limit: each estimate that left a range
+    # its value type refuses ended in a bare ValueError, and now ends in its angle's typed error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "frames, joint, field, at, value, error",
+        [
+            # every spine inverts, and no frame is left to read an inclination from
+            (30, JointIndex.SPINE_BASE, 1, slice(None), 2.4e297,
+             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame of 'gait' has a usable spine segment"),
+            # the head's angle over the walk's end frames reads pi/2
+            (30, JointIndex.HEAD, 1, -1, 1e300,
+             "BetaOutOfRangeError: [stage: perspective-estimation] perspective angle out of range: 1.5707963267948966"),
+            # every spine lies flat to float precision: each frame reads pi/2, and so does the mean of 32
+            (32, JointIndex.SPINE_MID, 2, slice(None), -1e300,
+             "TiltOutOfRangeError: [stage: tilt-estimation] tilt must satisfy |tilt| < pi/2, got 1.5707963267948966"),
+        ],
+        ids=["spine-inverted", "head-angle", "spine-flat"],
+    )
+    def test_an_estimate_out_of_range_is_one_tagged_error(self, tmp_path, frames, joint, field, at, value, error, capfd):
+        truth = generate_truth_capture(default_template(), GaitDirection.VERTICAL, frames, 4.5, 1.5)
+        xyz = truth.xyz.copy()
+        xyz[at, joint, field] = value
+        seq = truth.with_xyz(xyz)
+        with pytest.raises(CalibrationError) as library:
+            calibrate([seq, seq], 0.75)
+        assert error.startswith(f"{type(library.value).__name__}: [stage: {library.value.stage}] ")
+        gait, profile = tmp_path / "gait.csv", tmp_path / "p.json"
+        write_capture(seq, gait)
+        capfd.readouterr()
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, gait, gait) == 1
+        assert capfd.readouterr() == ("", f"error: {error.format(gait=gait)}\n")
+        assert not profile.exists()
+
     def test_repeated_calibrate_joint_rejected_before_reading(self, tmp_path, captures, capsys):
         profile = tmp_path / "p.json"
         with mock.patch.object(fileio, "read_capture", side_effect=AssertionError("a capture was read")):

@@ -26,7 +26,7 @@ from skelcal.errors import (
     NoUsableGaitsError,
     WrongDirectionError,
 )
-from skelcal.perspective import _check_angles, distort_perspective
+from skelcal.perspective import MAX_ABS_BETA_RAD, _check_angles, distort_perspective, perspective_correct_xyz
 from oracles import InsufficientDepthTravelError, joint_perspective_degree, perspective_correct_point
 
 
@@ -274,6 +274,23 @@ class TestBetaTypes:
     def test_beta_point_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             BetaPoint(JointIndex.HEAD, 1.6, math.pi / 2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_beta_point_and_correction_share_one_bound(self, sign):
+        """Both take the float just inside MAX_ABS_BETA_RAD and refuse MAX_ABS_BETA_RAD itself."""
+        inside, bound = sign * math.nextafter(MAX_ABS_BETA_RAD, 0.0), sign * MAX_ABS_BETA_RAD
+        xyz = np.array([[[0.0, 1.0, 2.0]]])
+        assert BetaPoint(JointIndex.HEAD, 1.0, inside).beta_rad == inside
+        perspective_correct_xyz(xyz.copy(), BetaModel(Polynomial((inside,)), 0, zero_model().source_points))
+        with pytest.raises(BetaOutOfRangeError, match=f"^perspective angle out of range: {bound}$"):
+            BetaPoint(JointIndex.HEAD, 1.0, bound)
+        with pytest.raises(BetaOutOfRangeError, match=f"^angle {bound} rad too close to pi/2 at y=1.0, z=2.0$"):
+            perspective_correct_xyz(xyz.copy(), BetaModel(Polynomial((bound,)), 0, zero_model().source_points))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_beta_point_refuses_a_non_finite_angle(self, beta):
+        with pytest.raises(BetaOutOfRangeError):
+            BetaPoint(JointIndex.HEAD, 1.6, beta)
 
     def test_beta_point_joint_is_a_joint_index(self):
         assert BetaPoint(3, 1.6, 0.0).joint is JointIndex.HEAD

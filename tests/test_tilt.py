@@ -24,6 +24,7 @@ from skelcal.errors import (
     EmptyInputError,
     MixedSignAnglesError,
     NoUsableFramesError,
+    TiltOutOfRangeError,
     ZeroAngleError,
 )
 from oracles import DegenerateSpineError, frame_inclination, tilt_correct_point
@@ -87,6 +88,17 @@ class TestGaitInclination:
         ]
         result = gait_inclination(vertical_gait(frames))
         assert len(result.per_frame_rad) == 2
+
+    def test_inverted_frames_skipped(self):
+        """A spine whose middle reads below its base is a glitch, not an inclination past pi/2."""
+        frames = [frame_with_tilt(0.1), spine_frame((0, 1.2, 2.5), (0, 0.9, 2.47)), frame_with_tilt(0.1)]
+        result = gait_inclination(vertical_gait(frames))
+        assert len(result.per_frame_rad) == 2
+        assert result.mean_rad == pytest.approx(0.1, abs=1e-12)
+
+    def test_only_inverted_frames_rejected(self):
+        with pytest.raises(NoUsableFramesError):
+            gait_inclination(vertical_gait([spine_frame((0, 1.2, 2.5), (0, 0.9, 2.5))] * 3))
 
     def test_all_degenerate_rejected(self):
         frames = [spine_frame((0, 1.0, 2.0), (0, 1.0, 2.1)) for _ in range(3)]
@@ -198,6 +210,13 @@ class TestTiltCorrectPoint:
             TiltParams(math.pi / 2, 0.0)
         with pytest.raises(ValueError):
             TiltParams(0.0, -0.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_params_take_a_tilt_just_inside_pi_over_2(self, sign):
+        assert TiltParams(sign * math.nextafter(math.pi / 2, 0.0), 0.0).tilt_rad == sign * math.nextafter(math.pi / 2, 0.0)
+        for tilt in (sign * math.pi / 2, sign * math.inf, math.nan):
+            with pytest.raises(TiltOutOfRangeError, match=r"^tilt must satisfy \|tilt\| < pi/2, got "):
+                TiltParams(tilt, 0.0)
 
 
 class TestTiltCorrectSequence:
