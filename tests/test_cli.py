@@ -399,8 +399,8 @@ class TestCalibrateApplyDiagnose:
         assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", gait) == 1
         assert capfd.readouterr() == ("", f"error: {error.format(gait=gait)}\n")
 
-    # two copies of a truth walk with one coordinate set near the float64 limit: each estimate that left a range
-    # its value type refuses ended in a bare ValueError, and now ends in its angle's typed error
+    # two copies of a truth walk with one coordinate set near the float64 limit: an estimate outside the range its
+    # value type accepts ends in its angle's typed error, tagged with its stage, and no profile is written
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "frames, joint, field, at, value, error",
