@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fileio
-from .errors import CalibrationError, IoFailureError, tagged
+from .errors import CalibrationError, tagged
 from .perspective import DEFAULT_BETA_JOINTS
 from .pipeline import CalibrationProfile, PipelineConfig, apply_profile, calibrate
 from .numerics import Polynomial
@@ -150,20 +150,9 @@ def cmd_synth(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = PipelineConfig(beta_degree=args.degree, beta_joints=args.joints)
-    holding = [None]  # the file of the gait calibrate holds, until the last one is read
-
-    def gaits():  # calibrate reads each gait as it gets to it and keeps only what it estimates from
-        for path in args.captures:
-            holding[0] = str(path)
-            yield fileio.read_capture(path, GaitDirection.VERTICAL)
-        holding[0] = None
-
-    try:
-        profile = calibrate(gaits(), args.sensor_height, config, created_label=args.label)
-    except CalibrationError as exc:
-        if not isinstance(exc, IoFailureError):  # whose message names the file it cannot read
-            exc.path = holding[0]  # a gait's own error names its file; later errors name none
-        raise
+    # calibrate reads each gait as it gets to it, keeps only what it estimates from, and names its file in an error
+    gaits = (fileio.read_capture(path, GaitDirection.VERTICAL) for path in args.captures)
+    profile = calibrate(gaits, args.sensor_height, config, created_label=args.label)
     fileio.write_profile(profile, args.out_profile)
     print(
         f"profile: tilt {math.degrees(profile.tilt.tilt_rad):.4f} deg, "
@@ -263,11 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CalibrationError as exc:
+    except (CalibrationError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

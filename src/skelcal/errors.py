@@ -10,8 +10,8 @@ class CalibrationError(Exception):
     """Base class for all skelcal errors.
 
     ``stage`` names the calibration stage an error propagated out of, and
-    ``path`` the file whose contents it came from; ``tagged`` sets both, so
-    callers see where a run failed without losing the concrete exception type.
+    ``path`` the file whose contents it came from, or a capture's label; ``tagged`` sets both,
+    so callers see where a run failed without losing the concrete exception type.
     """
 
     stage: str | None = None

@@ -223,7 +223,7 @@ def _block_rows(frame_index: np.ndarray, labels: np.ndarray, values: np.ndarray)
 
 
 def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
-    """Parse a capture CSV, labelled with the file's stem; malformed rows are
+    """Parse a capture CSV, labelled with its path, ``str(path)``; malformed rows are
     reported with their line number, and every error names the file.
 
     A file of LF or CRLF rows in the canonical layout takes numpy's C parser (``_parse_stream``), whatever
@@ -243,7 +243,7 @@ def read_capture(path: str | Path, direction: GaitDirection) -> CaptureSequence:
             with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline=None) as text:
                 parsed = _parse_lines(text)
         xyz, frame_indices = parsed
-        return CaptureSequence.adopt(xyz, frame_indices, direction, path.stem)
+        return CaptureSequence.adopt(xyz, frame_indices, direction, str(path))
 
 
 def _parse_stream(fh: BinaryIO) -> tuple[np.ndarray, np.ndarray] | None:

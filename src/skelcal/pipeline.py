@@ -65,7 +65,8 @@ def calibrate(
     ``estimate_tilt``), tilt-corrects the gaits with it and the measured
     sensor height, estimates per-joint perspective angles from the corrected
     gaits, and fits the height polynomial. An error raised in a stage names
-    it: "tilt-estimation", "tilt-correction" or "perspective-estimation".
+    it: "tilt-estimation", "tilt-correction" or "perspective-estimation"; one in a gait's
+    inclination or correction also names its label, a file's path from ``read_capture``.
 
     ``vertical_gaits`` may be any iterable; it is read once, keeping of each gait its
     inclinations and, if it is vertical, the slice ``xyz[:, config.beta_joints]``, which alone
@@ -76,21 +77,21 @@ def calibrate(
     joints = list(config.beta_joints)
     inclinations, kept = [], []
     for gait in vertical_gaits:  # read outside the stage tags: a file's own error names no stage
-        with tagged(stage="tilt-estimation"):
+        with tagged(stage="tilt-estimation", path=gait.label or None):
             inclinations.append(gait_inclination(gait))
         if gait.direction is GaitDirection.VERTICAL:
-            kept.append((gait.frame_index, gait.xyz[:, joints]))
+            kept.append((gait.label, gait.frame_index, gait.xyz[:, joints]))
         del gait  # not held while the next one is read
     if not inclinations:
         raise EmptyInputError("no calibration gaits given")
     with tagged(stage="tilt-estimation"):
         tilt = TiltParams(estimate_tilt(inclinations), sensor_height_m)
-    with tagged(stage="tilt-correction"):
-        for i, (frame_index, xyz) in enumerate(kept):
-            kept[i] = frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
-            check_finite(kept[i][1], frame_index, joints)
+    for i, (label, frame_index, xyz) in enumerate(kept):
+        with tagged(stage="tilt-correction", path=label or None):
+            kept[i] = label, frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
+            check_finite(kept[i][2], frame_index, joints)
     with tagged(stage="perspective-estimation"):
-        beta = fit_beta_model(beta_points([xyz for _, xyz in kept], joints), config.beta_degree)
+        beta = fit_beta_model(beta_points([xyz for _, _, xyz in kept], joints), config.beta_degree)
     return CalibrationProfile(tilt, beta, len(inclinations), created_label)
 
 

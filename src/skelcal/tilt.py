@@ -94,7 +94,7 @@ def gait_inclination(seq: CaptureSequence) -> GaitInclination:
         drop = base[:, 2] - mid[:, 2]
     usable = np.isfinite(rise) & np.isfinite(drop) & (rise > MIN_SPINE_RISE_M)
     if not usable.any():
-        raise NoUsableFramesError(f"no frame of '{seq.label}' has a usable spine segment")
+        raise NoUsableFramesError("no frame has a usable spine segment")
     # math.atan2 rather than np.arctan2, which differs from it in the last bit
     # on some inputs: each estimate stays bit-identical to a per-frame math.atan2
     per_frame = tuple(map(math.atan2, drop[usable].tolist(), rise[usable].tolist()))

@@ -369,7 +369,8 @@ class TestCalibrateApplyDiagnose:
         write_capture(CaptureSequence(xyz, seq.frame_index, seq.direction), huge)
         assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", huge, *captures[1:3]) == 1
         assert capsys.readouterr().err == (
-            "error: NonFiniteCoordinateError: [stage: tilt-correction] non-finite coordinate at frame 5, joint 3, field y\n"
+            f"error: NonFiniteCoordinateError: [stage: tilt-correction] {huge}: non-finite coordinate at frame 5, joint 3,"
+            " field y\n"
         )
 
     # a level sensor's gait with joints' y moved near the float64 limit in every frame: an estimate
@@ -383,7 +384,7 @@ class TestCalibrateApplyDiagnose:
             ({JointIndex.HEAD: 1e200},
              "DegenerateSystemError: [stage: perspective-estimation] x**2 overflows float64 at x = 1e+200"),
             ({JointIndex.SPINE_BASE: -1.7e308, JointIndex.SPINE_MID: 1.7e308},
-             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame of 'gait' has a usable spine segment"),
+             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame has a usable spine segment"),
         ],
         ids=["head-mean-height", "head-height-squared", "spine-rise"],
     )
@@ -407,7 +408,7 @@ class TestCalibrateApplyDiagnose:
         [
             # every spine inverts, and no frame is left to read an inclination from
             (30, JointIndex.SPINE_BASE, 1, slice(None), 2.4e297,
-             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame of 'gait' has a usable spine segment"),
+             "NoUsableFramesError: [stage: tilt-estimation] {gait}: no frame has a usable spine segment"),
             # the head's angle over the walk's end frames reads pi/2
             (30, JointIndex.HEAD, 1, -1, 1e300,
              "BetaOutOfRangeError: [stage: perspective-estimation] perspective angle out of range: 1.5707963267948966"),
@@ -437,7 +438,7 @@ class TestCalibrateApplyDiagnose:
         with mock.patch.object(fileio, "read_capture", side_effect=AssertionError("a capture was read")):
             code = run("calibrate", "--sensor-height", 0.75, "--joints", "3,2,3", "--out-profile", profile, *captures)
         assert code == 1
-        assert capsys.readouterr().err == "error: joint 3 is listed twice in beta_joints\n"
+        assert capsys.readouterr().err == "error: ValueError: joint 3 is listed twice in beta_joints\n"
         assert not profile.exists()
 
     def test_diagnose_repeats_a_joint_column(self, tmp_path, captures):
@@ -448,7 +449,7 @@ class TestCalibrateApplyDiagnose:
     def test_bad_sensor_height_reported_before_any_file_is_read(self, tmp_path, capsys):
         profile = tmp_path / "p.json"
         assert run("calibrate", "--sensor-height", -1, "--out-profile", profile, tmp_path / "missing.csv") == 1
-        assert capsys.readouterr().err == "error: sensor height must be finite and >= 0, got -1.0\n"
+        assert capsys.readouterr().err == "error: ValueError: sensor height must be finite and >= 0, got -1.0\n"
         assert not profile.exists()
 
     def test_estimation_error_comes_before_a_later_read_error(self, tmp_path, captures, capsys):
@@ -460,23 +461,35 @@ class TestCalibrateApplyDiagnose:
         profile = tmp_path / "p.json"
         assert run("calibrate", "--sensor-height", 0.75, "--out-profile", profile, flat, tmp_path / "missing.csv") == 1
         assert capsys.readouterr().err == (
-            f"error: NoUsableFramesError: [stage: tilt-estimation] {flat}: no frame of 'flat' has a usable spine segment\n"
+            f"error: NoUsableFramesError: [stage: tilt-estimation] {flat}: no frame has a usable spine segment\n"
         )
         assert not profile.exists()
 
-    def test_a_gait_error_names_its_file_among_files_of_one_stem(self, tmp_path, captures, capsys):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("flat-spine", "NoUsableFramesError: [stage: tilt-estimation] {bad}: no frame has a usable spine segment"),
+            ("huge-head", "NonFiniteCoordinateError: [stage: tilt-correction] {bad}: non-finite coordinate at frame 5, "
+                          "joint 3, field y"),
+        ],
+        ids=["tilt-estimation", "tilt-correction"],
+    )
+    def test_a_gait_error_names_its_file(self, tmp_path, captures, fault, error, capsys):
+        """Of two files of one stem, s1/walk.csv and s2/walk.csv, a gait's error names the one it came from."""
         seq = read_capture(captures[0], GaitDirection.VERTICAL)
         xyz = seq.xyz.copy()
-        xyz[:, JointIndex.SPINE_MID, 1] = xyz[:, JointIndex.SPINE_BASE, 1]  # no frame has a usable spine
-        good, flat = tmp_path / "s1" / "walk.csv", tmp_path / "s2" / "walk.csv"
+        if fault == "flat-spine":
+            xyz[:, JointIndex.SPINE_MID, 1] = xyz[:, JointIndex.SPINE_BASE, 1]  # no frame has a usable spine
+        else:
+            xyz[5, JointIndex.HEAD] = (1.0, 1.7e308, 1.7e308)  # the 7 degree tilt correction overflows it
+        good, bad = tmp_path / "s1" / "walk.csv", tmp_path / "s2" / "walk.csv"
         good.parent.mkdir()
-        flat.parent.mkdir()
+        bad.parent.mkdir()
         write_capture(seq, good)
-        write_capture(seq.with_xyz(xyz), flat)
-        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", good, flat) == 1
-        assert capsys.readouterr().err == (
-            f"error: NoUsableFramesError: [stage: tilt-estimation] {flat}: no frame of 'walk' has a usable spine segment\n"
-        )
+        write_capture(seq.with_xyz(xyz), bad)
+        assert run("calibrate", "--sensor-height", 0.75, "--out-profile", tmp_path / "p.json", good, bad) == 1
+        assert capsys.readouterr().err == f"error: {error.format(bad=bad)}\n"
 
     def test_an_error_after_the_last_gait_names_no_file(self, tmp_path, captures, capsys):
         mirrored = tmp_path / "mirrored.csv"

@@ -97,6 +97,16 @@ def test_head_against_head_prints_every_verdict():
     )
     assert sorted(verdicts) == sorted(METRICS)
     assert re.search(r"^calibrate-10x900: failed operations, parent 0 of \d+, change 0 of \d+$", done.stdout, re.M)
+    assert re.fullmatch(r"src/: ([\d,]+) → \1 lines \(\+0\)", done.stdout.splitlines()[-1])
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    (tmp_path / "tools.py").write_text("outside src\n")
+    assert compare.src_lines(tmp_path) == 4
 
 
 def test_export_without_extraction_filters(tmp_path, monkeypatch):

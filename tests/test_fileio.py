@@ -91,10 +91,11 @@ class TestCaptureRoundTrip:
         assert b"\r" not in data
         assert data.startswith(b"frame,joint,x,y,z\n")
 
-    def test_label_defaults_to_stem(self, short_walk, tmp_path):
+    def test_label_is_the_path(self, short_walk, tmp_path):
         path = tmp_path / "session7.csv"
         write_capture(short_walk, path)
-        assert read_capture(path, GaitDirection.VERTICAL).label == "session7"
+        assert read_capture(path, GaitDirection.VERTICAL).label == str(path)
+        assert read_capture(str(path), GaitDirection.VERTICAL).label == str(path)
 
 
 class TestCaptureErrors:
@@ -493,7 +494,7 @@ class TestBlockCodec:
         path = tmp_path / f"{'w' * 240}.csv"
         write_capture(short_walk, path)
         back = read_capture(path, GaitDirection.VERTICAL)
-        assert back.label == "w" * 240
+        assert back.label == str(path)
         assert np.abs(back.xyz - short_walk.xyz).max() <= 1e-9
         assert list(tmp_path.iterdir()) == [path]  # no temp file left
 
@@ -1431,10 +1432,10 @@ class TestCaptureText:
     def test_byte_order_mark_is_skipped(self, tmp_path, short_walk, line_end):
         path = tmp_path / "walk.csv"
         write_capture(short_walk, path)
-        marked = tmp_path / "marked" / "walk.csv"  # the same stem, so the same label
-        marked.parent.mkdir()
-        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", line_end))
-        assert read_capture(marked, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
+        plain = read_capture(path, GaitDirection.VERTICAL)
+        # the same path, so the same label
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", line_end))
+        assert read_capture(path, GaitDirection.VERTICAL) == plain
 
     @pytest.mark.parametrize("mark, line_end", [(b"", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r\n")],
                              ids=["lf", "crlf", "bom_crlf"])
@@ -1442,10 +1443,10 @@ class TestCaptureText:
         """As an editor may leave a capture: the line parser reads it as it was written."""
         path = tmp_path / "walk.csv"
         write_capture(_pin_capture(template), path)
-        edited = tmp_path / "edited" / "walk.csv"  # the same stem, so the same label
-        edited.parent.mkdir()
-        edited.write_bytes(mark + path.read_bytes().replace(b"\n", line_end).removesuffix(line_end))
-        assert read_capture(edited, GaitDirection.VERTICAL) == read_capture(path, GaitDirection.VERTICAL)
+        written = read_capture(path, GaitDirection.VERTICAL)
+        # the same path, so the same label
+        path.write_bytes(mark + path.read_bytes().replace(b"\n", line_end).removesuffix(line_end))
+        assert read_capture(path, GaitDirection.VERTICAL) == written
 
     def test_a_form_feed_keeps_the_line_numbers(self, tmp_path):
         """``str.splitlines`` also breaks at a form feed; the line parser counts line ends only."""

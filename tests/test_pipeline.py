@@ -34,7 +34,9 @@ from skelcal import (
     generate_truth_capture,
     mean_perspective_degrees,
     perspective_correct_sequence,
+    read_capture,
     tilt_correct_sequence,
+    write_capture,
     y_diff_to_last,
 )
 from skelcal.errors import (
@@ -316,7 +318,38 @@ class TestCalibrateOnePass:
             calibrate(iter(gaits), 0.75)
         assert err.value.stage == "tilt-correction"
         assert (err.value.frame_index, err.value.joint, err.value.field) == expected
-        assert str(err.value) == f"[stage: tilt-correction] {whole.value}"
+        assert str(err.value) == f"[stage: tilt-correction] {gaits[1].label}: {whole.value}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fault, error, stage",
+        [
+            ("flat-spine", NoUsableFramesError, "tilt-estimation"),
+            ("huge-head", NonFiniteCoordinateError, "tilt-correction"),
+        ],
+        ids=["tilt-estimation", "tilt-correction"],
+    )
+    def test_a_gait_error_names_the_gait(self, tmp_path, fault, error, stage):
+        """An error in one gait's inclination or correction names that gait's label: its file, from read_capture."""
+        gaits = [shear_gait(GaitDirection.VERTICAL, seed) for seed in (0, 1, 2)]
+        xyz = gaits[1].xyz.copy()
+        if fault == "flat-spine":
+            xyz[:, JointIndex.SPINE_MID, 1] = xyz[:, JointIndex.SPINE_BASE, 1]
+        else:
+            xyz[5, JointIndex.HEAD] = (1.0, 1.7e308, 1.7e308)  # the 7 degree tilt correction overflows it
+        gaits[1] = gaits[1].with_xyz(xyz)
+        paths = [tmp_path / f"s{k}" / "walk.csv" for k in range(3)]
+        for path, gait in zip(paths, gaits):
+            path.parent.mkdir()
+            write_capture(gait, path)
+        with pytest.raises(error) as err:
+            calibrate((read_capture(path, GaitDirection.VERTICAL) for path in paths), 0.75)
+        assert (err.value.stage, err.value.path) == (stage, str(paths[1]))
+        unlabelled = [CaptureSequence(g.xyz, g.frame_index, g.direction) for g in gaits]
+        with pytest.raises(error) as err:
+            calibrate(unlabelled, 0.75)
+        assert (err.value.stage, err.value.path) == (stage, None)
+        assert str(err.value) == f"[stage: {stage}] {err.value.args[0]}"
 
     def test_overflow_only_in_an_unread_joint_is_ignored(self):
         gaits = [shear_gait(GaitDirection.VERTICAL, seed) for seed in (0, 1, 2)]

@@ -313,3 +313,59 @@ def test_inverted_spine_frames_do_not_steer_the_tilt(frames):
     tilt = calibrate(glitched, SENSOR_HEIGHT_M).tilt.tilt_rad
     assert tilt == calibrate(kept, SENSOR_HEIGHT_M).tilt.tilt_rad
     assert abs(math.degrees(tilt - calibrate(gaits, SENSOR_HEIGHT_M).tilt.tilt_rad)) <= 0.01
+
+
+# Tracking glitches, under the shear model at 7 degrees with the same bounds and held-out walk. Gait seed s draws its
+# glitches from np.random.default_rng(1000 + s): each joint of the glitched frames is hit with probability ``rate``,
+# by rng.random((frames, 25)) < rate, and each hit joint-frame, in np.argwhere order, moves by rng.normal(0, 0.15, 3)
+# m. "1%" and "3%" glitch every frame; "20%-end-frames" glitches only the first and last frame, the 50 joint-frames
+# that β is read from. Seeds 0-9 read, in tilt error, β error, Y RMSE and Z RMSE (no glitch: 0.012, 0.228, 9.38, 5.04):
+# - 1%: 0.139, 0.159, 9.46 and 5.30;
+# - 3%: 0.104, 0.055, 6.25 and 5.19;
+# - 20%-end-frames: 0.006, 0.766, 17.80 and 5.04.
+# Seeds 20-29 (held-out seed 30) read 0.070 and 0.200 degrees of tilt error at 1% and 3%, so the 1% row meets its
+# bound there, and at 20%-end-frames 0.633 degrees of β error and 23.40 mm Y RMSE. Their other cells read at most
+# 0.088 degrees of tilt error, 0.303 of β error, 9.45 mm Y RMSE and 5.53 mm Z RMSE.
+GLITCHES = {"1%": (0.01, range(90)), "3%": (0.03, range(90)), "20%-end-frames": (0.2, [0, 89])}
+GLITCH_STD_M = 0.15
+_ITEM_14 = (
+    "ROADMAP item 14: every frame enters the inclination mean and each gait's end frames enter β with full weight, "
+    "so a glitch moves them as far as it moves its joint"
+)
+#: The glitch rows that miss their bound today, with what seeds 0-9 read and the item that mends them.
+GLITCH_DEFECTS = {
+    ("tilt_deg", "1%"): (0.139, _ITEM_14),
+    ("tilt_deg", "3%"): (0.104, _ITEM_14),
+    ("beta_deg", "20%-end-frames"): (0.766, _ITEM_14),
+    ("y_rmse_mm", "20%-end-frames"): (17.80, _ITEM_14),
+}
+
+
+def _glitched(gait, seed, rate, frames):
+    """``gait`` with each joint of ``frames`` moved, with probability ``rate``, by N(0, GLITCH_STD_M) per axis."""
+    rng = np.random.default_rng(1000 + seed)
+    xyz = gait.xyz.copy()
+    for f, j in np.argwhere(rng.random((len(frames), xyz.shape[1])) < rate):
+        xyz[frames[f], j] += rng.normal(0, GLITCH_STD_M, 3)
+    return gait.with_xyz(xyz)
+
+
+@functools.lru_cache(maxsize=None)
+def measure_glitches(glitch):
+    """The four measures of the shear scenario at 7 degrees with the tracking glitches of ``GLITCHES[glitch]``."""
+    model = TiltModel.SHEAR_INVERSE
+    gaits = [
+        _glitched(apply_distortion(_truth(90), _spec(model, 7, seed)), seed, *GLITCHES[glitch]) for seed in GAIT_SEEDS
+    ]
+    return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, 7)
+
+
+def _glitch_rows():
+    for name in BOUNDS:
+        for glitch in GLITCHES:
+            yield _row((name, glitch), GLITCH_DEFECTS, f"{name}-{glitch}")
+
+
+@pytest.mark.parametrize("name, glitch", _glitch_rows())
+def test_glitches_within_bound(name, glitch):
+    assert measure_glitches(glitch)[name] <= BOUNDS[name]

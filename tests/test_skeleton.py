@@ -46,6 +46,32 @@ TEST_ONLY = (
 )
 
 
+def tag_setters(module, tree):
+    """The functions of ``tree``, named ``module.outer.inner``, that assign an attribute named ``stage`` or
+    ``path``, by assignment or by a ``setattr`` call; ``module`` alone for one outside any function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+                named = child.attr
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) in (
+                "setattr", "__setattr__"
+            ):
+                named = next((a.value for a in child.args if isinstance(a, ast.Constant)), None)
+            else:
+                named = None
+            if named in ("stage", "path"):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
 def make_xyz(n_frames):
     """(n_frames, 25, 3) joints, joint j of every frame at (0.1 * j, 1.0, 2.5)."""
     return np.tile([(0.1 * j, 1.0, 2.5) for j in range(JOINT_COUNT)], (n_frames, 1, 1))
@@ -197,8 +223,6 @@ class TestValidByConstruction:
             ("NEAR_ZERO_STANDARD_ERRORS", "tilt.py"),
             ("_near_zero", "tilt.py"),
             ("aggregate_inclination", "tilt.py"),
-            # only errors.tagged sets where an error happened
-            ("stage", "errors.py"),
             # file access stays in fileio, through Python's own file objects
             ("open", "fileio.py"),
             ("unlink", "fileio.py"),
@@ -223,6 +247,24 @@ class TestValidByConstruction:
             if name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         }
         assert users == set(owners.split())
+
+    def test_only_errors_tagged_sets_where_an_error_happened(self):
+        package = Path(skelcal.__file__).parent
+        setters = set().union(*(tag_setters(path.stem, ast.parse(path.read_text())) for path in package.glob("*.py")))
+        assert setters == {"errors.tagged"}
+
+    def test_tag_setters_finds_an_assignment_in_a_nested_function(self):
+        source = """
+def outer(holding):
+    def inner(exc):
+        exc.path, n = holding[0], 1
+    return inner
+
+class Error(Exception):
+    def mark(self):
+        object.__setattr__(self, "stage", "x")
+"""
+        assert tag_setters("m", ast.parse(source)) == {"m.outer.inner", "m.Error.mark"}
 
     def test_oracles_are_not_exported(self):
         # the AST walk above does not read the string keys of skelcal._EXPORTS

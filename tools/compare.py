@@ -15,8 +15,10 @@ on odd seeds and the change first on even ones.
 It prints two Markdown tables: each run's end-to-end metrics and operations,
 parent → change, and per workload and end-to-end metric of ``BENCHMARK.json``
 the parent's median (quartiles) → the change's median, the pairs the change
-won and one verdict (see ``verdict``). It exits 1 on any REGRESSION, or when
-the change side failed more operations than the parent on some workload.
+won and one verdict (see ``verdict``). Its last line counts each tree's
+``src/**/*.py`` lines, ``src/: <parent> → <change> lines (<delta>)``. It exits 1 on
+any REGRESSION, or when the change side failed more operations than the parent
+on some workload.
 """
 
 from __future__ import annotations
@@ -156,6 +158,11 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of ``tree``'s ``src/**/*.py`` files, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict]:
     """Run ``tree``'s own benchmark once; its reports by workload name."""
     out = tree.parent / f"{tree.name}-{seed}.json"
@@ -185,13 +192,15 @@ def main(argv=None) -> int:
         trees = {side: Path(scratch) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             export(rev, trees[side])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         pairs = []
         for seed in range(args.pairs):
             order = SIDES if first(seed) == "parent" else SIDES[::-1]
             print(f"pair {seed + 1}/{args.pairs}: {order[0]} first", file=sys.stderr, flush=True)
             pairs.append({side: run_side(trees[side], args.workload, seed, args.seconds) for side in order})
-    lines, status = tables(pairs, spec)
-    print("\n".join(lines))
+    table, status = tables(pairs, spec)
+    delta = lines["change"] - lines["parent"]
+    print("\n".join([*table, "", f"src/: {lines['parent']:,} → {lines['change']:,} lines ({delta:+,})"]))
     return status
 
 
