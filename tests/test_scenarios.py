@@ -32,10 +32,12 @@ import numpy as np
 import pytest
 
 from skelcal import (
+    BodyTemplate,
     CaptureSequence,
     DistortionSpec,
     GaitDirection,
     JointIndex,
+    Point3,
     Polynomial,
     TiltModel,
     apply_distortion,
@@ -369,3 +371,35 @@ def _glitch_rows():
 @pytest.mark.parametrize("name, glitch", _glitch_rows())
 def test_glitches_within_bound(name, glitch):
     assert measure_glitches(glitch)[name] <= BOUNDS[name]
+
+
+# Body-size rows: subjects of three sizes, under the shear model at 0 and 7 degrees with the same bounds and held-out
+# walk. Gait k walks with ``default_template()``'s offsets scaled by BODY_SCALES[k % 3], so each joint's height
+# differs from gait to gait; the held-out walk keeps the default template. A β solve that shares one height per joint
+# across the gaits reads about 8.5 degrees of β error here, with no error raised.
+BODY_SCALES = (0.85, 1.0, 1.15)
+BODY_SCALE_TILTS_DEG = [0, 7]
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_truth(scale):
+    """The 90-frame vertical walk of ``default_template()`` with every offset scaled by ``scale``."""
+    template = BodyTemplate(tuple(Point3(*(scale * c for c in p)) for p in default_template().joint_offsets))
+    return generate_truth_capture(template, GaitDirection.VERTICAL, 90, 4.5, 1.5)
+
+
+@functools.lru_cache(maxsize=None)
+def measure_body_scale(tilt_deg):
+    """The four measures of the shear scenario at ``tilt_deg``, calibrated on gaits of three body sizes."""
+    model = TiltModel.SHEAR_INVERSE
+    gaits = [
+        apply_distortion(_scaled_truth(BODY_SCALES[k % len(BODY_SCALES)]), _spec(model, tilt_deg, seed))
+        for k, seed in enumerate(GAIT_SEEDS)
+    ]
+    return _against_truth(calibrate(gaits, SENSOR_HEIGHT_M), model, tilt_deg)
+
+
+@pytest.mark.parametrize("tilt_deg", BODY_SCALE_TILTS_DEG, ids=lambda tilt_deg: f"{tilt_deg}deg")
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_body_scale_within_bound(name, tilt_deg):
+    assert measure_body_scale(tilt_deg)[name] <= BOUNDS[name]
