@@ -109,12 +109,6 @@ class BetaOutOfRangeError(CalibrationError, ValueError):
     """|angle| >= MAX_ABS_BETA_RAD, which no BetaPoint or correction accepts; a ValueError too."""
 
 
-class NoUsableGaitsError(CalibrationError):
-    def __init__(self, joint: int):
-        super().__init__(f"no gait provides usable depth travel for joint {joint}")
-        self.joint = joint
-
-
 # -- diagnostics -------------------------------------------------------------
 
 class MeasureOverflowError(CalibrationError):

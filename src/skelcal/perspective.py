@@ -2,10 +2,11 @@
 
 As a subject approaches the sensor, each joint's apparent Y drifts by an
 amount proportional to depth; the drift angle depends on the joint's height.
-The angle is estimated per joint from the first and last frame of a
-tilt-corrected walk toward the sensor, averaged across calibration gaits,
-and fitted as a polynomial in height. Correction adds z * tan(angle) back to
-each Y, with the angle read from the polynomial at the point's incoming Y.
+Its tangent is estimated as one polynomial in Y from every frame of the
+tilt-corrected walks toward the sensor, in one robust solve; it is read at
+each joint's height and fitted as a polynomial in height. Correction adds
+z * tan(angle) back to each Y, with the angle read from the polynomial at
+the point's incoming Y.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ import numpy as np
 
 from .errors import (
     BetaOutOfRangeError,
+    DegenerateSystemError,
     FixedPointDivergenceError,
     MeasureOverflowError,
-    NoUsableGaitsError,
     WrongDirectionError,
 )
-from .numerics import Polynomial, arithmetic_mean, polyeval, polyfit_least_squares
+from .numerics import Polynomial, polyeval, polyfit_least_squares
 from .skeleton import CaptureSequence, GaitDirection, JointIndex
 
-#: Minimum first-to-last depth travel for a usable estimate.
-MIN_DEPTH_TRAVEL_M = 0.05
+#: Huber's tuning constant (Huber 1964, Ann. Math. Stat. 35:73): a residual beyond it, in scales, weighs less.
+HUBER_K = 1.345
+#: Median |x| of a standard normal: a median absolute residual over it estimates the noise's SD.
+MAD_PER_SD = 0.6745
+#: Huber-weighted solves after the first, unweighted one.
+HUBER_PASSES = 3
 #: Largest |angle| a BetaPoint or a correction accepts: tan grows without bound toward pi/2.
 MAX_ABS_BETA_RAD = math.pi / 2 - 1e-6
 #: Iteration cap and convergence step of distort_perspective's fixed-point solve.
@@ -87,46 +92,102 @@ class BetaModel:
 def mean_perspective_degrees(
     seqs: Sequence[CaptureSequence],
     joints: Sequence[JointIndex | int] = DEFAULT_BETA_JOINTS,
+    degree: int = 2,
 ) -> list[BetaPoint]:
-    """Per-joint mean perspective angles across the vertical calibration gaits:
+    """Per-joint perspective angles from the vertical calibration gaits:
     ``beta_points`` of the vertical gaits' ``xyz[:, joints]``."""
     joints = [JointIndex(j) for j in joints]
-    return beta_points([s.xyz[:, joints] for s in seqs if s.direction is GaitDirection.VERTICAL], joints)
+    return beta_points([s.xyz[:, joints] for s in seqs if s.direction is GaitDirection.VERTICAL], joints, degree)
 
 
-def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex]) -> list[BetaPoint]:
-    """Per-joint mean perspective angles from tilt-corrected vertical gaits' slices ``xyz[:, joints]``.
+def beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex], degree: int) -> list[BetaPoint]:
+    """Per-joint perspective angles from tilt-corrected vertical gaits' slices ``xyz[:, joints]``.
 
-    A joint's angle in one gait is atan((y_last - y_first) / (z_first - z_last))
-    over the slice's end frames: the Y it picks up per metre of depth it loses,
-    positive when the far reading is too low. It is averaged over the gaits
-    where |z_first - z_last| > MIN_DEPTH_TRAVEL_M; its height is its mean Y
-    over all frames of all slices, and a mean beyond float64's range raises
-    MeasureOverflowError, a mean angle no correction accepts BetaOutOfRangeError.
-    Points come back ordered top to bottom by height.
-    No slice at all raises WrongDirectionError: no gait is vertical.
+    Every frame of every slice enters one solve of y = c_gj - z*t(y): t = tan(angle) is a polynomial of
+    ``degree`` in y, and c_gj one height per gait g and joint j, removed by weighted centring within its
+    gait and joint. The first solve weighs every point alike; HUBER_PASSES more take Huber weights at a
+    scale of the median over gaits of each gait's median |residual|, over MAD_PER_SD (a scale of 0 keeps
+    unit weights). A joint's point lies at its mean c_gj, with the angle atan(t) there. Points come back
+    ordered top to bottom by height.
+
+    No slice at all raises WrongDirectionError: no gait is vertical. Too little depth travel to determine
+    t raises DegenerateSystemError, a sum beyond float64's range MeasureOverflowError, and an angle no
+    correction accepts BetaOutOfRangeError.
     """
     if not slices:
         raise WrongDirectionError("no vertical gait among the calibration sequences")
-    ends = [s[[0, -1]].tolist() for s in slices]
-    points = []
-    for k, idx in enumerate(joints):
-        betas = []
-        for first, last in ends:
-            (_, y_first, z_first), (_, y_last, z_last) = first[k], last[k]
-            depth_travel = z_first - z_last
-            if abs(depth_travel) > MIN_DEPTH_TRAVEL_M:
-                betas.append(math.atan((y_last - y_first) / depth_travel))
-        if not betas:
-            raise NoUsableGaitsError(idx)
-        heights = np.concatenate([s[:, k, 1] for s in slices])
-        try:
-            height = arithmetic_mean(heights)
-        except OverflowError:  # math.fsum's, on a sum beyond float64's range
-            raise MeasureOverflowError(f"mean height of joint {int(idx)} overflows") from None
-        points.append(BetaPoint(idx, height, arithmetic_mean(betas)))
-    points.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
-    return points
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which the checks refuse
+        t, heights = _solve(slices, degree)
+        for _ in range(HUBER_PASSES):
+            scale = _median([_median(np.abs(_residuals(s[..., 1], s[..., 2], t, c))) for s, c in zip(slices, heights)])
+            if not math.isfinite(scale):
+                raise MeasureOverflowError("a perspective residual overflows float64")
+            t, heights = _solve(slices, degree, t, heights, HUBER_K * (scale / MAD_PER_SD))
+        height = np.mean(heights, axis=0)
+        if not np.isfinite(height).all():
+            raise MeasureOverflowError("a joint's mean height overflows float64")
+        beta = np.arctan(polyeval(t, height))
+    return sorted(map(BetaPoint, joints, height.tolist(), beta.tolist()), key=lambda p: (-p.height_y_m, int(p.joint)))
+
+
+def _residuals(y: np.ndarray, z: np.ndarray, t: Polynomial, c: np.ndarray) -> np.ndarray:
+    """y + z*t(y) - c, elementwise: what the model y = c - z*t(y) leaves of each point."""
+    return y + z * polyeval(t, y) - c
+
+
+def _median(values) -> float:
+    """np.median of ``values``, by np.partition: np.median imports numpy.ma."""
+    values = np.ravel(values)
+    middle = [(len(values) - 1) // 2, len(values) // 2]
+    return float(np.partition(values, middle)[middle].mean())
+
+
+def _solve(
+    slices: Sequence[np.ndarray],
+    degree: int,
+    t: Polynomial | None = None,
+    heights: list[np.ndarray] | None = None,
+    bound: float = 0.0,
+) -> tuple[Polynomial, list[np.ndarray]]:
+    """One solve for t's coefficients, summed one gait at a time; returns t and each gait's heights c_gj.
+
+    With ``bound`` 0 every point weighs 1. Otherwise a point whose residual under the previous ``t`` and
+    ``heights`` exceeds ``bound`` weighs ``bound`` over that residual.
+    """
+    normal, rhs, means = np.zeros((degree + 1, degree + 1)), np.zeros(degree + 1), []
+    for k, xyz in enumerate(slices):
+        # y, then z*y**d for d = 0 .. degree, in C order whatever the slice's layout: every sum adds in one order
+        data = np.empty((degree + 2, *xyz.shape[:2]))
+        data[0], data[1] = xyz[..., 1], xyz[..., 2]
+        for d in range(1, degree + 1):
+            np.multiply(data[d], data[0], out=data[d + 1])
+        if bound:
+            w = bound / np.maximum(np.abs(_residuals(data[0], data[1], t, heights[k])), bound)
+        else:
+            w = np.ones(data[0].shape)
+        # centred about each joint's first frame, then its weighted mean: a constant centres to exactly 0
+        first = data[:, 0].copy()
+        data -= first[:, None]
+        mean = (data * w).sum(axis=1) / w.sum(axis=0)
+        data -= mean[:, None]
+        weighted = data[1:] * w
+        normal += np.tensordot(weighted, data[1:], ((1, 2), (1, 2)))
+        rhs -= np.tensordot(weighted, data[0], 2)
+        means.append(first + mean)
+    if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):  # LAPACK would print its refusal to fd 1
+        raise MeasureOverflowError("the perspective system overflows float64")
+    size = np.sqrt(normal.diagonal())  # each column scaled to 1; one with no depth travel anywhere stays 0
+    outer = np.outer(size, size)
+    scaled = np.divide(normal, outer, out=np.zeros_like(normal), where=outer > 0)
+    rank = np.linalg.matrix_rank(scaled)
+    if rank < degree + 1:
+        raise DegenerateSystemError(
+            f"too little depth travel to fit a degree-{degree} perspective angle: rank {rank} < {degree + 1}"
+        )
+    coefficients = np.linalg.solve(scaled, rhs / size) / size
+    if not np.isfinite(coefficients).all():
+        raise MeasureOverflowError("the perspective angle's coefficients overflow float64")
+    return Polynomial(tuple(coefficients.tolist())), [m[0] + coefficients @ m[1:] for m in means]
 
 
 def fit_beta_model(points: Sequence[BetaPoint], degree: int) -> BetaModel:

@@ -91,7 +91,8 @@ def calibrate(
             kept[i] = label, frame_index, tilt_correct_xyz(xyz, tilt)  # the raw slice is dropped
             check_finite(kept[i][2], frame_index, joints)
     with tagged(stage="perspective-estimation"):
-        beta = fit_beta_model(beta_points([xyz for _, _, xyz in kept], joints), config.beta_degree)
+        points = beta_points([xyz for _, _, xyz in kept], joints, config.beta_degree)
+        beta = fit_beta_model(points, config.beta_degree)
     return CalibrationProfile(tilt, beta, len(inclinations), created_label)
 
 

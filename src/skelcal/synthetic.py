@@ -27,8 +27,6 @@ FRAME_RATE_HZ = 30.0
 STRIDE_LENGTH_M = 0.3
 #: Step frequency of every generated walk, Hz.
 STEP_FREQUENCY_HZ = 3.3
-#: Label of every generated ground-truth capture.
-TRUTH_LABEL = "synthetic-truth"
 
 #: Standing-adult joint offsets relative to the base of the spine, meters.
 _DEFAULT_OFFSETS: dict[JointIndex, tuple[float, float, float]] = {
@@ -185,7 +183,7 @@ def generate_truth_capture(
                 da = posed[:, j, across] - pivot[:, across]
                 posed[:, j, 1] = pivot[:, 1] + dy * c - da * s
                 posed[:, j, across] = pivot[:, across] + dy * s + da * c
-    return CaptureSequence(base[:, None] + posed, np.arange(frames), direction, TRUTH_LABEL)
+    return CaptureSequence(base[:, None] + posed, np.arange(frames), direction)
 
 
 def add_noise(seq: CaptureSequence, std_m: float, seed: int) -> CaptureSequence:

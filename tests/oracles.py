@@ -16,10 +16,22 @@ import numpy as np
 from skelcal.diagnostics import y_diff_to_last
 from skelcal.errors import BetaOutOfRangeError, CalibrationError, WrongDirectionError
 from skelcal.numerics import Polynomial, polyeval
-from skelcal.perspective import DEFAULT_BETA_JOINTS, MAX_ABS_BETA_RAD, MIN_DEPTH_TRAVEL_M, BetaModel
+from skelcal.perspective import (
+    DEFAULT_BETA_JOINTS,
+    HUBER_K,
+    HUBER_PASSES,
+    MAD_PER_SD,
+    MAX_ABS_BETA_RAD,
+    BetaModel,
+    BetaPoint,
+)
 from skelcal.pipeline import CalibrationProfile
 from skelcal.skeleton import SKELETON_EDGES, CaptureSequence, GaitDirection, JointIndex, Point3, SkeletonEdge
 from skelcal.tilt import MIN_SPINE_RISE_M, TiltParams
+
+
+#: Minimum first-to-last depth travel for joint_perspective_degree's estimate.
+MIN_DEPTH_TRAVEL_M = 0.05
 
 
 class DegenerateSpineError(CalibrationError):
@@ -80,6 +92,35 @@ def joint_perspective_degree(seq: CaptureSequence, j: JointIndex | int) -> float
             f"joint {idx}: |depth travel| {abs(depth_travel):.4f} m <= {MIN_DEPTH_TRAVEL_M} m"
         )
     return math.atan((y_last - y_first) / depth_travel)
+
+
+def dense_beta_points(slices: Sequence[np.ndarray], joints: Sequence[JointIndex], degree: int) -> list[BetaPoint]:
+    """beta_points by a dense design: one indicator column per (gait, joint) beside the columns -z*y**d.
+
+    The same passes as beta_points: a solve with unit weights, then HUBER_PASSES with Huber weights at the
+    median over gaits of each gait's median |residual|, over MAD_PER_SD. Each solve is np.linalg.lstsq on
+    the rows scaled by the square root of their weights.
+    """
+    y = np.concatenate([s[..., 1].ravel() for s in slices])
+    z = np.concatenate([s[..., 2].ravel() for s in slices])
+    gait = np.concatenate([np.full(s[..., 1].size, g) for g, s in enumerate(slices)])
+    group = np.concatenate([g * len(joints) + np.tile(np.arange(len(joints)), len(s)) for g, s in enumerate(slices)])
+    design = np.hstack([
+        np.equal.outer(group, np.arange(len(slices) * len(joints))).astype(float),
+        -z[:, None] * y[:, None] ** np.arange(degree + 1),
+    ])
+    w = np.ones_like(y)
+    for _ in range(HUBER_PASSES + 1):
+        root = np.sqrt(w)
+        solution = np.linalg.lstsq(design * root[:, None], y * root, rcond=None)[0]
+        r = y - design @ solution
+        scale = np.median([np.median(np.abs(r[gait == g])) for g in range(len(slices))]) / MAD_PER_SD
+        with np.errstate(divide="ignore"):
+            w = np.minimum(1.0, HUBER_K * scale / np.abs(r)) if scale > 0 else np.ones_like(y)
+    heights = solution[: -degree - 1].reshape(len(slices), len(joints)).mean(axis=0)
+    betas = np.arctan(np.polynomial.polynomial.polyval(heights, solution[-degree - 1 :]))
+    points = [BetaPoint(j, h, b) for j, h, b in zip(joints, heights.tolist(), betas.tolist())]
+    return sorted(points, key=lambda p: (-p.height_y_m, int(p.joint)))
 
 
 def perspective_correct_point(p: Sequence[float], model: BetaModel) -> Point3:

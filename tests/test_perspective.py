@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skelcal import (
     BetaModel,
     BetaPoint,
     CaptureSequence,
+    DEFAULT_BETA_JOINTS,
     GaitDirection,
     JOINT_COUNT,
     JointIndex,
     Polynomial,
-    arithmetic_mean,
     beta_points,
     fit_beta_model,
     mean_perspective_degrees,
@@ -22,12 +22,18 @@ from skelcal import (
 )
 from skelcal.errors import (
     BetaOutOfRangeError,
+    DegenerateSystemError,
     InsufficientPointsError,
-    NoUsableGaitsError,
+    MeasureOverflowError,
     WrongDirectionError,
 )
 from skelcal.perspective import MAX_ABS_BETA_RAD, _check_angles, distort_perspective, perspective_correct_xyz
-from oracles import InsufficientDepthTravelError, joint_perspective_degree, perspective_correct_point
+from oracles import (
+    InsufficientDepthTravelError,
+    dense_beta_points,
+    joint_perspective_degree,
+    perspective_correct_point,
+)
 
 
 def two_frame_seq(first, last, direction=GaitDirection.VERTICAL):
@@ -81,20 +87,20 @@ class TestJointPerspectiveDegree:
 
 class TestMeanPerspectiveDegrees:
     def test_single_gait_mean_is_that_gait(self):
+        # one two-frame gait at degree 0: the solve's slope is the end frames' slope, bit for bit
         seq = two_frame_seq((0, 1.62, 4.0), (0, 1.70, 1.5))
-        points = mean_perspective_degrees([seq], [JointIndex.HEAD])
+        points = mean_perspective_degrees([seq], [JointIndex.HEAD], 0)
         assert len(points) == 1
-        assert points[0].beta_rad == pytest.approx(
-            joint_perspective_degree(seq, JointIndex.HEAD), abs=1e-15
-        )
+        assert points[0].beta_rad == joint_perspective_degree(seq, JointIndex.HEAD) == 0.031989084039315045
 
     def test_mean_of_two_gaits(self):
+        # gaits of equal depth travel weigh alike: the tangent is the mean of theirs
         def gait(beta):
             drift = 2.5 * math.tan(beta)
             return two_frame_seq((0, 1.6 - drift, 4.0), (0, 1.6, 1.5))
 
-        points = mean_perspective_degrees([gait(0.02), gait(0.04)], [JointIndex.HEAD])
-        assert points[0].beta_rad == pytest.approx(0.03, abs=1e-9)
+        points = mean_perspective_degrees([gait(0.02), gait(0.04)], [JointIndex.HEAD], 0)
+        assert points[0].beta_rad == pytest.approx(math.atan((math.tan(0.02) + math.tan(0.04)) / 2), abs=1e-12)
 
     def test_points_ordered_top_to_bottom(self, truth_walk):
         raw = distort_perspective(truth_walk, Polynomial((0.02, -0.01)))
@@ -110,10 +116,10 @@ class TestMeanPerspectiveDegrees:
             assert p.beta_rad == pytest.approx(polyeval(poly, p.height_y_m), abs=2e-3)
 
     def test_joint_without_depth_travel_rejected(self):
-        seq = two_frame_seq((0, 1.6, 2.0), (0, 1.7, 1.99))
-        with pytest.raises(NoUsableGaitsError) as err:
-            mean_perspective_degrees([seq], [JointIndex.HEAD])
-        assert err.value.joint == int(JointIndex.HEAD)
+        seq = two_frame_seq((0, 1.6, 2.0), (0, 1.7, 2.0))
+        for degree in (0, 1, 2):
+            with pytest.raises(DegenerateSystemError, match="^too little depth travel"):
+                mean_perspective_degrees([seq], [JointIndex.HEAD], degree)
 
     def test_no_vertical_gait_rejected(self):
         seq = two_frame_seq(
@@ -131,43 +137,61 @@ class TestMeanPerspectiveDegrees:
             joint_perspective_degree(seq, joint)
 
 
-class TestBetaPoints:
-    """beta_points, over joint slices, against the scalar oracle joint_perspective_degree."""
+def noisy_walks(seed, gaits, frames, joints):
+    """``gaits`` seeded walks of ``frames`` frames over ``joints`` joints: y = c - z*tan(beta(y)) to first order,
+    with 5 mm noise and a few joint-frames thrown 0.2 m off, as ``xyz[:, joints]`` slices."""
+    rng = np.random.default_rng(seed)
+    slices = []
+    for _ in range(gaits):
+        z = np.linspace(rng.uniform(3.0, 5.0), rng.uniform(1.0, 2.5), frames)[:, None] + rng.normal(0, 0.005, (frames, joints))
+        c = rng.uniform(0.05, 1.8, joints)
+        y = c - z * (0.05 - 0.02 * c) + rng.normal(0, 0.005, (frames, joints))
+        y[rng.random((frames, joints)) < 0.05] += 0.2
+        slices.append(np.stack((np.zeros_like(y), y, z), axis=-1))
+    return slices
 
+
+class TestBetaPoints:
+    """beta_points against the dense solve of the same model, dense_beta_points."""
+
+    @settings(deadline=None)
     @given(
-        st.lists(arrays(np.float64, st.tuples(st.integers(2, 4), st.just(JOINT_COUNT), st.just(3)),
-                        elements=st.floats(-5.0, 5.0)), min_size=1, max_size=4),
-        st.lists(st.sampled_from(JointIndex), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        gaits=st.integers(1, 4),
+        frames=st.integers(3, 40),
+        joints=st.lists(st.sampled_from(JointIndex), min_size=3, max_size=6),
+        degree=st.integers(0, 2),
     )
-    def test_matches_the_scalar_oracle(self, xyzs, joints):
-        seqs = [CaptureSequence(xyz, range(len(xyz)), GaitDirection.VERTICAL) for xyz in xyzs]
-        expected = []
-        for j in joints:
-            betas = []
-            for seq in seqs:
-                try:
-                    betas.append(joint_perspective_degree(seq, j))
-                except InsufficientDepthTravelError:
-                    pass
-            if not betas:
-                with pytest.raises(NoUsableGaitsError) as err:
-                    beta_points([s.xyz[:, joints] for s in seqs], joints)
-                assert err.value.joint == j
-                return
-            heights = np.concatenate([s.xyz[:, j, 1] for s in seqs]).tolist()
-            expected.append(BetaPoint(j, arithmetic_mean(heights), arithmetic_mean(betas)))
-        expected.sort(key=lambda p: (-p.height_y_m, int(p.joint)))
-        assert beta_points([s.xyz[:, joints] for s in seqs], joints) == expected
+    def test_matches_the_dense_oracle(self, seed, gaits, frames, joints, degree):
+        slices = noisy_walks(seed, gaits, frames, len(joints))
+        got, expected = beta_points(slices, joints, degree), dense_beta_points(slices, joints, degree)
+        assert [p.joint for p in got] == [p.joint for p in expected]
+        for p, q in zip(got, expected):
+            assert p.height_y_m == pytest.approx(q.height_y_m, abs=1e-9)
+            assert p.beta_rad == pytest.approx(q.beta_rad, abs=1e-9)
 
     def test_equals_mean_perspective_degrees_on_the_vertical_gaits(self, truth_walk):
         raw = distort_perspective(truth_walk, Polynomial((0.02, -0.01)))
         across = CaptureSequence(raw.xyz, raw.frame_index, GaitDirection.HORIZONTAL)
         joints = [JointIndex.HEAD, JointIndex.ANKLE_LEFT, JointIndex.HEAD]
-        assert mean_perspective_degrees([raw, across, raw], joints) == beta_points([raw.xyz[:, joints]] * 2, joints)
+        assert mean_perspective_degrees([raw, across, raw], joints, 1) == beta_points([raw.xyz[:, joints]] * 2, joints, 1)
 
     def test_no_slices_is_no_vertical_gait(self):
         with pytest.raises(WrongDirectionError):
-            beta_points([], [JointIndex.HEAD])
+            beta_points([], [JointIndex.HEAD], 2)
+
+    def test_one_frame_per_gait_has_no_depth_travel(self):
+        slices = noisy_walks(0, 3, 1, 4)
+        with pytest.raises(DegenerateSystemError, match="rank 0 < 3$"):
+            beta_points(slices, list(DEFAULT_BETA_JOINTS[:4]), 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e200, 1e308, -1e308])
+    def test_a_sum_beyond_float64_is_an_overflow(self, value):
+        slices = noisy_walks(0, 2, 20, 3)
+        slices[1][7, 0, 1] = value
+        with pytest.raises(MeasureOverflowError):
+            beta_points(slices, list(DEFAULT_BETA_JOINTS[:3]), 2)
 
 
 class TestFitBetaModel:
