@@ -61,10 +61,11 @@ class TestVerdict:
         assert wall_s(PARENT, [p - 0.1 for p in PARENT], parent_failed=2, change_failed=2) == "GAIN"
 
 
-def _report(workload, wall, failed=0):
+def _report(workload, wall, failed=0, y_rmse_m=0.009):
     metrics = {m: {"value": wall, "unit": METRICS[m]["unit"]} for m in METRICS}
     metrics["frames_per_s"]["value"] = 9000 / wall
-    return {"workload": workload, "attempted": 20, "failed": failed, "metrics": metrics}
+    accuracy = {"drift_max_m": 0.04, "y_rmse_m": y_rmse_m}
+    return {"workload": workload, "attempted": 20, "failed": failed, "metrics": metrics, "accuracy": accuracy}
 
 
 class TestTables:
@@ -74,6 +75,16 @@ class TestTables:
         assert status == 1
         assert "w: failed operations, parent 0 of 40, change 1 of 40" in lines
         assert all(not line.endswith("| GAIN |") for line in lines)
+
+    def test_accuracy_medians_parent_to_change(self):
+        pairs = [
+            {"parent": {"w": _report("w", 1.0, y_rmse_m=p)}, "change": {"w": _report("w", 1.0, y_rmse_m=c)}}
+            for p, c in ((0.009, 0.005), (0.008, 0.004), (0.0095, 0.0049))
+        ]
+        lines, status = compare.tables(pairs, SPEC)
+        table = lines[lines.index("| workload | accuracy | parent median → change median |") + 2:]
+        assert table[:2] == ["| w | drift_max_m | 0.04 → 0.04 |", "| w | y_rmse_m | 0.009 → 0.0049 |"]
+        assert status == 0  # accuracy has no verdict
 
     def test_status_is_1_on_a_regression_and_0_otherwise(self):
         for change, status in ((1.5, 1), (1.0, 0)):
@@ -97,6 +108,8 @@ def test_head_against_head_prints_every_verdict():
     )
     assert sorted(verdicts) == sorted(METRICS)
     assert re.search(r"^calibrate-10x900: failed operations, parent 0 of \d+, change 0 of \d+$", done.stdout, re.M)
+    accuracy = re.findall(r"^\| calibrate-10x900 \| (\w+) \| ([\d.e+-]+) → \2 \|$", done.stdout, re.M)
+    assert [name for name, _ in accuracy] == ["tilt_err_deg", "drift_max_m", "y_rmse_m"]
     assert re.fullmatch(r"src/: ([\d,]+) → \1 lines \(\+0\)", done.stdout.splitlines()[-1])
 
 

@@ -12,10 +12,12 @@ every run, as a fresh checkout does. For pair k = 0 .. N-1 it runs each tree's
 own ``benchmarks/run.py --workload W --seed k --seconds S``, the parent first
 on odd seeds and the change first on even ones.
 
-It prints two Markdown tables: each run's end-to-end metrics and operations,
-parent → change, and per workload and end-to-end metric of ``BENCHMARK.json``
+It prints three Markdown tables: each run's end-to-end metrics and operations,
+parent → change; per workload and end-to-end metric of ``BENCHMARK.json``
 the parent's median (quartiles) → the change's median, the pairs the change
-won and one verdict (see ``verdict``). Its last line counts each tree's
+won and one verdict (see ``verdict``); and per workload the median of each
+value of the reports' ``accuracy``, parent → change, with no verdict, so a
+change to results shows beside its cost. Its last line counts each tree's
 ``src/**/*.py`` lines, ``src/: <parent> → <change> lines (<delta>)``. It exits 1 on
 any REGRESSION, or when the change side failed more operations than the parent
 on some workload.
@@ -95,7 +97,7 @@ def _fmt(value: float, unit: str) -> str:
 
 
 def tables(pairs: list[dict[str, dict[str, dict]]], spec: dict) -> tuple[list[str], int]:
-    """The per-run and verdict tables of ``pairs``, and the exit status.
+    """The per-run, verdict and accuracy tables of ``pairs``, and the exit status.
 
     ``pairs[k][side][workload]`` is the report that ``benchmarks/run.py --out``
     wrote for that workload on seed k; ``spec`` is ``BENCHMARK.json``.
@@ -121,7 +123,7 @@ def tables(pairs: list[dict[str, dict[str, dict]]], spec: dict) -> tuple[list[st
         "| workload | metric | parent median (p25–p75) → change median | change won | verdict |",
         "|---|---|---|---|---|",
     ]
-    status, footer = 0, []
+    status, footer, accuracy = 0, [], ["", "| workload | accuracy | parent median → change median |", "|---|---|---|"]
     for workload in workloads:
         runs = {side: [pair[side][workload] for pair in pairs] for side in SIDES}
         failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
@@ -139,11 +141,14 @@ def tables(pairs: list[dict[str, dict[str, dict]]], spec: dict) -> tuple[list[st
             )
             won = pairs_won(values["parent"], values["change"], m["better"])
             lines.append(f"| {workload} | {m['name']} | {medians} | {won}/{len(pairs)} | {said} |")
+        for name in runs["parent"][0]["accuracy"]:
+            parent, change = (statistics.median(r["accuracy"][name] for r in runs[side]) for side in SIDES)
+            accuracy.append(f"| {workload} | {name} | {parent:.4g} → {change:.4g} |")
         footer.append(
             f"{workload}: failed operations, parent {failed['parent']} of {attempted['parent']}, "
             f"change {failed['change']} of {attempted['change']}"
         )
-    return [*lines, "", *footer], status
+    return [*lines, *accuracy, "", *footer], status
 
 
 def export(rev: str, dest: Path) -> None:
