@@ -112,7 +112,7 @@ class BetaOutOfRangeError(CalibrationError, ValueError):
 # -- diagnostics -------------------------------------------------------------
 
 class MeasureOverflowError(CalibrationError):
-    """A measure of finite coordinates that is beyond float64's range: a diagnostic, or a joint's mean height."""
+    """A measure of finite coordinates that is beyond float64's range: a diagnostic, or a sum of the β solve."""
 
 
 # -- synthetic generation ----------------------------------------------------

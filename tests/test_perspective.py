@@ -143,7 +143,8 @@ def noisy_walks(seed, gaits, frames, joints):
     rng = np.random.default_rng(seed)
     slices = []
     for _ in range(gaits):
-        z = np.linspace(rng.uniform(3.0, 5.0), rng.uniform(1.0, 2.5), frames)[:, None] + rng.normal(0, 0.005, (frames, joints))
+        z = np.linspace(rng.uniform(3.0, 5.0), rng.uniform(1.0, 2.5), frames)[:, None]
+        z = z + rng.normal(0, 0.005, (frames, joints))
         c = rng.uniform(0.05, 1.8, joints)
         y = c - z * (0.05 - 0.02 * c) + rng.normal(0, 0.005, (frames, joints))
         y[rng.random((frames, joints)) < 0.05] += 0.2
